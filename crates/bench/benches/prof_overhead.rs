@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use beri_sim::MachineConfig;
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_spec_profiled, run_spec_with_config, JobSpec, StrategyKind};
+use cheri_sweep::{run_job, run_spec_with_config, JobSpec, Mode, StrategyKind};
 use cheri_work::Workload;
 
 fn spec(workload: Workload, strategy: StrategyKind) -> JobSpec {
@@ -28,7 +28,9 @@ fn spec(workload: Workload, strategy: StrategyKind) -> JobSpec {
 fn run(spec: &JobSpec, enabled: bool, profiled: bool) -> (u64, u64) {
     let cfg = MachineConfig { block_cache: enabled, ..spec.machine_config() };
     let stats = if profiled {
-        let (result, profile) = run_spec_profiled(spec, cfg).expect("bench workload runs");
+        let run =
+            run_job(spec, cfg, Mode::Profiled, None, &mut |_, _| {}).expect("bench workload runs");
+        let (result, profile) = (run.result.unwrap(), run.profile.unwrap());
         assert_eq!(
             profile.total.retired, result.run.outcome.stats.instructions,
             "profile must account for every retired instruction"

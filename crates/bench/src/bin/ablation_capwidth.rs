@@ -10,7 +10,7 @@
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
 use cheri_bench::{overhead_pct, params_for, parse_jobs, parse_scale};
-use cheri_sweep::{run_specs, JobSpec, CAPWIDTH_STRATEGIES};
+use cheri_sweep::{run_jobs, JobSpec, CAPWIDTH_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
             CAPWIDTH_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_specs(&specs, parse_jobs());
+    let results = run_jobs(&specs, parse_jobs(), None);
 
     println!("== Capability width ablation: 256-bit vs 128-bit CHERI (execution) ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "cheri-256", "cheri-128", "recovered");

@@ -8,7 +8,7 @@
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
 use cheri_bench::{overhead_pct, params_for, parse_jobs, parse_scale};
-use cheri_sweep::{run_specs, JobSpec, ELISION_STRATEGIES};
+use cheri_sweep::{run_jobs, JobSpec, ELISION_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
             ELISION_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_specs(&specs, parse_jobs());
+    let results = run_jobs(&specs, parse_jobs(), None);
 
     println!("== Software bounds-check elision ablation ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "checked", "eliding", "saved");

@@ -8,7 +8,7 @@
 
 use cheri_bench::parse_jobs;
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_specs, JobSpec, StrategyKind, TAG_ABLATION_KB};
+use cheri_sweep::{run_jobs, JobSpec, StrategyKind, TAG_ABLATION_KB};
 use cheri_work::Workload;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
             ..JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, params)
         })
         .collect();
-    let results = run_specs(&specs, parse_jobs());
+    let results = run_jobs(&specs, parse_jobs(), None);
 
     println!("== Tag-cache size ablation (treeadd depth 15, CHERI mode) ==\n");
     println!(

@@ -10,7 +10,7 @@
 
 use cheri_bench::{bar, overhead_pct, params_for, parse_jobs, parse_scale, parse_trace_out};
 use cheri_olden::dsl::BenchRun;
-use cheri_sweep::{run_specs, run_specs_traced, JobSpec, FIGURE4_STRATEGIES};
+use cheri_sweep::{run_jobs, JobSpec, FIGURE4_STRATEGIES};
 use cheri_trace::Sink;
 use cheri_work::Workload;
 
@@ -26,10 +26,7 @@ fn main() {
             FIGURE4_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = match &sink {
-        Some(s) => run_specs_traced(&specs, s),
-        None => run_specs(&specs, parse_jobs()),
-    };
+    let results = run_jobs(&specs, parse_jobs(), sink.as_ref());
 
     println!("== Figure 4: execution-time overhead vs unsafe MIPS ({scale:?} sizes) ==\n");
     println!(

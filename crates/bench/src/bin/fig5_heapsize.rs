@@ -8,7 +8,7 @@
 //! path).
 
 use cheri_bench::{bar, overhead_pct, parse_jobs, parse_trace_out};
-use cheri_sweep::{heapsize_sweep, run_specs, run_specs_traced, JobSpec, HEAPSIZE_STRATEGIES};
+use cheri_sweep::{heapsize_sweep, run_jobs, JobSpec, HEAPSIZE_STRATEGIES};
 use cheri_trace::Sink;
 use cheri_work::Workload;
 
@@ -27,10 +27,7 @@ fn main() {
             })
         })
         .collect();
-    let results = match &sink {
-        Some(s) => run_specs_traced(&specs, s),
-        None => run_specs(&specs, parse_jobs()),
-    };
+    let results = run_jobs(&specs, parse_jobs(), sink.as_ref());
 
     let mut rows = results.chunks(HEAPSIZE_STRATEGIES.len());
     for bench in Workload::ALL {

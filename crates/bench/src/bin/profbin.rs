@@ -23,7 +23,7 @@
 
 use cheri_bench::cli::{self, Cli};
 use cheri_olden::OldenParams;
-use cheri_sweep::{run_spec_profiled, JobSpec, DEFAULT_TAG_CACHE_KB};
+use cheri_sweep::{run_job, JobSpec, Mode, DEFAULT_TAG_CACHE_KB};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "profbin [--workload NAME] [--strategy NAME] [--tag-kb N] [--top N] \
@@ -87,8 +87,10 @@ fn main() {
                     args.workload, args.strategy
                 ))
             });
-    let (result, profile) = run_spec_profiled(&spec, spec.machine_config())
+    let run = run_job(&spec, spec.machine_config(), Mode::Profiled, None, &mut |_, _| {})
         .unwrap_or_else(|e| fail(&format!("{}: {e}", spec.key())));
+    let result = run.result.expect("profiled runs complete");
+    let profile = run.profile.expect("profiled runs return a profile");
 
     let stats = &result.run.outcome.stats;
     println!("== profbin: {} ==\n", spec.key());

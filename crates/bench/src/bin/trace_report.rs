@@ -14,10 +14,9 @@
 //! `--diff`, which prints per-counter deltas between two saved runs.
 
 use cheri_bench::cli::Cli;
-use cheri_bench::{params_for, parse_bench_name, parse_scale, parse_strategy};
-use cheri_olden::dsl::BenchSession;
+use cheri_bench::{params_for, parse_bench_name, parse_scale};
+use cheri_sweep::{run_spec_with_config, JobSpec, StrategyKind};
 use cheri_trace::{marker, names, shared, AggregateSink, AnySink, JsonlSink, Sink, Snapshot};
-use cheri_work::machine_config;
 
 const USAGE: &str = "trace_report <workload> [--strategy <name>]\n\
      \u{20}                   [--scaled|--paper] [--jsonl <path>] [--out <path>]\n\
@@ -97,7 +96,7 @@ fn main() {
     let Some(bench) = positional.first().and_then(|n| parse_bench_name(n)) else {
         cli.usage_exit("a benchmark name is required");
     };
-    let Some(strategy) = parse_strategy(&strategy_name) else {
+    let Some(strategy) = StrategyKind::parse(&strategy_name) else {
         cli.usage_exit(&format!("unknown strategy {strategy_name:?}"));
     };
     let params = params_for(parse_scale());
@@ -111,13 +110,10 @@ fn main() {
     }
     let sink = shared(AnySink::Multi(sinks));
 
-    marker(&Some(sink.clone()), &format!("run start: {}/{}", bench.name(), strategy.name()));
-    let cfg = machine_config(bench, &params, strategy.as_ref());
-    let module = bench.module(&params);
-    let run = BenchSession::start_module(&module, strategy.as_ref(), cfg, Some(sink.clone()))
-        .map_err(|e| e.to_string())
-        .and_then(|mut s| s.run_to_completion().map_err(|e| e.to_string()))
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), strategy.name()));
+    let spec = JobSpec::new(bench, strategy, params);
+    let run = run_spec_with_config(&spec, spec.machine_config(), Some(sink.clone()))
+        .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), strategy.name()))
+        .run;
     marker(&Some(sink.clone()), "run end");
     sink.borrow_mut().flush();
 

@@ -32,18 +32,18 @@
 //!                                       .folded, .timeline.json) to results/prof/
 //! ```
 //!
-//! When the `--perf` transparency assert, the `--warm` equality assert,
-//! or the `--check` gate fails, the offending jobs' machine+kernel
-//! snapshots are written as `results/divergence-*.json` for offline
-//! triage with `snapreplay`.
+//! `--perf`, `--warm` and `--prof` are one A/B harness
+//! ([`cheri_sweep::ab()`]) with a mode-specific tail. When one of their
+//! transparency asserts or the `--check` gate fails, the offending
+//! jobs' final machine+kernel snapshots are written as
+//! `results/divergence-*.json` for offline triage with `snapreplay`.
 
+use beri_sim::MachineConfig;
 use cheri_bench::cli::{self, Cli};
 use cheri_bench::parse_workloads_csv;
-use cheri_snap::Snapshot;
 use cheri_sweep::{
-    check_reports, comparisons, profile_matrix, render_drifts, run_indexed, run_matrix,
-    run_spec_final_snap, run_spec_resume, run_spec_split, run_specs, run_specs_block_cache,
-    run_specs_profiled, JobRecord, JobResult, JobSpec, Profile, SweepReport,
+    ab, check_reports, comparisons, dump_divergence, profile_matrix, render_drifts, run_jobs,
+    AbJob, JobResult, JobSpec, Mode, Profile, Side, SweepReport,
 };
 use cheri_trace::json::{self, Json};
 use cheri_work::Workload;
@@ -148,150 +148,132 @@ fn selected_matrix(args: &Args) -> Vec<JobSpec> {
     }
 }
 
-/// Writes a divergence snapshot under `results/` with the job key
-/// flattened into the file name, and returns the path.
-fn write_divergence(key: &str, suffix: &str, snap: &Snapshot) -> PathBuf {
-    let name = format!("divergence-{}{suffix}.json", key.replace('/', "-"));
-    let path = Path::new("results").join(name);
-    write_report(&path, &snap.to_json());
-    eprintln!("xsweep: divergence snapshot: {}", path.display());
-    path
+/// Prints the mode banner: `== xsweep<mode>: N jobs (P profile) on T
+/// threads<sides> ==`.
+fn banner(args: &Args, jobs: usize, mode: &str, sides: &str) {
+    println!(
+        "== xsweep{mode}: {jobs} jobs ({} profile) on {} thread{}{sides} ==\n",
+        args.profile.name(),
+        args.jobs,
+        if args.jobs == 1 { "" } else { "s" }
+    );
 }
 
-/// The timing sections of `results/perf.json`. Each timing mode owns
-/// its own section and preserves the other's numbers when rewriting the
-/// file (as long as the profile matches — timings from a different
-/// matrix would be incomparable).
-#[derive(Default)]
-struct PerfDoc {
-    /// `--perf`: (wall_ms, instr_per_sec) with the block cache on.
-    block_cache: Option<(u64, u64)>,
-    /// `--perf`: (wall_ms, instr_per_sec) with the block cache off.
-    interpreter: Option<(u64, u64)>,
-    /// `--warm`: (cold_job_ms, warm_job_ms, speedup_x100, snapshots).
-    warm: Option<(u64, u64, u64, u64)>,
-}
-
-/// Reads the sections of an existing perf report so a `--perf` run does
-/// not clobber `--warm` numbers and vice versa. Unreadable or
-/// mismatched-profile files yield an empty doc (the new run rewrites
-/// from scratch).
-fn read_perf_doc(path: &Path, profile: &str) -> PerfDoc {
-    let Ok(text) = std::fs::read_to_string(path) else { return PerfDoc::default() };
-    let Ok(v) = json::parse(&text) else { return PerfDoc::default() };
-    let Some(obj) = v.as_obj() else { return PerfDoc::default() };
-    if obj.get("profile").and_then(Json::as_str) != Some(profile) {
-        return PerfDoc::default();
+/// Reports one divergence dump (written snapshot or failed re-run).
+fn report_dump(dump: &Result<PathBuf, String>) {
+    match dump {
+        Ok(path) => eprintln!("xsweep: divergence snapshot: {}", path.display()),
+        Err(e) => eprintln!("xsweep: {e}"),
     }
-    let pair = |name: &str, a: &str, b: &str| -> Option<(u64, u64)> {
-        let sec = obj.get(name)?.as_obj()?;
-        Some((sec.get(a)?.as_u64()?, sec.get(b)?.as_u64()?))
-    };
-    let warm = || -> Option<(u64, u64, u64, u64)> {
-        let sec = obj.get("warm")?.as_obj()?;
-        Some((
-            sec.get("cold_job_ms")?.as_u64()?,
-            sec.get("warm_job_ms")?.as_u64()?,
-            sec.get("speedup_x100")?.as_u64()?,
-            sec.get("snapshots")?.as_u64()?,
+}
+
+/// The A/B half every timing mode shares: runs the selected matrix
+/// under sides `a` and `b` ([`cheri_sweep::ab()`]), and on any divergence
+/// reports the snapshots written under `results/` and fails with
+/// `what` and the first diverging job. Returns each job's two runs.
+fn run_ab(args: &Args, mode: &str, sides: &str, a: &Side, b: &Side, what: &str) -> Vec<AbJob> {
+    let specs = selected_matrix(args);
+    banner(args, specs.len(), mode, sides);
+    ab(&specs, args.jobs, a, b, Path::new("results")).unwrap_or_else(|d| {
+        d.dumps.iter().for_each(report_dump);
+        fail(&format!(
+            "{what} on {} job(s) (first diverging job: {}) — triage with snapreplay",
+            d.jobs, d.key
         ))
-    };
-    PerfDoc {
-        block_cache: pair("block_cache", "wall_ms", "instr_per_sec"),
-        interpreter: pair("interpreter", "wall_ms", "instr_per_sec"),
-        warm: warm(),
-    }
+    })
 }
 
-/// Serialises the perf report. Integer-only JSON, matching the sweep
-/// report's convention: wall times are host-dependent measurements, so
-/// this file is NOT a regression-gate baseline — it is the recorded
-/// evidence for the speedup claims in EXPERIMENTS.md.
-fn write_perf_doc(
-    path: &Path,
-    profile: &str,
-    jobs: usize,
-    threads: usize,
-    guest_instructions: u64,
-    doc: &PerfDoc,
-) {
+/// Side A's sweep report (the report every timing mode writes or sums).
+fn side_a_report(args: &Args, jobs: &[AbJob]) -> SweepReport {
+    let results: Vec<JobResult> =
+        jobs.iter().map(|j| j.a.result.clone().expect("A/B runs complete")).collect();
+    SweepReport::from_results(args.profile.name(), &results)
+}
+
+/// Total guest instructions retired across a report's jobs.
+fn guest_instructions(report: &SweepReport) -> u64 {
+    report.jobs.iter().filter_map(|j| j.counters.get("sim.instructions")).sum()
+}
+
+/// Host time summed over jobs, in ms.
+fn total_ms(ns: impl Iterator<Item = u64>) -> u64 {
+    ns.sum::<u64>() / 1_000_000
+}
+
+/// The timing sections of `results/perf.json` and their fields, in file
+/// order. `--perf` owns the first two, `--warm` the last.
+const PERF_SECTIONS: [(&str, &[&str]); 3] = [
+    ("block_cache", &["wall_ms", "instr_per_sec"]),
+    ("interpreter", &["wall_ms", "instr_per_sec"]),
+    ("warm", &["cold_job_ms", "warm_job_ms", "speedup_x100", "snapshots"]),
+];
+
+/// Rewrites the perf report with the `updates` sections, keeping the
+/// other sections' numbers from the existing file if its profile
+/// matches (timings from a different matrix would be incomparable).
+/// Integer-only JSON, matching the sweep report's convention: wall
+/// times are host-dependent measurements, so this file is NOT a
+/// regression-gate baseline — it is the recorded evidence for the
+/// speedup claims in EXPERIMENTS.md.
+fn write_perf(path: &Path, args: &Args, report: &SweepReport, updates: &[(&str, &[u64])]) {
+    let profile = args.profile.name();
+    let (jobs, instructions) = (report.jobs.len(), guest_instructions(report));
+    let old = std::fs::read_to_string(path).ok().and_then(|text| json::parse(&text).ok());
+    let old = old
+        .as_ref()
+        .and_then(Json::as_obj)
+        .filter(|o| o.get("profile").and_then(Json::as_str) == Some(profile));
     let mut text = format!(
         "{{\n  \"schema\": \"cheri-perf/v1\",\n  \"profile\": \"{profile}\",\n  \
-         \"jobs\": {jobs},\n  \"threads\": {threads},\n  \
-         \"guest_instructions\": {guest_instructions}"
+         \"jobs\": {jobs},\n  \"threads\": {},\n  \"guest_instructions\": {instructions}",
+        args.jobs
     );
-    let mut pair = |name: &str, a: &str, b: &str, v: Option<(u64, u64)>| {
-        if let Some((x, y)) = v {
-            text.push_str(&format!(
-                ",\n  \"{name}\": {{\n    \"{a}\": {x},\n    \"{b}\": {y}\n  }}"
-            ));
+    for (name, fields) in PERF_SECTIONS {
+        let values = match updates.iter().find(|(n, _)| *n == name) {
+            Some((_, values)) => Some(values.to_vec()),
+            None => old.and_then(|o| {
+                let sec = o.get(name)?.as_obj()?;
+                fields.iter().map(|f| sec.get(*f)?.as_u64()).collect::<Option<Vec<u64>>>()
+            }),
+        };
+        if let Some(values) = values {
+            let body: Vec<String> =
+                fields.iter().zip(values).map(|(f, v)| format!("\n    \"{f}\": {v}")).collect();
+            text.push_str(&format!(",\n  \"{name}\": {{{}\n  }}", body.join(",")));
         }
-    };
-    pair("block_cache", "wall_ms", "instr_per_sec", doc.block_cache);
-    pair("interpreter", "wall_ms", "instr_per_sec", doc.interpreter);
-    if let Some((cold, warm, speedup, snaps)) = doc.warm {
-        text.push_str(&format!(
-            ",\n  \"warm\": {{\n    \"cold_job_ms\": {cold},\n    \"warm_job_ms\": {warm},\n    \
-             \"speedup_x100\": {speedup},\n    \"snapshots\": {snaps}\n  }}"
-        ));
     }
     text.push_str("\n}\n");
     write_report(path, &text);
     println!("perf report: {}", path.display());
 }
 
-/// `--perf`: times the whole matrix with the predecoded block cache on
-/// and then off, insists the two reports are byte-identical (the cache
-/// is architecturally transparent, so any divergence is a simulator
-/// bug), and writes an integer-only throughput report. On divergence,
-/// the first offending job is re-run under both settings and its final
-/// machine+kernel snapshots land in `results/` for `snapreplay`.
-fn run_perf(args: &Args, path: &Path) -> ! {
-    let specs = selected_matrix(args);
-    println!(
-        "== xsweep --perf: {} jobs ({} profile) on {} thread{}, block cache on vs off ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
+/// `--perf`: times the matrix with the predecoded block cache on and
+/// off (each job runs both ways back to back; each side's time is its
+/// jobs' host time summed, the wall time at `--jobs 1`), insists the
+/// two reports are byte-identical (the cache is architecturally
+/// transparent, so any divergence is a simulator bug), and writes an
+/// integer-only throughput report. On divergence the first offending
+/// job's final snapshots under both settings land in `results/` for
+/// `snapreplay`.
+fn run_perf(args: &Args, path: &Path) {
+    let on = |s: &JobSpec| MachineConfig { block_cache: true, ..s.machine_config() };
+    let off = |s: &JobSpec| MachineConfig { block_cache: false, ..s.machine_config() };
+    let jobs = run_ab(
+        args,
+        " --perf",
+        ", block cache on vs off",
+        &Side { cfg: &on, mode: |_| Some(Mode::Plain), dump: Some("-bc-on") },
+        &Side { cfg: &off, mode: |_| Some(Mode::Plain), dump: Some("-bc-off") },
+        "block cache changed architectural results",
     );
-    let time_matrix = |enabled: bool| {
-        let t0 = Instant::now();
-        let results = run_specs_block_cache(&specs, args.jobs, enabled);
-        let wall_ms = t0.elapsed().as_millis() as u64;
-        (SweepReport::from_results(args.profile.name(), &results), wall_ms)
-    };
-    let (report_on, wall_on_ms) = time_matrix(true);
+    let wall_on_ms = total_ms(jobs.iter().map(|j| j.a_ns));
+    let wall_off_ms = total_ms(jobs.iter().map(|j| j.b_ns));
     println!("block cache on:  {:.2}s", wall_on_ms as f64 / 1e3);
-    let (report_off, wall_off_ms) = time_matrix(false);
     println!("block cache off: {:.2}s", wall_off_ms as f64 / 1e3);
-    if report_on.to_json() != report_off.to_json() {
-        let bad = report_on
-            .jobs
-            .iter()
-            .zip(&report_off.jobs)
-            .find(|(a, b)| a != b)
-            .map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone());
-        if let Some(spec) = specs.iter().find(|s| s.key() == bad) {
-            for (enabled, suffix) in [(true, "-bc-on"), (false, "-bc-off")] {
-                let cfg = beri_sim::MachineConfig { block_cache: enabled, ..spec.machine_config() };
-                match run_spec_final_snap(spec, cfg) {
-                    Ok((_, snap)) => {
-                        write_divergence(&bad, suffix, &snap);
-                    }
-                    Err(e) => eprintln!("xsweep: re-run of {bad} failed: {e}"),
-                }
-            }
-        }
-        fail(&format!(
-            "block cache changed architectural results (first diverging job: {bad}) — \
-             it must be transparent; triage with snapreplay"
-        ));
-    }
     println!("reports identical: yes (block cache is architecturally transparent)");
 
-    let guest_instructions: u64 =
-        report_on.jobs.iter().filter_map(|j| j.counters.get("sim.instructions")).sum();
+    let report = side_a_report(args, &jobs);
+    let guest_instructions = guest_instructions(&report);
     let ips = |wall_ms: u64| guest_instructions.saturating_mul(1000) / wall_ms.max(1);
     let speedup_x100 = wall_off_ms.saturating_mul(100) / wall_on_ms.max(1);
     println!(
@@ -303,167 +285,75 @@ fn run_perf(args: &Args, path: &Path) -> ! {
         speedup_x100 % 100,
     );
 
-    let mut doc = read_perf_doc(path, args.profile.name());
-    doc.block_cache = Some((wall_on_ms, ips(wall_on_ms)));
-    doc.interpreter = Some((wall_off_ms, ips(wall_off_ms)));
-    write_perf_doc(path, args.profile.name(), specs.len(), args.jobs, guest_instructions, &doc);
-    std::process::exit(0);
-}
-
-/// One `--warm` cell: the cold run (which captured the warm-start
-/// snapshot at the phase-2 boundary), the warm-started rerun, and the
-/// per-job timings. The snapshot is retained only if the two runs
-/// disagreed, so peak memory stays one snapshot per worker thread.
-struct WarmCell {
-    cold: JobResult,
-    warm: JobResult,
-    cold_ns: u64,
-    warm_ns: u64,
-    evidence: Option<Box<Snapshot>>,
+    let sections: [(&str, &[u64]); 2] = [
+        ("block_cache", &[wall_on_ms, ips(wall_on_ms)]),
+        ("interpreter", &[wall_off_ms, ips(wall_off_ms)]),
+    ];
+    write_perf(path, args, &report, &sections);
 }
 
 /// `--warm`: runs every job cold (snapshotting once at the allocation →
 /// computation boundary), then warm-started from its snapshot, asserts
 /// the two reports are byte-identical in-process, and records the
-/// aggregate warm-start speedup in the perf report.
-fn run_warm(args: &Args) -> ! {
-    let specs = selected_matrix(args);
-    println!(
-        "== xsweep --warm: {} jobs ({} profile) on {} thread{}, cold + warm-started ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
-    );
-    let cells = run_indexed(specs.len(), args.jobs, |i| {
-        let spec = &specs[i];
-        let cfg = spec.machine_config();
-        let t0 = Instant::now();
-        let (cold, snap) =
-            run_spec_split(spec, cfg.clone()).unwrap_or_else(|e| panic!("{}: {e}", spec.key()));
-        let cold_ns = t0.elapsed().as_nanos() as u64;
-        match snap {
-            // Finished before the phase boundary: nothing to warm-start.
-            None => WarmCell { warm: cold.clone(), cold, cold_ns, warm_ns: 0, evidence: None },
-            Some(snap) => {
-                let t1 = Instant::now();
-                let warm = run_spec_resume(spec, &snap, cfg.block_cache)
-                    .unwrap_or_else(|e| panic!("{} (warm): {e}", spec.key()));
-                let warm_ns = t1.elapsed().as_nanos() as u64;
-                let diverged = JobRecord::from_result(&cold) != JobRecord::from_result(&warm);
-                WarmCell {
-                    cold,
-                    warm,
-                    cold_ns,
-                    warm_ns,
-                    evidence: diverged.then(|| Box::new(snap)),
-                }
-            }
-        }
-    });
-
-    let diverged: Vec<&WarmCell> = cells.iter().filter(|c| c.evidence.is_some()).collect();
-    for cell in &diverged {
-        if let Some(snap) = &cell.evidence {
-            write_divergence(&cell.cold.spec.key(), "", snap);
-        }
-    }
-    if let Some(first) = diverged.first() {
-        fail(&format!(
-            "warm-started results diverged from cold on {} job(s), first: {} — \
-             snapshot/restore must be exact; triage with snapreplay",
-            diverged.len(),
-            first.cold.spec.key()
-        ));
-    }
-
-    let colds: Vec<JobResult> = cells.iter().map(|c| c.cold.clone()).collect();
-    let warms: Vec<JobResult> = cells.iter().map(|c| c.warm.clone()).collect();
-    let cold_report = SweepReport::from_results(args.profile.name(), &colds);
-    let warm_report = SweepReport::from_results(args.profile.name(), &warms);
-    assert_eq!(
-        cold_report.to_json(),
-        warm_report.to_json(),
-        "per-job records agree but serialised reports differ — report serialisation bug"
+/// aggregate warm-start speedup in the perf report. On divergence the
+/// first offending job's final cold state lands in `results/`.
+fn run_warm(args: &Args) {
+    let jobs = run_ab(
+        args,
+        " --warm",
+        ", cold + warm-started",
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Split), dump: Some("") },
+        &Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume), dump: None },
+        "warm-started results diverged from cold",
     );
     println!("reports identical: yes (warm-started runs reproduce the cold runs byte-for-byte)");
 
-    let snapshots = cells.iter().filter(|c| c.warm_ns != 0).count() as u64;
-    let cold_job_ms: u64 = cells.iter().map(|c| c.cold_ns / 1_000_000).sum();
-    let warm_job_ms: u64 =
-        cells.iter().filter(|c| c.warm_ns != 0).map(|c| c.warm_ns / 1_000_000).sum();
+    let snapshots = jobs.iter().filter(|j| j.b_ns != 0).count() as u64;
+    let cold_job_ms = total_ms(jobs.iter().map(|j| j.a_ns));
+    let warm_job_ms = total_ms(jobs.iter().map(|j| j.b_ns));
     let speedup_x100 = cold_job_ms.saturating_mul(100) / warm_job_ms.max(1);
-    let guest_instructions: u64 =
-        cold_report.jobs.iter().filter_map(|j| j.counters.get("sim.instructions")).sum();
+    let cold_report = side_a_report(args, &jobs);
     println!(
         "\n{snapshots}/{} jobs warm-started; {:.2}s aggregate cold job time vs {:.2}s warm \
          ({}.{:02}x warm-start speedup)",
-        cells.len(),
+        jobs.len(),
         cold_job_ms as f64 / 1e3,
         warm_job_ms as f64 / 1e3,
         speedup_x100 / 100,
         speedup_x100 % 100,
     );
 
-    let text = cold_report.to_json();
-    write_report(&args.out, &text);
+    write_report(&args.out, &cold_report.to_json());
     println!("report: {}", args.out.display());
 
-    let path = Path::new("results/perf.json");
-    let mut doc = read_perf_doc(path, args.profile.name());
-    doc.warm = Some((cold_job_ms, warm_job_ms, speedup_x100, snapshots));
-    write_perf_doc(path, args.profile.name(), specs.len(), args.jobs, guest_instructions, &doc);
-    std::process::exit(0);
+    let warm: &[u64] = &[cold_job_ms, warm_job_ms, speedup_x100, snapshots];
+    write_perf(Path::new("results/perf.json"), args, &cold_report, &[("warm", warm)]);
 }
 
-/// `--prof`: runs the whole matrix plain and then with a symbolized
-/// guest profiler attached to every job, insists the two sweep reports
-/// are byte-identical (profiling is observational — any divergence is
-/// a profiler bug), and writes each job's profile as
-/// `results/prof/<key>.prof.json` plus flamegraph collapsed stacks
-/// (`.folded`) and the Perfetto/Chrome trace-event timeline
-/// (`.timeline.json`). On divergence the first offending job's final
-/// machine+kernel snapshot lands in `results/` for `snapreplay`.
-fn run_prof(args: &Args) -> ! {
-    let specs = selected_matrix(args);
-    println!(
-        "== xsweep --prof: {} jobs ({} profile) on {} thread{}, plain vs profiled ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
+/// `--prof`: runs every job plain and then with a symbolized guest
+/// profiler attached, insists the two sweep reports are byte-identical
+/// (profiling is observational — any divergence is a profiler bug), and
+/// writes each job's profile as `results/prof/<key>.prof.json` plus
+/// flamegraph collapsed stacks (`.folded`) and the Perfetto/Chrome
+/// trace-event timeline (`.timeline.json`). On divergence the first
+/// offending job's final plain-run snapshot lands in `results/` for
+/// `snapreplay`.
+fn run_prof(args: &Args) {
+    let jobs = run_ab(
+        args,
+        " --prof",
+        ", plain vs profiled",
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain), dump: Some("-plain") },
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Profiled), dump: None },
+        "profiling changed architectural results",
     );
-    let plain = run_specs(&specs, args.jobs);
-    let report_plain = SweepReport::from_results(args.profile.name(), &plain);
-    let profiled = run_specs_profiled(&specs, args.jobs);
-    let prof_results: Vec<JobResult> = profiled.iter().map(|(r, _)| r.clone()).collect();
-    let report_prof = SweepReport::from_results(args.profile.name(), &prof_results);
-    if report_plain.to_json() != report_prof.to_json() {
-        let bad = report_plain
-            .jobs
-            .iter()
-            .zip(&report_prof.jobs)
-            .find(|(a, b)| a != b)
-            .map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone());
-        if let Some(spec) = specs.iter().find(|s| s.key() == bad) {
-            match run_spec_final_snap(spec, spec.machine_config()) {
-                Ok((_, snap)) => {
-                    write_divergence(&bad, "-plain", &snap);
-                }
-                Err(e) => eprintln!("xsweep: re-run of {bad} failed: {e}"),
-            }
-        }
-        fail(&format!(
-            "profiling changed architectural results (first diverging job: {bad}) — \
-             it must be observational; triage with snapreplay"
-        ));
-    }
     println!("reports identical: yes (profiling is observationally transparent)\n");
 
     let dir = Path::new("results/prof");
     println!("{:<28} {:>14} {:>6}  hottest function", "job", "retired", "funcs");
-    for (result, profile) in &profiled {
-        let key = result.spec.key();
+    for job in &jobs {
+        let key = job.a.result.as_ref().expect("A/B runs complete").spec.key();
+        let profile = job.b.profile.as_ref().expect("profiled runs return a profile");
         let flat = key.replace('/', "-");
         write_report(&dir.join(format!("{flat}.prof.json")), &profile.to_json());
         write_report(&dir.join(format!("{flat}.folded")), &profile.folded_output());
@@ -477,38 +367,25 @@ fn run_prof(args: &Args) -> ! {
     }
     println!("\nper-job profiles: {}", dir.display());
 
-    write_report(&args.out, &report_plain.to_json());
+    write_report(&args.out, &side_a_report(args, &jobs).to_json());
     println!("report: {}", args.out.display());
-    std::process::exit(0);
 }
 
 fn main() {
     let args = parse_args();
-    if let Some(path) = args.perf.clone() {
-        run_perf(&args, &path);
+    if let Some(path) = &args.perf {
+        return run_perf(&args, path);
     }
     if args.warm {
-        run_warm(&args);
+        return run_warm(&args);
     }
     if args.prof {
-        run_prof(&args);
+        return run_prof(&args);
     }
     let specs = selected_matrix(&args);
-    println!(
-        "== xsweep: {} jobs ({} profile) on {} thread{} ==\n",
-        specs.len(),
-        args.profile.name(),
-        args.jobs,
-        if args.jobs == 1 { "" } else { "s" }
-    );
+    banner(&args, specs.len(), "", "");
     let t0 = Instant::now();
-    // Unfiltered runs use the library form of this default mode — the
-    // same call the cheri-serve transparency gate compares a served
-    // sweep against. A --workloads selection runs just its specs.
-    let report = match &args.workloads {
-        None => run_matrix(args.profile, args.jobs),
-        Some(_) => SweepReport::from_results(args.profile.name(), &run_specs(&specs, args.jobs)),
-    };
+    let report = SweepReport::from_results(args.profile.name(), &run_jobs(&specs, args.jobs, None));
     let wall = t0.elapsed();
 
     println!("{:<28} {:>14} {:>14} {:>9} {:>9}", "job", "instructions", "cycles", "l1d%", "tag%");
@@ -523,8 +400,7 @@ fn main() {
             bp("tag.cache.hit_rate_bp"),
         );
     }
-    let total_instr: u64 =
-        report.jobs.iter().filter_map(|j| j.counters.get("sim.instructions")).sum();
+    let total_instr = guest_instructions(&report);
     println!(
         "\n{} jobs, {total_instr} guest instructions in {:.2}s wall ({:.1} M instr/s aggregate)",
         report.jobs.len(),
@@ -571,19 +447,14 @@ fn main() {
             print!("{}", render_drifts(&drifts));
             // Snapshot the final state of the first few drifting jobs
             // so the failure is triageable offline.
-            let mut dumped = Vec::new();
-            for drift in &drifts {
-                if dumped.len() >= 3 || dumped.contains(&drift.job) {
-                    continue;
-                }
-                let Some(spec) = specs.iter().find(|s| s.key() == drift.job) else { continue };
-                match run_spec_final_snap(spec, spec.machine_config()) {
-                    Ok((_, snap)) => {
-                        write_divergence(&drift.job, "", &snap);
-                        dumped.push(drift.job.clone());
-                    }
-                    Err(e) => eprintln!("xsweep: re-run of {} failed: {e}", drift.job),
-                }
+            let drifting = specs.iter().filter(|s| drifts.iter().any(|d| d.job == s.key()));
+            for spec in drifting.take(3) {
+                report_dump(&dump_divergence(
+                    Path::new("results"),
+                    spec,
+                    spec.machine_config(),
+                    "",
+                ));
             }
             println!(
                 "\n(intentional? re-bless with: xsweep --profile {} --bless)",

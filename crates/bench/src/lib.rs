@@ -26,9 +26,7 @@ pub mod latency;
 pub mod specfuzz;
 pub mod triage;
 
-use cheri_cc::strategy::PtrStrategy;
 use cheri_olden::OldenParams;
-use cheri_sweep::StrategyKind;
 use cheri_trace::{shared, AnySink, JsonlSink, SharedSink};
 use cheri_work::Workload;
 
@@ -66,13 +64,6 @@ pub fn params_for(scale: Scale) -> OldenParams {
     }
 }
 
-/// The three Figure 4 compilation modes, baseline first (a view over
-/// the canonical matrix in [`cheri_sweep`]).
-#[must_use]
-pub fn figure4_strategies() -> Vec<Box<dyn PtrStrategy>> {
-    cheri_sweep::FIGURE4_STRATEGIES.iter().map(|k| k.strategy()).collect()
-}
-
 /// Resolves a workload by its canonical name (`bisort`, `mst`,
 /// `treeadd`, `perimeter`, `vmloop`, `allocstress`).
 #[must_use]
@@ -101,14 +92,6 @@ pub fn parse_workloads_csv(cli: &cli::Cli, csv: &str) -> Vec<Workload> {
         cli.usage_exit("--workloads requires a comma-separated list of workload names");
     }
     ws
-}
-
-/// Resolves a pointer strategy by name, accepting the common aliases
-/// used across the harnesses (`mips`/`legacy`, `ccured`/`soft`,
-/// `ccured-elide`/`elide`, `cheri`/`cap`/`c256`, `cheri128`/`c128`).
-#[must_use]
-pub fn parse_strategy(name: &str) -> Option<Box<dyn PtrStrategy>> {
-    StrategyKind::parse(name).map(StrategyKind::strategy)
 }
 
 /// Parses the `--jobs N` flag shared by the matrix harnesses; defaults
@@ -181,14 +164,6 @@ mod tests {
         assert_eq!(overhead_pct(150, 100), 50.0);
         assert_eq!(overhead_pct(100, 100), 0.0);
         assert_eq!(overhead_pct(5, 0), 0.0);
-    }
-
-    #[test]
-    fn figure4_strategy_order() {
-        let s = figure4_strategies();
-        assert_eq!(s[0].name(), "mips");
-        assert_eq!(s[1].name(), "ccured");
-        assert_eq!(s[2].name(), "cheri");
     }
 
     #[test]

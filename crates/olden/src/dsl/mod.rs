@@ -155,24 +155,9 @@ pub fn compile_bench(
     compile(&bench.module(params), strategy, cheri_cc::codegen::CompileOpts::default())
 }
 
-/// [`compile_bench`] plus the workload's symbol table (function name →
-/// PC range), for profiled runs.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`].
-pub fn compile_bench_with_symbols(
-    bench: DslBench,
-    params: &OldenParams,
-    strategy: &dyn PtrStrategy,
-) -> Result<(Program, cheri_prof::SymbolTable), CompileError> {
-    compile_module_with_symbols(&bench.module(params), strategy)
-}
-
 /// Compiles an arbitrary IR module under `strategy` and converts its
-/// symbol table to the profiler's form — the workload-agnostic core of
-/// [`compile_bench_with_symbols`], shared with the `cheri-work`
-/// workloads.
+/// symbol table (function name → PC range) to the profiler's form, for
+/// profiled runs.
 ///
 /// # Errors
 ///
@@ -206,25 +191,7 @@ pub fn run_bench(
     strategy: &dyn PtrStrategy,
     machine: MachineConfig,
 ) -> Result<BenchRun, Box<dyn std::error::Error>> {
-    run_bench_with_sink(bench, params, strategy, machine, None)
-}
-
-/// [`run_bench`] with a trace sink attached to the whole stack (kernel,
-/// pipeline, caches, tag controller) for the duration of the run. The
-/// sink is attached after boot and before `exec`, so the event stream
-/// covers exactly the instructions the legacy counters cover.
-///
-/// # Errors
-///
-/// As [`run_bench`].
-pub fn run_bench_with_sink(
-    bench: DslBench,
-    params: &OldenParams,
-    strategy: &dyn PtrStrategy,
-    machine: MachineConfig,
-    sink: Option<cheri_trace::SharedSink>,
-) -> Result<BenchRun, Box<dyn std::error::Error>> {
-    let mut session = BenchSession::start(bench, params, strategy, machine, sink)?;
+    let mut session = BenchSession::start_module(&bench.module(params), strategy, machine, None)?;
     Ok(session.run_to_completion()?)
 }
 
@@ -235,11 +202,10 @@ pub const RUNAWAY_BUDGET: u64 = 200_000_000_000;
 
 /// A benchmark run that can be paused, snapshotted, and resumed.
 ///
-/// [`BenchSession::start`] compiles and execs the workload exactly as
-/// [`run_bench_with_sink`] always has (it is now implemented on top of
-/// this type); the session then runs to completion in one call, or in
-/// pieces via [`BenchSession::run_until_phase`] / [`BenchSession::run_for`]
-/// with [`BenchSession::snapshot`] at any stop. A snapshot restored via
+/// [`BenchSession::start_module`] compiles and execs a workload module;
+/// the session then runs to completion in one call, or in pieces via
+/// [`BenchSession::run_until_phase`] / [`BenchSession::run_for`] with
+/// [`BenchSession::snapshot`] at any stop. A snapshot restored via
 /// [`BenchSession::resume`] finishes with results bit-identical to the
 /// uninterrupted run — the warm-start sweep mode and the `snapreplay`
 /// triage tool are both built on this.
@@ -249,24 +215,11 @@ pub struct BenchSession {
 }
 
 impl BenchSession {
-    /// Compiles `bench` under `strategy`, boots a kernel sized by
+    /// Compiles `module` under `strategy`, boots a kernel sized by
     /// `machine`, attaches `sink`, and execs the program — everything up
-    /// to (but not including) the first instruction.
-    ///
-    /// # Errors
-    ///
-    /// Compile errors and OS exec errors, boxed as in [`run_bench`].
-    pub fn start(
-        bench: DslBench,
-        params: &OldenParams,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(&bench.module(params), strategy, machine, sink, false)
-    }
-
-    /// [`BenchSession::start`] for an arbitrary IR module: the session
+    /// to (but not including) the first instruction. The sink is
+    /// attached after boot and before `exec`, so its event stream covers
+    /// exactly the instructions the legacy counters cover. The session
     /// neither knows nor cares which workload built the module, so any
     /// guest program with the Phase/Print conventions (the `cheri-work`
     /// workloads) runs, snapshots, and resumes exactly like the Olden
@@ -274,7 +227,7 @@ impl BenchSession {
     ///
     /// # Errors
     ///
-    /// As [`BenchSession::start`].
+    /// Compile errors and OS exec errors, boxed as in [`run_bench`].
     pub fn start_module(
         module: &Module,
         strategy: &dyn PtrStrategy,
@@ -284,12 +237,16 @@ impl BenchSession {
         BenchSession::start_inner(module, strategy, machine, sink, false)
     }
 
-    /// [`BenchSession::start_module`] with the symbolized profiler
-    /// attached (the module analogue of [`BenchSession::start_profiled`]).
+    /// [`BenchSession::start_module`] with a [`cheri_prof::Profiler`]
+    /// attached (loaded with the module's symbol table). The profiler
+    /// goes on before `exec` on the freshly booted machine, so its
+    /// attribution covers every counted event and the per-function sums
+    /// equal the final global counters. Collect the result with
+    /// [`BenchSession::take_profile`].
     ///
     /// # Errors
     ///
-    /// As [`BenchSession::start`].
+    /// As [`BenchSession::start_module`].
     pub fn start_module_profiled(
         module: &Module,
         strategy: &dyn PtrStrategy,
@@ -297,26 +254,6 @@ impl BenchSession {
         sink: Option<cheri_trace::SharedSink>,
     ) -> Result<BenchSession, Box<dyn std::error::Error>> {
         BenchSession::start_inner(module, strategy, machine, sink, true)
-    }
-
-    /// [`BenchSession::start`] with a [`cheri_prof::Profiler`] attached
-    /// (loaded with the workload's symbol table). The profiler goes on
-    /// before `exec` on the freshly booted machine, so its attribution
-    /// covers every counted event and the per-function sums equal the
-    /// final global counters. Collect the result with
-    /// [`BenchSession::take_profile`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchSession::start`].
-    pub fn start_profiled(
-        bench: DslBench,
-        params: &OldenParams,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(&bench.module(params), strategy, machine, sink, true)
     }
 
     fn start_inner(
@@ -349,7 +286,7 @@ impl BenchSession {
         Ok(BenchSession { kernel, mode: strategy.name() })
     }
 
-    /// Detaches the profiler (if [`BenchSession::start_profiled`] was
+    /// Detaches the profiler (if [`BenchSession::start_module_profiled`] was
     /// used) and finishes it into a [`cheri_prof::ProfileReport`].
     pub fn take_profile(&mut self) -> Option<cheri_prof::ProfileReport> {
         self.kernel.machine_mut().take_profiler().map(|p| p.into_report())
@@ -377,12 +314,6 @@ impl BenchSession {
     #[must_use]
     pub fn snapshot(&self) -> cheri_snap::Snapshot {
         self.kernel.snapshot()
-    }
-
-    /// The kernel this session runs on.
-    #[must_use]
-    pub fn kernel(&self) -> &Kernel {
-        &self.kernel
     }
 
     /// Runs to process exit and decomposes the outcome into phases.
@@ -418,25 +349,19 @@ impl BenchSession {
         Ok(out.map(|o| self.finish(o)))
     }
 
+    /// Splits an outcome into phase statistics.
     fn finish(&self, outcome: RunOutcome) -> BenchRun {
-        let heap_used = self.kernel.heap_used().unwrap_or(0);
-        finish_run(self.mode, outcome, heap_used)
-    }
-}
-
-/// Splits an outcome into phase statistics.
-#[must_use]
-pub fn finish_run(mode: &'static str, outcome: RunOutcome, heap_used: u64) -> BenchRun {
-    let at = |id: u64| outcome.phases.iter().find(|p| p.id == id).map(|p| p.stats);
-    let p1 = at(1).unwrap_or_default();
-    let p2 = at(2).unwrap_or(outcome.stats);
-    let p3 = at(3).unwrap_or(outcome.stats);
-    BenchRun {
-        mode,
-        outcome: outcome.clone(),
-        alloc: p2.since(&p1),
-        compute: p3.since(&p2),
-        heap_used,
+        let at = |id: u64| outcome.phases.iter().find(|p| p.id == id).map(|p| p.stats);
+        let p1 = at(1).unwrap_or_default();
+        let p2 = at(2).unwrap_or(outcome.stats);
+        let p3 = at(3).unwrap_or(outcome.stats);
+        BenchRun {
+            mode: self.mode,
+            outcome: outcome.clone(),
+            alloc: p2.since(&p1),
+            compute: p3.since(&p2),
+            heap_used: self.kernel.heap_used().unwrap_or(0),
+        }
     }
 }
 

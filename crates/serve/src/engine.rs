@@ -2,22 +2,22 @@
 //! plus the cache → pool → cold decision ladder for each job.
 //!
 //! Batch and served execution share one code path by construction:
-//! every rung of the ladder bottoms out in the same `cheri-sweep`
-//! runners the batch binaries use — [`run_spec_resume`] for warm
-//! execution (exactly `xsweep --warm`'s restore path) and
-//! [`run_spec_split`] for cold execution (exactly its cold path). The
-//! service adds only *where results come from* (cache, pooled snapshot,
-//! fresh boot), never *how they are computed* — which is why the
-//! transparency gate can demand byte-identity with the batch report.
+//! every rung of the ladder bottoms out in [`run_job`], the runner the
+//! batch binaries use — [`Mode::Resume`] for warm execution (exactly
+//! `xsweep --warm`'s restore path), [`Mode::Split`] for cold execution
+//! (exactly its cold path), [`Mode::BootOnly`] for prewarm and
+//! [`Mode::Profiled`] for profile requests. The service adds only
+//! *where results come from* (cache, pooled snapshot, fresh boot),
+//! never *how they are computed* — which is why the transparency gate
+//! can demand byte-identity with the batch report.
 
 use crate::cache::{cache_key_canonical, ResultCache, NO_SNAPSHOT};
-use crate::pool::{boot_snapshot, SnapshotPool};
+use crate::pool::{PoolEntry, SnapshotPool};
 use crate::protocol::{Origin, StatsSnapshot};
 use crate::signal;
 use crate::telem::{elapsed_us, JobCtx, PhaseRecorder, ServiceTelem};
 use cheri_sweep::{
-    profile_matrix, run_matrix, run_spec_profiled, run_spec_resume_spanned, run_spec_split_spanned,
-    JobRecord, JobSpec, Profile, SweepReport,
+    profile_matrix, run_job, run_matrix, JobRecord, JobSpec, Mode, Profile, SweepReport,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -246,19 +246,13 @@ impl JobEngine {
         &self.telem
     }
 
-    /// Whether warm (snapshot-pool) execution is enabled.
-    #[must_use]
-    pub fn warm_enabled(&self) -> bool {
-        self.warm
-    }
-
     /// Executes one job through the ladder:
     ///
     /// 1. pooled snapshot present → cache lookup under (config,
     ///    snapshot-hash); hit → served from cache;
     /// 2. miss but pool entry present and warm execution enabled →
-    ///    restore and run the computation phase ([`run_spec_resume`]);
-    /// 3. otherwise → full cold run via [`run_spec_split`], pooling the
+    ///    restore and run the computation phase ([`Mode::Resume`]);
+    /// 3. otherwise → full cold run ([`Mode::Split`]), pooling the
     ///    phase-2 snapshot it captures for every later request.
     ///
     /// `use_cache = false` (the load generator's hot mode) skips step 1
@@ -266,9 +260,8 @@ impl JobEngine {
     ///
     /// `ctx` attributes the job's phase spans and latency to a request
     /// (pass [`JobCtx::default`] outside request handling). Telemetry
-    /// observes the ladder, never steers it: the `*_spanned` runners
-    /// invoked here are the same functions the batch path runs with a
-    /// no-op hook.
+    /// observes the ladder, never steers it: [`run_job`]'s span hook is
+    /// the one the batch path passes a no-op.
     ///
     /// # Errors
     ///
@@ -282,45 +275,20 @@ impl JobEngine {
         let t0 = Instant::now();
         self.jobs.fetch_add(1, Ordering::Relaxed);
         let canon = spec.canonical_json();
-        if let Some(entry) = self.pool.get(&canon) {
-            let key = cache_key_canonical(&canon, entry.hash);
-            if use_cache {
-                if let Some(rec) = self.cache.lookup(key) {
-                    self.telem.job_finished(Origin::Cached, elapsed_us(t0));
-                    return Ok((rec, Origin::Cached));
-                }
-            }
-            if self.warm {
-                let block_cache = spec.machine_config().block_cache;
-                let mut phases = PhaseRecorder::new(&self.telem, ctx, Origin::Warm.name());
-                let result =
-                    run_spec_resume_spanned(spec, &entry.snapshot, block_cache, &mut |n, b| {
-                        phases.note(n, b);
-                    })?;
-                let rec = JobRecord::from_result(&result);
-                if use_cache {
-                    self.cache.store(key, &rec);
-                }
-                self.warm_runs.fetch_add(1, Ordering::Relaxed);
-                self.telem.job_finished(Origin::Warm, elapsed_us(t0));
-                return Ok((rec, Origin::Warm));
+        let entry = self.pool.get(&canon);
+        if let Some(entry) = entry.as_ref().filter(|_| use_cache) {
+            if let Some(rec) = self.cache.lookup(cache_key_canonical(&canon, entry.hash)) {
+                self.telem.job_finished(Origin::Cached, elapsed_us(t0));
+                return Ok((rec, Origin::Cached));
             }
         }
-        let mut phases = PhaseRecorder::new(&self.telem, ctx, Origin::Cold.name());
-        let (result, snap) = run_spec_split_spanned(spec, spec.machine_config(), &mut |n, b| {
-            phases.note(n, b);
-        })?;
-        let rec = JobRecord::from_result(&result);
-        let hash = match snap {
-            Some(snap) => self.pool.insert(canon.clone(), snap).hash,
-            None => NO_SNAPSHOT,
-        };
+        let (rec, origin, hash) =
+            self.run(spec, &canon, entry.as_deref().filter(|_| self.warm), ctx)?;
         if use_cache {
             self.cache.store(cache_key_canonical(&canon, hash), &rec);
         }
-        self.cold_runs.fetch_add(1, Ordering::Relaxed);
-        self.telem.job_finished(Origin::Cold, elapsed_us(t0));
-        Ok((rec, Origin::Cold))
+        self.telem.job_finished(origin, elapsed_us(t0));
+        Ok((rec, origin))
     }
 
     /// Re-executes one job from its pooled snapshot, bypassing the
@@ -341,14 +309,37 @@ impl JobEngine {
         let entry = self.pool.get(&canon).ok_or_else(|| {
             format!("no pooled snapshot for {} (run it once or prewarm)", spec.key())
         })?;
-        let block_cache = spec.machine_config().block_cache;
-        let mut phases = PhaseRecorder::new(&self.telem, ctx, Origin::Warm.name());
-        let result = run_spec_resume_spanned(spec, &entry.snapshot, block_cache, &mut |n, b| {
-            phases.note(n, b);
-        })?;
-        self.warm_runs.fetch_add(1, Ordering::Relaxed);
-        self.telem.job_finished(Origin::Warm, elapsed_us(t0));
-        Ok((JobRecord::from_result(&result), entry.hash))
+        let (rec, origin, hash) = self.run(spec, &canon, Some(&entry), ctx)?;
+        self.telem.job_finished(origin, elapsed_us(t0));
+        Ok((rec, hash))
+    }
+
+    /// The executing rungs of the ladder: resumes `from` (warm) or boots
+    /// cold, pooling the phase-2 snapshot a cold run captures, with the
+    /// job's phases recorded under its origin. Returns the record, the
+    /// origin, and the hash of the state the result is keyed by.
+    fn run(
+        &self,
+        spec: &JobSpec,
+        canon: &str,
+        from: Option<&PoolEntry>,
+        ctx: JobCtx,
+    ) -> Result<(JobRecord, Origin, cheri_snap::StateHash), String> {
+        let (origin, mode, runs) = match from {
+            Some(entry) => (Origin::Warm, Mode::Resume(&entry.snapshot), &self.warm_runs),
+            None => (Origin::Cold, Mode::Split, &self.cold_runs),
+        };
+        let mut phases = PhaseRecorder::new(&self.telem, ctx, origin.name());
+        let run = run_job(spec, spec.machine_config(), mode, None, &mut |n, b| phases.note(n, b))?;
+        let rec =
+            JobRecord::from_result(run.result.as_ref().expect("split and resumed runs complete"));
+        let hash = match (from, run.snapshot) {
+            (Some(entry), _) => entry.hash,
+            (None, Some(snap)) => self.pool.insert(canon.to_string(), snap).hash,
+            (None, None) => NO_SNAPSHOT,
+        };
+        runs.fetch_add(1, Ordering::Relaxed);
+        Ok((rec, origin, hash))
     }
 
     /// Runs one job cold with the guest profiler attached and returns
@@ -362,7 +353,9 @@ impl JobEngine {
     pub fn execute_profiled(&self, spec: &JobSpec) -> Result<(JobRecord, String), String> {
         let t0 = Instant::now();
         self.jobs.fetch_add(1, Ordering::Relaxed);
-        let (result, profile) = run_spec_profiled(spec, spec.machine_config())?;
+        let run = run_job(spec, spec.machine_config(), Mode::Profiled, None, &mut |_, _| {})?;
+        let result = run.result.expect("profiled runs complete");
+        let profile = run.profile.expect("profiled runs return a profile");
         self.cold_runs.fetch_add(1, Ordering::Relaxed);
         self.telem.job_finished(Origin::Cold, elapsed_us(t0));
         Ok((JobRecord::from_result(&result), profile.to_json()))
@@ -388,7 +381,9 @@ impl JobEngine {
                 let added = if stop.stopping() {
                     false
                 } else {
-                    match boot_snapshot(&spec) {
+                    let run =
+                        run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+                    match run.map(|r| r.snapshot) {
                         Ok(Some(snap)) => {
                             engine.pool.insert(canon, snap);
                             true

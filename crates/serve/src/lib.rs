@@ -41,7 +41,7 @@ pub use client::Client;
 pub use engine::{
     run_profile, transparency_gate, verify_against_batch, JobEngine, Stop, WorkerPool,
 };
-pub use pool::{boot_snapshot, PoolEntry, SnapshotPool};
+pub use pool::{PoolEntry, SnapshotPool};
 pub use protocol::{
     decode_event, decode_request, encode_event, encode_request, Event, HealthSnapshot, JobParts,
     Origin, Request, StatsSnapshot, SCHEMA,

@@ -3,9 +3,11 @@
 //!
 //! Every Olden workload issues `SYS_PHASE 2` when its computation phase
 //! begins, so a snapshot at that boundary has compilation, exec, and
-//! allocation already paid for ([`WARM_SNAPSHOT_PHASE`]). The pool maps
-//! a job's canonical configuration ([`JobSpec::canonical_json`]) to that
-//! snapshot plus its [`StateHash`]; the hash feeds the result-cache key,
+//! allocation already paid for ([`cheri_sweep::WARM_SNAPSHOT_PHASE`];
+//! [`cheri_sweep::Mode::BootOnly`] boots to it). The pool maps a job's
+//! canonical configuration
+//! ([`cheri_sweep::JobSpec::canonical_json`]) to that snapshot plus
+//! its [`StateHash`]; the hash feeds the result-cache key,
 //! binding every cached result to the exact state it was computed from.
 //!
 //! Entries are immutable once inserted (`Arc`-shared, read-only), so any
@@ -15,9 +17,7 @@
 //! keeps the first entry and drops duplicates, making racing inserts
 //! harmless.
 
-use cheri_olden::dsl::BenchSession;
 use cheri_snap::{Snapshot, StateHash};
-use cheri_sweep::{JobSpec, WARM_SNAPSHOT_PHASE};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -77,38 +77,18 @@ impl SnapshotPool {
     }
 }
 
-/// Boots one job to the phase-2 boundary and returns the snapshot —
-/// the pre-warm path, which pays boot + compile + exec + allocation but
-/// *not* the computation phase. Returns `Ok(None)` if the workload
-/// exits before the boundary (nothing to pool; every run of it is cold
-/// by construction).
-///
-/// # Errors
-///
-/// Compile/OS errors rendered as strings, as in the sweep runners.
-pub fn boot_snapshot(spec: &JobSpec) -> Result<Option<Snapshot>, String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session =
-        BenchSession::start_module(&module, strategy.as_ref(), spec.machine_config(), None)
-            .map_err(|e| e.to_string())?;
-    match session.run_until_phase(WARM_SNAPSHOT_PHASE).map_err(|e| e.to_string())? {
-        Some(_) => Ok(None),
-        None => Ok(Some(session.snapshot())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cheri_olden::OldenParams;
-    use cheri_sweep::StrategyKind;
+    use cheri_sweep::{run_job, JobSpec, Mode, StrategyKind};
     use cheri_work::Workload;
 
     #[test]
     fn pool_insert_is_first_writer_wins() {
         let spec = JobSpec::new(Workload::Treeadd, StrategyKind::Mips, OldenParams::scaled());
-        let snap = boot_snapshot(&spec).unwrap().expect("treeadd reaches phase 2");
+        let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+        let snap = run.unwrap().snapshot.expect("treeadd reaches phase 2");
         let pool = SnapshotPool::new();
         let canon = spec.canonical_json();
         let first = pool.insert(canon.clone(), snap.clone());

@@ -719,4 +719,12 @@ mod tests {
         assert!(decode_request("{\"type\":\"sweep\",\"profile\":\"gigantic\"}").is_err());
         assert!(decode_event("{\"type\":\"blip\"}").is_err());
     }
+
+    #[test]
+    fn decode_rejects_deep_nesting_with_a_named_error() {
+        // A client line of a million `[` must be answered, not overflow
+        // the connection thread's stack and abort the server.
+        let err = decode_request(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+    }
 }

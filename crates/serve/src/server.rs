@@ -358,66 +358,52 @@ fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
             shared.telem.request_begin(req_id);
             handle_sweep(writer, shared, profile, cache, verify, req_id)
         }
-        Request::Job { parts, cache } => {
-            let ctx = JobCtx::single(next_req(shared));
-            shared.telem.request_begin(ctx.req);
-            let reply = run_on_pool(shared, ctx, move |engine| {
-                let spec = parts.spec()?;
-                let (record, origin) = engine.execute(&spec, cache, ctx)?;
-                let json = engine.telem().serialize_span(ctx.req, || record.to_json());
-                Ok(Event::Record {
-                    key: record.key.clone(),
-                    origin,
-                    snap_hash: String::new(),
-                    record: json,
-                    req: ctx.req,
-                })
-            });
-            shared.telem.request_end(ctx.req, end_tag(&reply));
-            !send(writer, &reply)
-        }
-        Request::Profile { parts } => {
-            let ctx = JobCtx::single(next_req(shared));
-            shared.telem.request_begin(ctx.req);
-            let reply = run_on_pool(shared, ctx, move |engine| {
-                let spec = parts.spec()?;
-                let (record, profile) = engine.execute_profiled(&spec)?;
-                let json = engine.telem().serialize_span(ctx.req, || record.to_json());
-                Ok(Event::Profile { key: record.key.clone(), record: json, profile, req: ctx.req })
-            });
-            shared.telem.request_end(ctx.req, end_tag(&reply));
-            !send(writer, &reply)
-        }
-        Request::Replay { parts } => {
-            let ctx = JobCtx::single(next_req(shared));
-            shared.telem.request_begin(ctx.req);
-            let reply = run_on_pool(shared, ctx, move |engine| {
-                let spec = parts.spec()?;
-                let (record, hash) = engine.execute_replay(&spec, ctx)?;
-                let json = engine.telem().serialize_span(ctx.req, || record.to_json());
-                Ok(Event::Record {
-                    key: record.key.clone(),
-                    origin: Origin::Warm,
-                    snap_hash: hash.to_string(),
-                    record: json,
-                    req: ctx.req,
-                })
-            });
-            shared.telem.request_end(ctx.req, end_tag(&reply));
-            !send(writer, &reply)
-        }
+        Request::Job { parts, cache } => serve_job(writer, shared, move |engine, ctx| {
+            let spec = parts.spec()?;
+            let (record, origin) = engine.execute(&spec, cache, ctx)?;
+            let json = engine.telem().serialize_span(ctx.req, || record.to_json());
+            Ok(Event::Record {
+                key: record.key.clone(),
+                origin,
+                snap_hash: String::new(),
+                record: json,
+                req: ctx.req,
+            })
+        }),
+        Request::Profile { parts } => serve_job(writer, shared, move |engine, ctx| {
+            let spec = parts.spec()?;
+            let (record, profile) = engine.execute_profiled(&spec)?;
+            let json = engine.telem().serialize_span(ctx.req, || record.to_json());
+            Ok(Event::Profile { key: record.key.clone(), record: json, profile, req: ctx.req })
+        }),
+        Request::Replay { parts } => serve_job(writer, shared, move |engine, ctx| {
+            let spec = parts.spec()?;
+            let (record, hash) = engine.execute_replay(&spec, ctx)?;
+            let json = engine.telem().serialize_span(ctx.req, || record.to_json());
+            Ok(Event::Record {
+                key: record.key.clone(),
+                origin: Origin::Warm,
+                snap_hash: hash.to_string(),
+                record: json,
+                req: ctx.req,
+            })
+        }),
     }
 }
 
-/// Ships one closure to the worker pool and blocks this connection
-/// thread for its outcome, so single-job requests obey the same global
-/// parallelism bound as sweeps. The queue wait (submission to pickup)
-/// is spanned and recorded; a refused submission closes the span
-/// immediately so the stream stays balanced.
-fn run_on_pool<F>(shared: &Shared, ctx: JobCtx, work: F) -> Event
+/// Serves one single-job request (`job`, `profile`, `replay`) as its
+/// own request id: ships `work` to the worker pool and blocks this
+/// connection thread for its outcome, so single-job requests obey the
+/// same global parallelism bound as sweeps, then answers with it. The
+/// queue wait (submission to pickup) is spanned and recorded; a refused
+/// submission closes the span immediately so the stream stays balanced.
+/// Returns `true` when the client is unreachable.
+fn serve_job<F>(writer: &mut TcpStream, shared: &Shared, work: F) -> bool
 where
-    F: FnOnce(&JobEngine) -> Result<Event, String> + Send + 'static,
+    F: FnOnce(&JobEngine, JobCtx) -> Result<Event, String> + Send + 'static,
 {
+    let ctx = JobCtx::single(next_req(shared));
+    shared.telem.request_begin(ctx.req);
     let (tx, rx) = mpsc::channel::<Result<Event, String>>();
     let engine = shared.engine.clone();
     let stop = shared.stop.clone();
@@ -429,19 +415,22 @@ where
         let out = if stop.stopping() {
             Err("server is shutting down".to_string())
         } else {
-            work(&engine)
+            work(&engine, ctx)
         };
         let _ = tx.send(out);
     });
-    if !submitted {
+    let reply = if submitted {
+        match rx.recv() {
+            Ok(Ok(ev)) => ev,
+            Ok(Err(msg)) => Event::Error { message: msg },
+            Err(_) => Event::Error { message: "job was dropped during shutdown".into() },
+        }
+    } else {
         shared.telem.queue_end(ctx, elapsed_us(queued_at));
-        return Event::Error { message: "server is shutting down".into() };
-    }
-    match rx.recv() {
-        Ok(Ok(ev)) => ev,
-        Ok(Err(msg)) => Event::Error { message: msg },
-        Err(_) => Event::Error { message: "job was dropped during shutdown".into() },
-    }
+        Event::Error { message: "server is shutting down".into() }
+    };
+    shared.telem.request_end(ctx.req, end_tag(&reply));
+    !send(writer, &reply)
 }
 
 fn handle_sweep(

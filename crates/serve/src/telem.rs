@@ -9,9 +9,9 @@
 //! see the table in DESIGN.md §4i.
 //!
 //! Telemetry must never perturb served results. That holds by
-//! construction: the engine's runners are the *same functions* whether
-//! observed or not (`run_spec_split_spanned` with a no-op hook *is*
-//! `run_spec_split`), all metrics are derived from host clocks and
+//! construction: the engine runs jobs through the *same function*
+//! whether observed or not (`cheri_sweep::run_job`, whose span hook the
+//! batch path passes a no-op), all metrics are derived from host clocks and
 //! counters outside the simulator, and a [`ServiceTelem`] constructed
 //! disabled turns every operation into a no-op — the detached half of
 //! the overhead A/B in EXPERIMENTS.md.

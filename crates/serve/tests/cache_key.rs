@@ -4,11 +4,10 @@
 
 use cheri_olden::OldenParams;
 use cheri_serve::cache::{cache_key, NO_SNAPSHOT};
-use cheri_serve::pool::boot_snapshot;
 use cheri_serve::protocol::decode_request;
 use cheri_serve::Request;
 use cheri_snap::{Snapshot, StateHash};
-use cheri_sweep::JobSpec;
+use cheri_sweep::{run_job, JobSpec, Mode};
 
 /// The same job spelled with different field order and whitespace must
 /// decode to the same spec and therefore the same cache key — identity
@@ -76,7 +75,8 @@ fn every_config_field_changes_the_key() {
 fn restored_snapshot_hashes_like_the_original() {
     let params = OldenParams::scaled();
     let spec = JobSpec::from_parts("treeadd", "mips", 8, params).unwrap();
-    let snap = boot_snapshot(&spec).unwrap().expect("treeadd reaches the phase-2 boundary");
+    let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+    let snap = run.unwrap().snapshot.expect("treeadd reaches the phase-2 boundary");
     let original = snap.state_hash();
     let restored = Snapshot::from_json(&snap.to_json()).unwrap();
     assert_eq!(restored.state_hash(), original);

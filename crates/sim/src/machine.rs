@@ -10,6 +10,7 @@
 //! it.
 
 use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use cheri_core::{CapCause, CapExcCode, Capability, Compressed128, Perms};
@@ -548,25 +549,9 @@ impl Machine {
         let inst = decode(word);
 
         let outcome = self.execute(&inst)?;
-
-        // Retire.
-        match outcome {
-            Outcome::Trap { kind, badvaddr } => return Ok(self.trap(kind, badvaddr)),
-            Outcome::Syscall => {
-                self.stats.syscalls += 1;
-                let _ = self.trap(TrapKind::Syscall { code: 0 }, None);
-                // Keep PC at the syscall; the kernel resumes via
-                // advance_past_trap(). Reported as its own variant for
-                // ergonomic dispatch.
-                return Ok(StepResult::Syscall);
-            }
-            Outcome::Break(code) => {
-                let _ = self.trap(TrapKind::Break { code }, None);
-                return Ok(StepResult::Break(code));
-            }
-            _ => {}
+        if let ControlFlow::Break(exit) = self.retire(outcome) {
+            return Ok(exit);
         }
-
         self.stats.instructions += 1;
         self.stats.cycles += 1;
         self.cpu.cp0.count = self.cpu.cp0.count.wrapping_add(1);
@@ -578,7 +563,18 @@ impl Machine {
         if self.prof.is_some() {
             self.prof_retire(pc, &inst, &outcome);
         }
+        Ok(StepResult::Continue)
+    }
 
+    /// The retire step shared by [`Machine::step`] and the block fast
+    /// path: applies an executed instruction's control-flow outcome —
+    /// the PC/next-PC update with branch, mispredict and jump penalties
+    /// — and returns `Continue(pcc_changed)`, or takes the trap,
+    /// `SYSCALL` or `BREAK` exit and returns `Break(result)` (the
+    /// instruction did not retire). The callers differ only in fetch,
+    /// decode and how they batch the per-retire counters.
+    #[inline(always)]
+    fn retire(&mut self, outcome: Outcome) -> ControlFlow<StepResult, bool> {
         let fallthrough = self.cpu.next_pc;
         match outcome {
             Outcome::Next => {
@@ -607,10 +603,25 @@ impl Machine {
                 self.stats.cycles += INDIRECT_JUMP_PENALTY;
                 self.cpu.caps.set_pcc(pcc);
                 self.cpu.jump_to(target);
+                return ControlFlow::Continue(true);
             }
-            Outcome::Trap { .. } | Outcome::Syscall | Outcome::Break(_) => unreachable!(),
+            Outcome::Trap { kind, badvaddr } => {
+                return ControlFlow::Break(self.trap(kind, badvaddr))
+            }
+            Outcome::Syscall => {
+                self.stats.syscalls += 1;
+                let _ = self.trap(TrapKind::Syscall { code: 0 }, None);
+                // Keep PC at the syscall; the kernel resumes via
+                // advance_past_trap(). Reported as its own variant for
+                // ergonomic dispatch.
+                return ControlFlow::Break(StepResult::Syscall);
+            }
+            Outcome::Break(code) => {
+                let _ = self.trap(TrapKind::Break { code }, None);
+                return ControlFlow::Break(StepResult::Break(code));
+            }
         }
-        Ok(StepResult::Continue)
+        ControlFlow::Continue(false)
     }
 
     /// Runs until a syscall, break, trap, or `max_steps` instructions.
@@ -775,51 +786,13 @@ impl Machine {
                     return Err(e);
                 }
             };
-            let fallthrough = self.cpu.next_pc;
-            let mut pcc_changed = false;
-            match outcome {
-                Outcome::Next => {
-                    self.cpu.pc = fallthrough;
-                    self.cpu.next_pc = fallthrough.wrapping_add(4);
-                }
-                Outcome::Branch { target, taken, predicted } => {
-                    self.stats.branches += 1;
-                    if predicted != taken {
-                        self.stats.mispredicts += 1;
-                        self.stats.cycles += MISPREDICT_PENALTY;
-                    }
-                    self.cpu.pc = fallthrough;
-                    self.cpu.next_pc = if taken { target } else { fallthrough.wrapping_add(4) };
-                }
-                Outcome::Jump { target, indirect } => {
-                    if indirect {
-                        self.stats.cycles += INDIRECT_JUMP_PENALTY;
-                    }
-                    self.cpu.pc = fallthrough;
-                    self.cpu.next_pc = target;
-                }
-                Outcome::CapJump { target, pcc } => {
-                    self.stats.cycles += INDIRECT_JUMP_PENALTY;
-                    self.cpu.caps.set_pcc(pcc);
-                    self.cpu.jump_to(target);
-                    pcc_changed = true;
-                }
-                Outcome::Trap { kind, badvaddr } => {
+            let pcc_changed = match self.retire(outcome) {
+                ControlFlow::Continue(pcc_changed) => pcc_changed,
+                ControlFlow::Break(exit) => {
                     flush!();
-                    return Ok((retired, Some(self.trap(kind, badvaddr))));
+                    return Ok((retired, Some(exit)));
                 }
-                Outcome::Syscall => {
-                    flush!();
-                    self.stats.syscalls += 1;
-                    let _ = self.trap(TrapKind::Syscall { code: 0 }, None);
-                    return Ok((retired, Some(StepResult::Syscall)));
-                }
-                Outcome::Break(code) => {
-                    flush!();
-                    let _ = self.trap(TrapKind::Break { code }, None);
-                    return Ok((retired, Some(StepResult::Break(code))));
-                }
-            }
+            };
 
             // Retire (batched; `cp0.count` stays per-instruction exact
             // because `MFC0` can read it mid-block).

@@ -6,8 +6,15 @@
 //!
 //! * [`matrix`] — the canonical axes ([`StrategyKind`], the per-figure
 //!   strategy lists, [`heapsize_sweep`], [`profile_matrix`]) and the
-//!   job runner ([`run_specs`]), so every harness iterates the same
-//!   lists in the same order;
+//!   one way to run a job: [`run_job`] in a closed set of [`Mode`]s
+//!   (plain, profiled, split at the warm-start boundary, boot-only,
+//!   resumed, final-snapshot), with [`run_jobs`] running many in
+//!   parallel, so every harness iterates the same lists in the same
+//!   order and every run — batch, warm, profiled, traced or served —
+//!   executes the same code;
+//! * [`mod@ab`] — the A/B transparency harness (`xsweep --perf`/`--warm`/
+//!   `--prof`): one matrix under two sides, timed, byte-compared, with
+//!   divergence snapshots on a mismatch;
 //! * [`engine`] — a deterministic work-stealing executor: each job owns
 //!   its own `Machine`, workers steal indices from an atomic cursor,
 //!   and results are reassembled in index order, so output is
@@ -22,18 +29,18 @@
 //! the figure/ablation harnesses are thin text views over the same job
 //! results.
 
+pub mod ab;
 pub mod check;
 pub mod engine;
 pub mod matrix;
 pub mod report;
 
+pub use ab::{ab, dump_divergence, AbJob, Divergence, Side};
 pub use check::{check_reports, comparisons, render_drifts, tolerance_for, Drift, Tolerance};
 pub use engine::{default_threads, run_indexed};
 pub use matrix::{
-    heapsize_sweep, profile_matrix, run_spec_final_snap, run_spec_profiled, run_spec_resume,
-    run_spec_resume_spanned, run_spec_split, run_spec_split_spanned, run_spec_with_config,
-    run_spec_with_sink, run_specs, run_specs_block_cache, run_specs_profiled, run_specs_traced,
-    JobResult, JobSpec, Profile, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB,
+    heapsize_sweep, profile_matrix, run_job, run_jobs, run_spec_with_config, JobResult, JobRun,
+    JobSpec, Mode, Profile, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB,
     ELISION_STRATEGIES, FIGURE4_STRATEGIES, HEAPSIZE_STRATEGIES, TAG_ABLATION_KB,
     WARM_SNAPSHOT_PHASE,
 };
@@ -44,6 +51,6 @@ pub use report::{hit_rate_bp, JobRecord, SweepReport, ARCH_COUNTERS, SCHEMA_VERS
 #[must_use]
 pub fn run_matrix(profile: Profile, threads: usize) -> SweepReport {
     let specs = profile_matrix(profile);
-    let results = run_specs(&specs, threads);
+    let results = run_jobs(&specs, threads, None);
     SweepReport::from_results(profile.name(), &results)
 }

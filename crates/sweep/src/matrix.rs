@@ -237,39 +237,48 @@ pub struct JobResult {
     pub run: BenchRun,
 }
 
-/// Runs one job on a fresh kernel/machine, optionally streaming events
-/// into `sink` (preceded by the historical `run start:` marker).
-///
-/// # Errors
-///
-/// Returns the compile/OS error rendered as a string (job context is
-/// added by the callers).
-pub fn run_spec_with_sink(spec: &JobSpec, sink: Option<SharedSink>) -> Result<JobResult, String> {
-    run_spec_with_config(spec, spec.machine_config(), sink)
+/// How [`run_job`] runs a job: the closed set of run shapes the
+/// harnesses and the service use.
+#[derive(Clone, Copy, Debug)]
+pub enum Mode<'a> {
+    /// Boot and run to completion.
+    Plain,
+    /// As [`Mode::Plain`] with the symbolized guest profiler attached
+    /// for the whole run; the finished profile lands in
+    /// [`JobRun::profile`]. Profiling is observational, so the result is
+    /// byte-identical to a plain run's.
+    Profiled,
+    /// As [`Mode::Plain`], also capturing the warm-start snapshot at the
+    /// [`WARM_SNAPSHOT_PHASE`] boundary into [`JobRun::snapshot`]
+    /// (`None` if the workload exits before reaching it).
+    Split,
+    /// Boot and stop at the [`WARM_SNAPSHOT_PHASE`] boundary, returning
+    /// its snapshot and no result: the service's prewarm, which pays
+    /// compile, exec and allocation but not the computation phase. A
+    /// workload that exits first returns its complete result instead.
+    BootOnly,
+    /// Restore a [`Mode::Split`] snapshot and run the remainder. The
+    /// result is byte-identical to the cold run the snapshot came from;
+    /// only the configuration's `block_cache` applies, and no sink is
+    /// attached to the restored session.
+    Resume(&'a cheri_snap::Snapshot),
+    /// As [`Mode::Plain`], also capturing the *final* machine+kernel
+    /// snapshot: the divergence artifact a failed gate writes under
+    /// `results/`.
+    FinalSnap,
 }
 
-/// As [`run_spec_with_sink`] with an explicit machine configuration —
-/// the hook the throughput harnesses use to pin simulator-internal
-/// knobs (like [`MachineConfig::block_cache`]) that are not part of the
-/// experiment matrix.
-///
-/// # Errors
-///
-/// As [`run_spec_with_sink`].
-pub fn run_spec_with_config(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-    sink: Option<SharedSink>,
-) -> Result<JobResult, String> {
-    if sink.is_some() {
-        marker(&sink, &format!("run start: {}", spec.marker_label()));
-    }
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session = BenchSession::start_module(&module, strategy.as_ref(), cfg, sink)
-        .map_err(|e| e.to_string())?;
-    let run = session.run_to_completion().map_err(|e| e.to_string())?;
-    Ok(JobResult { spec: *spec, run })
+/// What [`run_job`] produced.
+#[derive(Debug)]
+pub struct JobRun {
+    /// The completed job; `None` only for a [`Mode::BootOnly`] run that
+    /// stopped at the phase boundary.
+    pub result: Option<JobResult>,
+    /// The snapshot [`Mode::Split`], [`Mode::BootOnly`] or
+    /// [`Mode::FinalSnap`] captured.
+    pub snapshot: Option<cheri_snap::Snapshot>,
+    /// The [`Mode::Profiled`] profile.
+    pub profile: Option<cheri_prof::ProfileReport>,
 }
 
 /// The phase id at which warm-start snapshots are taken. Every Olden
@@ -278,211 +287,129 @@ pub fn run_spec_with_config(
 /// for — the warm pass replays only the computation.
 pub const WARM_SNAPSHOT_PHASE: u64 = 2;
 
-/// Cold run of one job that *also* captures the warm-start snapshot at
-/// the phase-2 (allocation → computation) boundary. Returns the full
-/// cold result plus the snapshot, or `None` if the workload exited
-/// before ever reaching the phase (the result is then complete anyway).
+/// Runs one job in the given [`Mode`]: the one execution path behind
+/// every batch, warm, profiled, traced and served run.
+///
+/// `sink` streams every event of a booted run, preceded by the
+/// historical `run start:` marker. `span(phase, is_begin)` brackets the
+/// run's phases: `"boot"` covers module start (through the phase
+/// boundary for [`Mode::Split`] and [`Mode::BootOnly`]), `"restore"`
+/// the [`Mode::Resume`] restore, `"simulate"` the run to completion.
+/// Ends are emitted on error paths too, so a span stream built from the
+/// hook always balances. Batch callers pass a no-op hook: observed and
+/// unobserved runs are one code path, which keeps telemetry out of the
+/// byte-identity argument.
 ///
 /// # Errors
 ///
-/// As [`run_spec_with_config`].
-pub fn run_spec_split(
+/// Compile, OS and snapshot-restore errors rendered as strings (job
+/// context is added by the callers).
+pub fn run_job(
     spec: &JobSpec,
     cfg: MachineConfig,
-) -> Result<(JobResult, Option<cheri_snap::Snapshot>), String> {
-    run_spec_split_spanned(spec, cfg, &mut |_, _| {})
-}
-
-/// As [`run_spec_split`], invoking `span(phase, is_begin)` around the
-/// run's phases — `"boot"` covers module start through the phase-2
-/// boundary, `"simulate"` the measured remainder. Ends are emitted on
-/// error paths too, so a span stream built from the hook always
-/// balances. The unspanned form delegates here with a no-op hook: there
-/// is one execution path, observed or not, which is what keeps
-/// telemetry out of the byte-identity argument.
-///
-/// # Errors
-///
-/// As [`run_spec_with_config`].
-pub fn run_spec_split_spanned(
-    spec: &JobSpec,
-    cfg: MachineConfig,
+    mode: Mode<'_>,
+    sink: Option<SharedSink>,
     span: &mut dyn FnMut(&'static str, bool),
-) -> Result<(JobResult, Option<cheri_snap::Snapshot>), String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    span("boot", true);
-    let booted = BenchSession::start_module(&module, strategy.as_ref(), cfg, None)
-        .map_err(|e| e.to_string())
-        .and_then(|mut session| {
-            let early = session.run_until_phase(WARM_SNAPSHOT_PHASE).map_err(|e| e.to_string())?;
-            Ok((session, early))
-        });
-    span("boot", false);
-    let (mut session, early) = booted?;
-    match early {
-        Some(run) => Ok((JobResult { spec: *spec, run }, None)),
-        None => {
-            let snap = session.snapshot();
-            span("simulate", true);
-            let run = session.run_to_completion().map_err(|e| e.to_string());
-            span("simulate", false);
-            Ok((JobResult { spec: *spec, run: run? }, Some(snap)))
+) -> Result<JobRun, String> {
+    let mut out = JobRun { result: None, snapshot: None, profile: None };
+    let mut session = if let Mode::Resume(snap) = mode {
+        span("restore", true);
+        let restored = BenchSession::resume(snap, spec.strategy.name(), cfg.block_cache);
+        span("restore", false);
+        restored.map_err(|e| e.to_string())?
+    } else {
+        let split = matches!(mode, Mode::Split | Mode::BootOnly);
+        span("boot", true);
+        let booted =
+            boot(spec, cfg, matches!(mode, Mode::Profiled), sink).and_then(|mut session| {
+                let early = if split {
+                    session.run_until_phase(WARM_SNAPSHOT_PHASE).map_err(|e| e.to_string())?
+                } else {
+                    None
+                };
+                Ok((session, early))
+            });
+        span("boot", false);
+        let (session, early) = booted?;
+        if let Some(run) = early {
+            out.result = Some(JobResult { spec: *spec, run });
+            return Ok(out);
         }
-    }
-}
-
-/// Warm run of one job: restores a [`run_spec_split`] snapshot and runs
-/// the remainder. The result must be byte-identical to the cold run the
-/// snapshot came from — `xsweep --warm` asserts this in-process.
-///
-/// # Errors
-///
-/// As [`run_spec_with_config`], plus snapshot-restore failures.
-pub fn run_spec_resume(
-    spec: &JobSpec,
-    snap: &cheri_snap::Snapshot,
-    block_cache: bool,
-) -> Result<JobResult, String> {
-    run_spec_resume_spanned(spec, snap, block_cache, &mut |_, _| {})
-}
-
-/// As [`run_spec_resume`], invoking `span(phase, is_begin)` around the
-/// run's phases — `"restore"` covers the snapshot restore, `"simulate"`
-/// the resumed remainder. See [`run_spec_split_spanned`] for the
-/// balance and single-code-path guarantees.
-///
-/// # Errors
-///
-/// As [`run_spec_resume`].
-pub fn run_spec_resume_spanned(
-    spec: &JobSpec,
-    snap: &cheri_snap::Snapshot,
-    block_cache: bool,
-    span: &mut dyn FnMut(&'static str, bool),
-) -> Result<JobResult, String> {
-    span("restore", true);
-    let restored =
-        BenchSession::resume(snap, spec.strategy.name(), block_cache).map_err(|e| e.to_string());
-    span("restore", false);
-    let mut session = restored?;
+        if split {
+            out.snapshot = Some(session.snapshot());
+        }
+        if let Mode::BootOnly = mode {
+            return Ok(out);
+        }
+        session
+    };
     span("simulate", true);
     let run = session.run_to_completion().map_err(|e| e.to_string());
     span("simulate", false);
-    Ok(JobResult { spec: *spec, run: run? })
+    out.result = Some(JobResult { spec: *spec, run: run? });
+    match mode {
+        Mode::Profiled => {
+            out.profile = Some(session.take_profile().ok_or("profiled session lost its profiler")?);
+        }
+        Mode::FinalSnap => out.snapshot = Some(session.snapshot()),
+        _ => {}
+    }
+    Ok(out)
 }
 
-/// Runs one job to completion and returns the result together with the
-/// *final* machine+kernel snapshot — the divergence artifact written
-/// under `results/` when a sweep gate or transparency assert fails.
+/// Compiles the job's module under its strategy and boots it, with the
+/// profiler attached if `profiled`: the one boot every [`run_job`] mode
+/// but [`Mode::Resume`] shares.
+fn boot(
+    spec: &JobSpec,
+    cfg: MachineConfig,
+    profiled: bool,
+    sink: Option<SharedSink>,
+) -> Result<BenchSession, String> {
+    marker(&sink, &format!("run start: {}", spec.marker_label()));
+    let strategy = spec.strategy.strategy();
+    let module = spec.workload.module(&spec.params);
+    let start =
+        if profiled { BenchSession::start_module_profiled } else { BenchSession::start_module };
+    start(&module, strategy.as_ref(), cfg, sink).map_err(|e| e.to_string())
+}
+
+/// [`run_job`] in [`Mode::Plain`] with an explicit machine configuration
+/// and no span hook.
 ///
 /// # Errors
 ///
-/// As [`run_spec_with_config`].
-pub fn run_spec_final_snap(
+/// As [`run_job`].
+pub fn run_spec_with_config(
     spec: &JobSpec,
     cfg: MachineConfig,
-) -> Result<(JobResult, cheri_snap::Snapshot), String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session = BenchSession::start_module(&module, strategy.as_ref(), cfg, None)
-        .map_err(|e| e.to_string())?;
-    let run = session.run_to_completion().map_err(|e| e.to_string())?;
-    let snap = session.snapshot();
-    Ok((JobResult { spec: *spec, run }, snap))
+    sink: Option<SharedSink>,
+) -> Result<JobResult, String> {
+    run_job(spec, cfg, Mode::Plain, sink, &mut |_, _| {})
+        .map(|r| r.result.expect("plain runs complete"))
 }
 
-/// Runs `specs` across `threads` worker threads (each job owns its own
-/// machine) and returns results in spec order, independent of thread
-/// count and scheduling.
+/// Runs `specs` in [`Mode::Plain`] across `threads` worker threads (each
+/// job owns its own machine) and returns results in spec order,
+/// independent of thread count and scheduling. With a `sink`, the jobs
+/// run serially on the calling thread instead and every event of every
+/// run streams into the sink with one marker per job — the
+/// `--trace-out` path of the figure harnesses, one ordered file.
 ///
 /// # Panics
 ///
 /// Panics with the job key if any job fails — a failed run on the
 /// canonical matrix is a harness bug, not a reportable datum.
 #[must_use]
-pub fn run_specs(specs: &[JobSpec], threads: usize) -> Vec<JobResult> {
-    engine::run_indexed(specs.len(), threads, |i| {
-        let spec = &specs[i];
-        run_spec_with_sink(spec, None).unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-    })
-}
-
-/// As [`run_specs`], but with the simulator's predecoded block cache
-/// forced on or off (instead of [`MachineConfig::default`]'s
-/// environment-driven setting). The block cache is architecturally
-/// transparent, so results must not depend on `enabled` — `xsweep
-/// --perf` runs both and insists the reports are identical.
-///
-/// # Panics
-///
-/// As [`run_specs`].
-#[must_use]
-pub fn run_specs_block_cache(specs: &[JobSpec], threads: usize, enabled: bool) -> Vec<JobResult> {
-    engine::run_indexed(specs.len(), threads, |i| {
-        let spec = &specs[i];
-        let cfg = MachineConfig { block_cache: enabled, ..spec.machine_config() };
-        run_spec_with_config(spec, cfg, None).unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-    })
-}
-
-/// Runs one job to completion with a [`cheri_prof::Profiler`] attached
-/// (symbolized, covering the whole run), returning the result plus the
-/// finished profile. Profiling is observational only, so the
-/// [`JobResult`] must be byte-identical to an unprofiled run of the
-/// same spec — `xsweep --prof` runs both and asserts exactly that.
-///
-/// # Errors
-///
-/// As [`run_spec_with_config`].
-pub fn run_spec_profiled(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-) -> Result<(JobResult, cheri_prof::ProfileReport), String> {
-    let strategy = spec.strategy.strategy();
-    let module = spec.workload.module(&spec.params);
-    let mut session = BenchSession::start_module_profiled(&module, strategy.as_ref(), cfg, None)
-        .map_err(|e| e.to_string())?;
-    let run = session.run_to_completion().map_err(|e| e.to_string())?;
-    let profile = session.take_profile().ok_or("profiled session lost its profiler")?;
-    Ok((JobResult { spec: *spec, run }, profile))
-}
-
-/// As [`run_specs`], but every job runs with a profiler attached;
-/// returns results in spec order, each with its profile.
-///
-/// # Panics
-///
-/// As [`run_specs`].
-#[must_use]
-pub fn run_specs_profiled(
-    specs: &[JobSpec],
-    threads: usize,
-) -> Vec<(JobResult, cheri_prof::ProfileReport)> {
-    engine::run_indexed(specs.len(), threads, |i| {
-        let spec = &specs[i];
-        run_spec_profiled(spec, spec.machine_config())
+pub fn run_jobs(specs: &[JobSpec], threads: usize, sink: Option<&SharedSink>) -> Vec<JobResult> {
+    let run = |spec: &JobSpec, sink: Option<SharedSink>| {
+        run_spec_with_config(spec, spec.machine_config(), sink)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-    })
-}
-
-/// Runs `specs` serially on the calling thread, streaming every event
-/// of every run into `sink` with one marker per job — the `--trace-out`
-/// path of the figure harnesses. Serial because the event stream is one
-/// ordered file.
-///
-/// # Panics
-///
-/// As [`run_specs`].
-#[must_use]
-pub fn run_specs_traced(specs: &[JobSpec], sink: &SharedSink) -> Vec<JobResult> {
-    specs
-        .iter()
-        .map(|spec| {
-            run_spec_with_sink(spec, Some(sink.clone()))
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-        })
-        .collect()
+    };
+    match sink {
+        Some(sink) => specs.iter().map(|spec| run(spec, Some(sink.clone()))).collect(),
+        None => engine::run_indexed(specs.len(), threads, |i| run(&specs[i], None)),
+    }
 }
 
 /// The `xsweep` problem-size / matrix-density presets.

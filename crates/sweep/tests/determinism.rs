@@ -4,12 +4,28 @@
 //!    thread count (each job owns its machine; results are reassembled
 //!    in spec order).
 //! 2. **The gate bites** — a seeded counter drift fails the check with
-//!    the drifting metric named; an unchanged report passes.
+//!    the drifting metric named; an unchanged report passes; and the
+//!    A/B harness names the first job a result-changing side diverges
+//!    on and writes its divergence snapshots.
 
+use beri_sim::MachineConfig;
+use cheri_snap::Snapshot;
 use cheri_sweep::{
-    check_reports, profile_matrix, run_matrix, run_specs, run_specs_block_cache, Profile,
-    SweepReport,
+    ab, check_reports, profile_matrix, run_jobs, run_matrix, JobSpec, Mode, Profile, Side,
+    StrategyKind, SweepReport,
 };
+use std::path::PathBuf;
+
+fn treeadd_specs() -> Vec<JobSpec> {
+    profile_matrix(Profile::Smoke).into_iter().filter(|s| s.workload.name() == "treeadd").collect()
+}
+
+/// A per-test scratch directory for divergence snapshots.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cheri-sweep-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
@@ -24,11 +40,8 @@ fn report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn self_check_passes_and_seeded_drift_fails() {
-    let specs: Vec<_> = profile_matrix(Profile::Smoke)
-        .into_iter()
-        .filter(|s| s.workload.name() == "treeadd")
-        .collect();
-    let results = run_specs(&specs, 2);
+    let specs = treeadd_specs();
+    let results = run_jobs(&specs, 2, None);
     let report = SweepReport::from_results("smoke", &results);
 
     // Round-trip through the serialised form, as the CI gate does.
@@ -54,13 +67,56 @@ fn block_cache_is_architecturally_transparent_in_the_sweep() {
     // optimisation: forcing it on or off must leave every reported
     // counter of a real matrix job byte-identical. (`xsweep --perf`
     // asserts the same over the whole matrix; this is the tier-1 form.)
-    let specs: Vec<_> = profile_matrix(Profile::Smoke)
-        .into_iter()
-        .filter(|s| s.workload.name() == "treeadd")
+    let on = |s: &JobSpec| MachineConfig { block_cache: true, ..s.machine_config() };
+    let off = |s: &JobSpec| MachineConfig { block_cache: false, ..s.machine_config() };
+    let dir = scratch_dir("bc");
+    let jobs = ab(
+        &treeadd_specs(),
+        2,
+        &Side { cfg: &on, mode: |_| Some(Mode::Plain), dump: Some("-bc-on") },
+        &Side { cfg: &off, mode: |_| Some(Mode::Plain), dump: Some("-bc-off") },
+        &dir,
+    )
+    .expect("block cache changed architectural results");
+    assert_eq!(jobs.len(), 5);
+    assert!(!dir.exists(), "no divergence snapshots on agreement");
+}
+
+#[test]
+fn ab_names_the_first_diverging_job_and_dumps_it() {
+    // `MachineConfig::fault`'s one seeded bug changes no smoke job's
+    // result, so side B seeds a result-changing branch-predictor size
+    // on the CHERI jobs only: the MIPS jobs agree, the CHERI ones don't.
+    let seeded = |s: &JobSpec| match s.strategy {
+        StrategyKind::Cheri256 | StrategyKind::Cheri128 => {
+            MachineConfig { bht_entries: 2, ..s.machine_config() }
+        }
+        _ => s.machine_config(),
+    };
+    let dir = scratch_dir("diverge");
+    let divergence = ab(
+        &treeadd_specs(),
+        1,
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain), dump: Some("-a") },
+        &Side { cfg: &seeded, mode: |_| Some(Mode::Plain), dump: Some("-b") },
+        &dir,
+    )
+    .err()
+    .expect("a result-changing side B must diverge");
+    assert_eq!(divergence.key, "treeadd/cheri/tag8");
+    assert_eq!(divergence.jobs, 2, "both CHERI widths diverge");
+    let paths: Vec<PathBuf> =
+        divergence.dumps.into_iter().map(|d| d.expect("divergence snapshot written")).collect();
+    assert_eq!(
+        paths,
+        ["-a", "-b"].map(|suffix| dir.join(format!("divergence-treeadd-cheri-tag8{suffix}.json")))
+    );
+    let snaps: Vec<Snapshot> = paths
+        .iter()
+        .map(|p| Snapshot::from_json(&std::fs::read_to_string(p).unwrap()).expect("a snapshot"))
         .collect();
-    let on = SweepReport::from_results("smoke", &run_specs_block_cache(&specs, 2, true));
-    let off = SweepReport::from_results("smoke", &run_specs_block_cache(&specs, 2, false));
-    assert_eq!(on.to_json(), off.to_json(), "block cache changed architectural results");
+    assert_ne!(snaps[0].state_hash(), snaps[1].state_hash(), "the two sides' final states differ");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -68,11 +124,8 @@ fn report_carries_the_evaluations_headline_shape() {
     // A cheap semantic sanity check on real sweep data: CHERI's cycle
     // overhead over MIPS exists but stays under CCured's on treeadd —
     // the Figure 4 headline — visible straight from the report.
-    let specs: Vec<_> = profile_matrix(Profile::Smoke)
-        .into_iter()
-        .filter(|s| s.workload.name() == "treeadd")
-        .collect();
-    let results = run_specs(&specs, 2);
+    let specs = treeadd_specs();
+    let results = run_jobs(&specs, 2, None);
     let report = SweepReport::from_results("smoke", &results);
     let cycles = |key: &str| report.job(key).expect(key).counters["cycles.total"];
     let (mips, ccured, cheri) =

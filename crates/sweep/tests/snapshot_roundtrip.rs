@@ -9,7 +9,7 @@ use beri_sim::MachineConfig;
 use cheri_olden::dsl::BenchSession;
 use cheri_olden::OldenParams;
 use cheri_snap::Snapshot;
-use cheri_sweep::{JobRecord, JobResult, JobSpec, StrategyKind};
+use cheri_sweep::{run_job, JobRecord, JobResult, JobSpec, Mode, StrategyKind};
 use cheri_work::Workload;
 
 /// Snapshot after `k` retired instructions (through JSON), resume with
@@ -89,17 +89,17 @@ fn allocstress_roundtrips_with_block_cache_on_and_off() {
     check_workload(Workload::Allocstress, 50_000, false);
 }
 
-/// The warm-start path itself: `run_spec_split` captures a snapshot at
-/// the phase-2 boundary and `run_spec_resume` finishes from it with a
+/// The warm-start path itself: [`Mode::Split`] captures a snapshot at
+/// the phase-2 boundary and [`Mode::Resume`] finishes from it with a
 /// byte-identical record.
 #[test]
 fn warm_start_split_and_resume_agree() {
     let spec = JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, OldenParams::scaled());
     let cfg = spec.machine_config();
-    let (cold, snap) = cheri_sweep::run_spec_split(&spec, cfg.clone()).unwrap();
-    let snap = snap.expect("treeadd reaches phase 2");
-    let warm = cheri_sweep::run_spec_resume(&spec, &snap, cfg.block_cache).unwrap();
-    let cold_rec = JobRecord::from_result(&cold);
-    let warm_rec = JobRecord::from_result(&warm);
+    let cold = run_job(&spec, cfg.clone(), Mode::Split, None, &mut |_, _| {}).unwrap();
+    let snap = cold.snapshot.expect("treeadd reaches phase 2");
+    let warm = run_job(&spec, cfg, Mode::Resume(&snap), None, &mut |_, _| {}).unwrap();
+    let cold_rec = JobRecord::from_result(&cold.result.unwrap());
+    let warm_rec = JobRecord::from_result(&warm.result.unwrap());
     assert_eq!(cold_rec, warm_rec, "warm-started record must equal the cold run");
 }

@@ -145,11 +145,22 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Committed
+/// documents nest fewer than 10 levels; the cap bounds the parser's
+/// recursion, so a hostile line of nested `[` is an error, not a stack
+/// overflow that aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring it to span the whole input.
+///
+/// # Errors
+///
+/// The first syntax error, or nesting deeper than [`MAX_DEPTH`], with
+/// its byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -173,11 +184,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing
+/// arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -263,7 +279,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -272,7 +288,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -285,7 +301,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -297,7 +313,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -329,6 +345,22 @@ mod tests {
         assert_eq!(obj["count"].as_u64(), Some(42));
         assert_eq!(obj["ok"], Json::Bool(true));
         assert_eq!(obj["list"].as_arr().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"))
+        );
+        // A hostile line: a million unclosed brackets on a default-size
+        // test thread stack.
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
     }
 
     #[test]
