@@ -14,12 +14,27 @@
 //! snapshot hash in means a pool rebuilt from different state (a changed
 //! simulator, a different parameter preset) can never serve a stale
 //! result: the key changes with the state.
+//!
+//! Entries are [`StoredRecord`]s behind an [`Arc`]: the record plus the
+//! JSON a `record` event carries, rendered once when the record was
+//! computed. A hit is a refcount bump, and its reply is those bytes.
 
 use cheri_snap::StateHash;
 use cheri_sweep::{JobRecord, JobSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+/// A finished job's record and its serialised form
+/// ([`JobRecord::to_json`]), kept together so a cache hit never
+/// re-serialises.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoredRecord {
+    /// The record (sweeps assemble reports from it).
+    pub record: JobRecord,
+    /// `record.to_json()`: the bytes served for it.
+    pub json: String,
+}
 
 /// The [`StateHash`] used when a job has no pooled snapshot (the
 /// workload exits before the phase-2 boundary, so every execution is a
@@ -52,7 +67,7 @@ pub fn cache_key_canonical(canonical_config: &str, snap: StateHash) -> u64 {
 /// hits and never stores, so a load-generation run can force every
 /// request down the execution path while keeping the same call sites.
 pub struct ResultCache {
-    map: Mutex<HashMap<u64, JobRecord>>,
+    map: Mutex<HashMap<u64, Arc<StoredRecord>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: bool,
@@ -77,9 +92,9 @@ impl ResultCache {
     }
 
     /// Looks a key up, counting the hit or miss. Always a (counted)
-    /// miss when the cache is disabled.
+    /// miss when the cache is disabled. A hit shares the stored entry.
     #[must_use]
-    pub fn lookup(&self, key: u64) -> Option<JobRecord> {
+    pub fn lookup(&self, key: u64) -> Option<Arc<StoredRecord>> {
         let found = if self.enabled {
             self.map.lock().map_or(None, |m| m.get(&key).cloned())
         } else {
@@ -100,10 +115,10 @@ impl ResultCache {
     /// Stores a record (no-op when disabled). Two workers racing on the
     /// same key store byte-identical records — the simulator is
     /// deterministic — so last-write-wins is harmless.
-    pub fn store(&self, key: u64, record: &JobRecord) {
+    pub fn store(&self, key: u64, record: &Arc<StoredRecord>) {
         if self.enabled {
             if let Ok(mut m) = self.map.lock() {
-                m.insert(key, record.clone());
+                m.insert(key, Arc::clone(record));
             }
         }
     }
@@ -141,8 +156,8 @@ mod tests {
     use cheri_work::Workload;
     use std::collections::BTreeMap;
 
-    fn record(key: &str) -> JobRecord {
-        JobRecord {
+    fn record(key: &str) -> Arc<StoredRecord> {
+        let record = JobRecord {
             key: key.to_string(),
             workload: "treeadd".into(),
             strategy: "cheri".into(),
@@ -150,7 +165,9 @@ mod tests {
             tag_cache_kb: 8,
             checksums: vec![42],
             counters: BTreeMap::new(),
-        }
+        };
+        let json = record.to_json();
+        Arc::new(StoredRecord { record, json })
     }
 
     #[test]
@@ -167,8 +184,10 @@ mod tests {
     fn enabled_cache_counts_hits_and_misses() {
         let cache = ResultCache::new(true);
         assert_eq!(cache.lookup(1), None);
-        cache.store(1, &record("a"));
-        assert_eq!(cache.lookup(1).unwrap().key, "a");
+        let stored = record("a");
+        cache.store(1, &stored);
+        let hit = cache.lookup(1).unwrap();
+        assert!(Arc::ptr_eq(&hit, &stored), "a hit shares the stored entry, never a copy");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(!cache.is_empty());
     }

@@ -11,7 +11,7 @@
 //! never *how they are computed* — which is why the transparency gate
 //! can demand byte-identity with the batch report.
 
-use crate::cache::{cache_key_canonical, ResultCache, NO_SNAPSHOT};
+use crate::cache::{cache_key_canonical, ResultCache, StoredRecord, NO_SNAPSHOT};
 use crate::pool::{PoolEntry, SnapshotPool};
 use crate::protocol::{Origin, StatsSnapshot};
 use crate::signal;
@@ -19,6 +19,7 @@ use crate::telem::{elapsed_us, JobCtx, PhaseRecorder, ServiceTelem};
 use cheri_sweep::{
     profile_matrix, run_job, run_matrix, JobRecord, JobSpec, Mode, Profile, SweepReport,
 };
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -62,6 +63,11 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// queue. All requests on all connections shard their jobs into the
 /// same pool, so total simulator parallelism is bounded by the worker
 /// count no matter how many clients are connected.
+///
+/// A task that panics unwinds no further than its worker's loop: the
+/// worker survives to take the next task, so [`WorkerPool::alive`]
+/// keeps telling the truth. The task's captured reply channel drops
+/// unanswered, which is how its submitter learns of the panic.
 pub struct WorkerPool {
     tx: Mutex<Option<mpsc::Sender<Task>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -99,7 +105,9 @@ impl WorkerPool {
                         Ok(task) => {
                             queued.fetch_sub(1, Ordering::Relaxed);
                             busy.fetch_add(1, Ordering::Relaxed);
-                            task();
+                            // The panic message itself goes to stderr
+                            // through the default hook.
+                            let _ = std::panic::catch_unwind(AssertUnwindSafe(task));
                             busy.fetch_sub(1, Ordering::Relaxed);
                         }
                         Err(_) => break, // all senders gone: shutdown
@@ -137,8 +145,8 @@ impl WorkerPool {
     }
 
     /// Worker threads still running (drops below [`WorkerPool::workers`]
-    /// only during shutdown — or if a worker died, which `health`
-    /// reports as not ready).
+    /// only during shutdown; a panicking task does not kill its
+    /// worker).
     #[must_use]
     pub fn alive(&self) -> u64 {
         self.alive.load(Ordering::Relaxed)
@@ -184,6 +192,22 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// What the cached rung ([`JobEngine::lookup`]) decided.
+pub enum Lookup {
+    /// Answered from the result cache: the stored record and its bytes.
+    Hit(Arc<StoredRecord>),
+    /// Not cached; run it with [`JobEngine::execute_miss`].
+    Miss(Miss),
+}
+
+/// A job the cached rung missed, with what the lookup already resolved:
+/// its canonical configuration and pooled snapshot, if any.
+pub struct Miss {
+    canon: String,
+    entry: Option<Arc<PoolEntry>>,
+    use_cache: bool,
 }
 
 /// The per-job decision ladder (cache → warm pool → cold boot) plus the
@@ -246,22 +270,10 @@ impl JobEngine {
         &self.telem
     }
 
-    /// Executes one job through the ladder:
-    ///
-    /// 1. pooled snapshot present → cache lookup under (config,
-    ///    snapshot-hash); hit → served from cache;
-    /// 2. miss but pool entry present and warm execution enabled →
-    ///    restore and run the computation phase ([`Mode::Resume`]);
-    /// 3. otherwise → full cold run ([`Mode::Split`]), pooling the
-    ///    phase-2 snapshot it captures for every later request.
-    ///
-    /// `use_cache = false` (the load generator's hot mode) skips step 1
-    /// and does not store, forcing real execution.
-    ///
-    /// `ctx` attributes the job's phase spans and latency to a request
-    /// (pass [`JobCtx::default`] outside request handling). Telemetry
-    /// observes the ladder, never steers it: [`run_job`]'s span hook is
-    /// the one the batch path passes a no-op.
+    /// Executes one job through the ladder: [`JobEngine::lookup`] (the
+    /// cached rung), then on a miss [`JobEngine::execute_miss`] (the
+    /// warm and cold rungs). The server runs the two halves on
+    /// different threads; sweeps run both here, on a worker.
     ///
     /// # Errors
     ///
@@ -271,24 +283,74 @@ impl JobEngine {
         spec: &JobSpec,
         use_cache: bool,
         ctx: JobCtx,
-    ) -> Result<(JobRecord, Origin), String> {
+    ) -> Result<(Arc<StoredRecord>, Origin), String> {
+        match self.lookup(spec, use_cache) {
+            Lookup::Hit(stored) => Ok((stored, Origin::Cached)),
+            Lookup::Miss(miss) => self.execute_miss(spec, miss, ctx),
+        }
+    }
+
+    /// The cached rung of the ladder: with a pooled snapshot present and
+    /// `use_cache`, looks the job up under (config, snapshot hash). A
+    /// hit is a finished job (counted and recorded as
+    /// [`Origin::Cached`]) whose stored record is shared, not copied.
+    /// Anything else is a [`Miss`] carrying what the lookup resolved.
+    ///
+    /// It never simulates, so the server calls it on the connection
+    /// thread and sends only misses to the worker pool.
+    /// `use_cache = false` (the load generator's hot mode) always
+    /// misses and the result is not stored, forcing real execution.
+    #[must_use]
+    pub fn lookup(&self, spec: &JobSpec, use_cache: bool) -> Lookup {
         let t0 = Instant::now();
-        self.jobs.fetch_add(1, Ordering::Relaxed);
         let canon = spec.canonical_json();
         let entry = self.pool.get(&canon);
         if let Some(entry) = entry.as_ref().filter(|_| use_cache) {
-            if let Some(rec) = self.cache.lookup(cache_key_canonical(&canon, entry.hash)) {
+            if let Some(stored) = self.cache.lookup(cache_key_canonical(&canon, entry.hash)) {
+                self.jobs.fetch_add(1, Ordering::Relaxed);
                 self.telem.job_finished(Origin::Cached, elapsed_us(t0));
-                return Ok((rec, Origin::Cached));
+                return Lookup::Hit(stored);
             }
         }
-        let (rec, origin, hash) =
-            self.run(spec, &canon, entry.as_deref().filter(|_| self.warm), ctx)?;
-        if use_cache {
-            self.cache.store(cache_key_canonical(&canon, hash), &rec);
-        }
+        Lookup::Miss(Miss { canon, entry, use_cache })
+    }
+
+    /// The executing rungs for a job [`JobEngine::lookup`] missed,
+    /// without looking it up again:
+    ///
+    /// 1. pool entry present and warm execution enabled → restore and
+    ///    run the computation phase ([`Mode::Resume`]);
+    /// 2. otherwise → full cold run ([`Mode::Split`]), pooling the
+    ///    phase-2 snapshot it captures for every later request.
+    ///
+    /// The record is serialised once, here, inside `ctx`'s serialize
+    /// span, and stored with those bytes when the miss allows it.
+    ///
+    /// `ctx` attributes the job's phase spans and latency to a request
+    /// (pass [`JobCtx::default`] outside request handling). Telemetry
+    /// observes the ladder, never steers it: [`run_job`]'s span hook is
+    /// the one the batch path passes a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Compile/OS/restore errors rendered as strings.
+    pub fn execute_miss(
+        &self,
+        spec: &JobSpec,
+        miss: Miss,
+        ctx: JobCtx,
+    ) -> Result<(Arc<StoredRecord>, Origin), String> {
+        let t0 = Instant::now();
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        let from = miss.entry.as_deref().filter(|_| self.warm);
+        let (record, origin, hash) = self.run(spec, &miss.canon, from, ctx)?;
         self.telem.job_finished(origin, elapsed_us(t0));
-        Ok((rec, origin))
+        let json = self.telem.serialize_span(ctx, || record.to_json());
+        let stored = Arc::new(StoredRecord { record, json });
+        if miss.use_cache {
+            self.cache.store(cache_key_canonical(&miss.canon, hash), &stored);
+        }
+        Ok((stored, origin))
     }
 
     /// Re-executes one job from its pooled snapshot, bypassing the
@@ -425,7 +487,7 @@ impl JobEngine {
 
 /// One job's outcome inside a sweep, as reported to the collector.
 enum JobOut {
-    Done(Box<(JobRecord, Origin)>),
+    Done(Arc<StoredRecord>, Origin),
     Aborted,
     Failed(String),
 }
@@ -474,7 +536,7 @@ where
                 JobOut::Aborted
             } else {
                 match engine.execute(&spec, use_cache, ctx) {
-                    Ok(done) => JobOut::Done(Box::new(done)),
+                    Ok((stored, origin)) => JobOut::Done(stored, origin),
                     Err(e) => JobOut::Failed(format!("{}: {e}", spec.key())),
                 }
             };
@@ -490,26 +552,30 @@ where
     }
     drop(tx);
 
-    let mut slots: Vec<Option<JobRecord>> = Vec::new();
+    let mut slots: Vec<Option<Arc<StoredRecord>>> = Vec::new();
     slots.resize_with(total, || None);
     let mut done = 0u64;
     let mut aborted = submitted < total;
     for (i, out) in rx {
         match out {
-            JobOut::Done(boxed) => {
-                let (record, origin) = *boxed;
+            JobOut::Done(stored, origin) => {
                 done += 1;
-                progress(done, total as u64, &record.key, origin);
-                slots[i] = Some(record);
+                progress(done, total as u64, &stored.record.key, origin);
+                slots[i] = Some(stored);
             }
             JobOut::Aborted => aborted = true,
             JobOut::Failed(msg) => return Err(msg),
         }
     }
-    if aborted || slots.iter().any(Option::is_none) {
+    if aborted {
         return Ok(None);
     }
-    let jobs: Vec<JobRecord> = slots.into_iter().flatten().collect();
+    // Every task that ran sent an outcome; one that sent none panicked.
+    if let Some(i) = slots.iter().position(Option::is_none) {
+        return Err(format!("{}: job panicked on its worker (see the server log)", specs[i].key()));
+    }
+    let jobs: Vec<JobRecord> =
+        slots.into_iter().flatten().map(|s| Arc::unwrap_or_clone(s).record).collect();
     Ok(Some(SweepReport { profile: profile.name().to_string(), jobs }))
 }
 
@@ -577,6 +643,19 @@ mod tests {
         assert_eq!(got, (0..32).collect::<Vec<_>>());
         pool.shutdown();
         assert!(!pool.submit(|| {}), "submit after shutdown must be refused");
+    }
+
+    #[test]
+    fn a_panicking_task_does_not_kill_its_worker() {
+        let pool = WorkerPool::new(1);
+        assert!(pool.submit(|| panic!("seeded task panic")));
+        let (tx, rx) = mpsc::channel();
+        assert!(pool.submit(move || {
+            let _ = tx.send(7);
+        }));
+        assert_eq!(rx.recv(), Ok(7), "the same worker must run the next task");
+        assert_eq!(pool.alive(), 1, "the panic must not cost the pool its worker");
+        pool.shutdown();
     }
 
     #[test]

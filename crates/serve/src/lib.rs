@@ -36,7 +36,7 @@ pub mod server;
 pub mod signal;
 pub mod telem;
 
-pub use cache::{cache_key, cache_key_canonical, ResultCache, NO_SNAPSHOT};
+pub use cache::{cache_key, cache_key_canonical, ResultCache, StoredRecord, NO_SNAPSHOT};
 pub use client::Client;
 pub use engine::{
     run_profile, transparency_gate, verify_against_batch, JobEngine, Stop, WorkerPool,
@@ -44,7 +44,7 @@ pub use engine::{
 pub use pool::{PoolEntry, SnapshotPool};
 pub use protocol::{
     decode_event, decode_request, encode_event, encode_request, Event, HealthSnapshot, JobParts,
-    Origin, Request, StatsSnapshot, SCHEMA,
+    Origin, Request, StatsSnapshot, MAX_TAG_KB, SCHEMA,
 };
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_LINE_BYTES};
 pub use telem::{JobCtx, PhaseRecorder, ServiceTelem, HIST_COUNTER_PAIRS};

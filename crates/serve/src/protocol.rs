@@ -27,6 +27,13 @@ use std::collections::BTreeMap;
 /// Schema identifier exchanged in `ping`/`pong`.
 pub const SCHEMA: &str = "cheri-serve/v1";
 
+/// The largest tag-cache size a request may name, in KB: 16× the
+/// largest point of the tag-cache ablation axis
+/// ([`cheri_sweep::TAG_ABLATION_KB`]). Every size the experiments use is
+/// accepted; a hostile size is refused before it reaches the machine
+/// constructor.
+pub const MAX_TAG_KB: usize = 1024;
+
 /// How a served job result was obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Origin {
@@ -358,7 +365,13 @@ fn get_parts(obj: &BTreeMap<String, Json>) -> Result<JobParts, String> {
     let parts = JobParts {
         workload: get_str(obj, "workload")?,
         strategy: get_str(obj, "strategy")?,
-        tag_kb: usize::try_from(get_u64(obj, "tag_kb")?).map_err(|_| "tag_kb out of range")?,
+        tag_kb: {
+            let kb = get_u64(obj, "tag_kb")?;
+            usize::try_from(kb)
+                .ok()
+                .filter(|&kb| kb <= MAX_TAG_KB)
+                .ok_or_else(|| format!("field 'tag_kb' must be at most {MAX_TAG_KB}, got {kb}"))?
+        },
         profile: get_profile(obj, Profile::Smoke)?,
     };
     // Validate names at the protocol boundary so a bad request is
@@ -718,6 +731,25 @@ mod tests {
         .is_err());
         assert!(decode_request("{\"type\":\"sweep\",\"profile\":\"gigantic\"}").is_err());
         assert!(decode_event("{\"type\":\"blip\"}").is_err());
+    }
+
+    #[test]
+    fn decode_range_checks_tag_kb() {
+        let job = |kb: u64| {
+            decode_request(&format!(
+                "{{\"type\":\"job\",\"workload\":\"treeadd\",\"strategy\":\"cheri\",\"tag_kb\":{kb}}}"
+            ))
+        };
+        // The whole ablation axis, and the bound itself, are accepted.
+        for kb in cheri_sweep::TAG_ABLATION_KB.into_iter().chain([MAX_TAG_KB]) {
+            assert!(job(kb as u64).is_ok(), "tag_kb {kb} must be accepted");
+        }
+        // Anything above is refused, naming the field.
+        for kb in [MAX_TAG_KB as u64 + 1, 1 << 40, u64::MAX] {
+            let err = job(kb).unwrap_err();
+            assert!(err.contains("'tag_kb'"), "{err}");
+        }
+        assert_eq!(MAX_TAG_KB, 16 * cheri_sweep::TAG_ABLATION_KB.iter().max().unwrap());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! graceful drain.
 //!
 //! One thread accepts connections (non-blocking, polling the [`Stop`]
-//! token); each connection gets a thread that reads request lines and
-//! writes event lines; all actual simulation is submitted to the shared
-//! [`WorkerPool`]. Shutdown — a `shutdown` request, [`Stop::request`],
+//! token); each connection gets a thread that reads request lines (at
+//! most [`MAX_LINE_BYTES`] each) and writes event lines. A `job` the
+//! result cache answers is answered right there, from the stored bytes;
+//! all actual simulation is submitted to the shared [`WorkerPool`].
+//! Shutdown — a `shutdown` request, [`Stop::request`],
 //! or (in the binary) SIGINT/SIGTERM — is cooperative: jobs already
 //! executing on workers run to completion, queued jobs bail, sweeps
 //! that lost jobs answer with an `error` event instead of a report, and
@@ -22,13 +24,14 @@
 //! timeline and metric snapshot to `telem_out` with the same
 //! `.tmp`-then-rename discipline as reports.
 
-use crate::engine::{run_profile, verify_against_batch, JobEngine, Stop, WorkerPool};
+use crate::cache::StoredRecord;
+use crate::engine::{run_profile, verify_against_batch, JobEngine, Lookup, Stop, WorkerPool};
 use crate::protocol::{
     decode_request, encode_event, Event, HealthSnapshot, Origin, Request, SCHEMA,
 };
 use crate::telem::{self, elapsed_us, JobCtx, ServiceTelem};
 use cheri_sweep::Profile;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +41,12 @@ use std::time::{Duration, Instant};
 /// How often blocked reads and the accept loop wake to poll the stop
 /// token.
 const POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line the server reads, in bytes (the newline not
+/// counted). A longer line is answered with a `bad request` error and
+/// its connection closed, so a client that never sends a newline cannot
+/// grow a connection's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Prewarm states for the readiness probe.
 const PREWARM_NONE: u64 = 0;
@@ -240,18 +249,32 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Room for one byte past the cap, so an over-long line shows
+        // itself as a full read without its newline.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let message = format!("bad request: line longer than {MAX_LINE_BYTES} bytes");
+                send(&mut writer, &Event::Error { message });
+                return;
+            }
             Ok(_) => {
-                let text = std::mem::take(&mut line);
-                let text = text.trim();
-                if text.is_empty() {
-                    continue;
-                }
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                if handle_request(text, &mut writer, shared) {
+                let close = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => false,
+                    Ok(text) => {
+                        shared.requests.fetch_add(1, Ordering::Relaxed);
+                        handle_request(text, &mut writer, shared)
+                    }
+                    Err(_) => {
+                        let message = "bad request: line is not UTF-8".to_string();
+                        !send(&mut writer, &Event::Error { message })
+                    }
+                };
+                line.clear();
+                if close {
                     return;
                 }
             }
@@ -309,9 +332,30 @@ fn scrape(shared: &Shared) -> String {
     ])
 }
 
-/// Allocates the next work-request id (1-based).
-fn next_req(shared: &Shared) -> u64 {
-    shared.work_reqs.fetch_add(1, Ordering::Relaxed) + 1
+/// Allocates the next work-request id (1-based) and opens its request
+/// span.
+fn begin_request(shared: &Shared) -> u64 {
+    let req = shared.work_reqs.fetch_add(1, Ordering::Relaxed) + 1;
+    shared.telem.request_begin(req);
+    req
+}
+
+/// Closes request `req`'s span, tagged by its outcome, and sends that
+/// outcome; returns `true` when the client is unreachable.
+fn answer(writer: &mut TcpStream, shared: &Shared, req: u64, ev: &Event) -> bool {
+    shared.telem.request_end(req, end_tag(ev));
+    !send(writer, ev)
+}
+
+/// A `record` event for a job's stored result.
+fn record_event(stored: &StoredRecord, origin: Origin, req: u64) -> Event {
+    Event::Record {
+        key: stored.record.key.clone(),
+        origin,
+        snap_hash: String::new(),
+        record: stored.json.clone(),
+        req,
+    }
 }
 
 /// The request span's closing tag, read off the outcome event.
@@ -354,56 +398,65 @@ fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
             true
         }
         Request::Sweep { profile, cache, verify } => {
-            let req_id = next_req(shared);
-            shared.telem.request_begin(req_id);
-            handle_sweep(writer, shared, profile, cache, verify, req_id)
+            handle_sweep(writer, shared, profile, cache, verify, begin_request(shared))
         }
-        Request::Job { parts, cache } => serve_job(writer, shared, move |engine, ctx| {
-            let spec = parts.spec()?;
-            let (record, origin) = engine.execute(&spec, cache, ctx)?;
-            let json = engine.telem().serialize_span(ctx.req, || record.to_json());
-            Ok(Event::Record {
-                key: record.key.clone(),
-                origin,
-                snap_hash: String::new(),
-                record: json,
-                req: ctx.req,
+        // The cached rung runs here, on the connection thread: a hit
+        // is answered from the stored bytes with no task, no channel
+        // and no worker; only a miss is shipped to the pool.
+        Request::Job { parts, cache } => {
+            let req = begin_request(shared);
+            match parts.spec().map(|spec| (spec, shared.engine.lookup(&spec, cache))) {
+                Err(message) => answer(writer, shared, req, &Event::Error { message }),
+                Ok((_, Lookup::Hit(stored))) => {
+                    answer(writer, shared, req, &record_event(&stored, Origin::Cached, req))
+                }
+                Ok((spec, Lookup::Miss(miss))) => {
+                    serve_job(writer, shared, req, move |engine, ctx| {
+                        let (stored, origin) = engine.execute_miss(&spec, miss, ctx)?;
+                        Ok(record_event(&stored, origin, ctx.req))
+                    })
+                }
+            }
+        }
+        Request::Profile { parts } => {
+            serve_job(writer, shared, begin_request(shared), move |engine, ctx| {
+                let spec = parts.spec()?;
+                let (record, profile) = engine.execute_profiled(&spec)?;
+                let json = engine.telem().serialize_span(ctx, || record.to_json());
+                Ok(Event::Profile { key: record.key.clone(), record: json, profile, req: ctx.req })
             })
-        }),
-        Request::Profile { parts } => serve_job(writer, shared, move |engine, ctx| {
-            let spec = parts.spec()?;
-            let (record, profile) = engine.execute_profiled(&spec)?;
-            let json = engine.telem().serialize_span(ctx.req, || record.to_json());
-            Ok(Event::Profile { key: record.key.clone(), record: json, profile, req: ctx.req })
-        }),
-        Request::Replay { parts } => serve_job(writer, shared, move |engine, ctx| {
-            let spec = parts.spec()?;
-            let (record, hash) = engine.execute_replay(&spec, ctx)?;
-            let json = engine.telem().serialize_span(ctx.req, || record.to_json());
-            Ok(Event::Record {
-                key: record.key.clone(),
-                origin: Origin::Warm,
-                snap_hash: hash.to_string(),
-                record: json,
-                req: ctx.req,
+        }
+        Request::Replay { parts } => {
+            serve_job(writer, shared, begin_request(shared), move |engine, ctx| {
+                let spec = parts.spec()?;
+                let (record, hash) = engine.execute_replay(&spec, ctx)?;
+                let json = engine.telem().serialize_span(ctx, || record.to_json());
+                Ok(Event::Record {
+                    key: record.key.clone(),
+                    origin: Origin::Warm,
+                    snap_hash: hash.to_string(),
+                    record: json,
+                    req: ctx.req,
+                })
             })
-        }),
+        }
     }
 }
 
-/// Serves one single-job request (`job`, `profile`, `replay`) as its
-/// own request id: ships `work` to the worker pool and blocks this
-/// connection thread for its outcome, so single-job requests obey the
-/// same global parallelism bound as sweeps, then answers with it. The
-/// queue wait (submission to pickup) is spanned and recorded; a refused
-/// submission closes the span immediately so the stream stays balanced.
+/// Serves one single-job request (`job` on a cache miss, `profile`,
+/// `replay`) as request `req`: ships `work` to the worker pool and
+/// blocks this connection thread for its outcome, so executing requests
+/// obey the same global parallelism bound as sweeps, then answers with
+/// it. The queue wait (submission to pickup) is spanned and recorded; a
+/// refused submission closes the span immediately so the stream stays
+/// balanced. A task that ends without replying while the server is not
+/// stopping panicked (the pool contains it), and is answered as such.
 /// Returns `true` when the client is unreachable.
-fn serve_job<F>(writer: &mut TcpStream, shared: &Shared, work: F) -> bool
+fn serve_job<F>(writer: &mut TcpStream, shared: &Shared, req: u64, work: F) -> bool
 where
     F: FnOnce(&JobEngine, JobCtx) -> Result<Event, String> + Send + 'static,
 {
-    let ctx = JobCtx::single(next_req(shared));
-    shared.telem.request_begin(ctx.req);
+    let ctx = JobCtx::single(req);
     let (tx, rx) = mpsc::channel::<Result<Event, String>>();
     let engine = shared.engine.clone();
     let stop = shared.stop.clone();
@@ -423,14 +476,19 @@ where
         match rx.recv() {
             Ok(Ok(ev)) => ev,
             Ok(Err(msg)) => Event::Error { message: msg },
-            Err(_) => Event::Error { message: "job was dropped during shutdown".into() },
+            Err(_) if shared.stop.stopping() => {
+                Event::Error { message: "job was dropped during shutdown".into() }
+            }
+            Err(_) => Event::Error {
+                message: "job panicked on its worker (the worker survived; see the server log)"
+                    .into(),
+            },
         }
     } else {
         shared.telem.queue_end(ctx, elapsed_us(queued_at));
         Event::Error { message: "server is shutting down".into() }
     };
-    shared.telem.request_end(ctx.req, end_tag(&reply));
-    !send(writer, &reply)
+    answer(writer, shared, req, &reply)
 }
 
 fn handle_sweep(
@@ -442,8 +500,7 @@ fn handle_sweep(
     req: u64,
 ) -> bool {
     let fail = |writer: &mut TcpStream, message: String| {
-        shared.telem.request_end(req, "error");
-        !send(writer, &Event::Error { message })
+        answer(writer, shared, req, &Event::Error { message })
     };
     let outcome = run_profile(
         &shared.engine,
@@ -477,14 +534,13 @@ fn handle_sweep(
     }
     // One rendering feeds both the wire event and the persisted file,
     // so what lands on disk is byte-identical to what the client read.
-    let rendered = shared.telem.serialize_span(req, || report.to_json());
+    let rendered = shared.telem.serialize_span(JobCtx::single(req), || report.to_json());
     if let Some(dir) = &shared.results_dir {
         persist_report(dir, &report.profile, &rendered, shared.requests.load(Ordering::Relaxed));
     }
     let ev =
         Event::Report { profile: report.profile.clone(), verified: verify, report: rendered, req };
-    shared.telem.request_end(req, "sweep");
-    !send(writer, &ev)
+    answer(writer, shared, req, &ev)
 }
 
 /// Persists a *complete* report atomically: full write to a `.tmp`

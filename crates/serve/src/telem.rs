@@ -159,14 +159,14 @@ impl ServiceTelem {
         });
     }
 
-    /// Runs `f` (a serialisation step) inside a serialize span,
+    /// Runs `f` (a serialisation step) inside `ctx`'s serialize span,
     /// recording its wall time with its counter in one batch.
-    pub fn serialize_span<T>(&self, req: u64, f: impl FnOnce() -> T) -> T {
-        self.spans.begin(SpanPhase::Serialize, req, 0);
+    pub fn serialize_span<T>(&self, ctx: JobCtx, f: impl FnOnce() -> T) -> T {
+        self.spans.begin(SpanPhase::Serialize, ctx.req, ctx.job);
         let t0 = Instant::now();
         let out = f();
         let us = elapsed_us(t0);
-        self.spans.end(SpanPhase::Serialize, req, 0);
+        self.spans.end(SpanPhase::Serialize, ctx.req, ctx.job);
         self.registry.batch(|b| {
             b.add(SERIALIZES, 1);
             b.record(SERIALIZE_US, us);
@@ -308,7 +308,7 @@ mod tests {
         rec.note("boot", true);
         rec.note("boot", false);
         telem.job_finished(Origin::Cold, 9);
-        let out = telem.serialize_span(1, || 42);
+        let out = telem.serialize_span(JobCtx::single(1), || 42);
         assert_eq!(out, 42);
         assert!(telem.spans().is_empty());
         assert_eq!(telem.registry().snapshot(), cheri_telem::TelemSnapshot::default());

@@ -4,7 +4,7 @@
 
 use cheri_serve::{Client, JobParts, Origin, Server, ServerConfig, HIST_COUNTER_PAIRS};
 use cheri_sweep::Profile;
-use cheri_telem::parse_exposition;
+use cheri_telem::{parse_exposition, SpanPhase};
 use std::time::{Duration, Instant};
 
 fn spawn_server(cfg: ServerConfig) -> (String, Server) {
@@ -57,9 +57,12 @@ serve_workers_busy 0
 /// phase histogram's `_count` (and the exposition's `+Inf` bucket)
 /// equals its paired counter, and the per-origin job counters sum to
 /// the total — the invariants the batched registry writes guarantee.
+/// The span log balances, and each origin records its own spans: a
+/// cached request never queued and serialised nothing.
 #[test]
 fn scrape_invariants_hold_after_work() {
     let (addr, server) = spawn_server(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let telem = server.telem();
     let handle = std::thread::spawn(move || server.serve());
     let mut client = Client::connect(&addr).unwrap();
 
@@ -69,17 +72,20 @@ fn scrape_invariants_hold_after_work() {
         tag_kb: 8,
         profile: Profile::Smoke,
     };
-    // Cold, then cached: two origins exercised, histograms populated.
-    let (_, first_origin, _) = client.job(parts.clone(), true).unwrap();
-    assert_eq!(first_origin, Origin::Cold);
-    let (_, repeat_origin, _) = client.job(parts, true).unwrap();
-    assert_eq!(repeat_origin, Origin::Cached);
+    // Cold, cached, then warm (uncached from the pooled snapshot): all
+    // three origins exercised, histograms populated.
+    let mut reqs = Vec::new();
+    for (cache, expected) in [(true, Origin::Cold), (true, Origin::Cached), (false, Origin::Warm)] {
+        let (_, origin, _) = client.job(parts.clone(), cache).unwrap();
+        assert_eq!(origin, expected);
+        reqs.push(client.last_req());
+    }
 
     let text = client.metrics().unwrap();
     let exp = parse_exposition(&text).expect("exposition must validate");
 
     let jobs = exp.counter("serve_jobs_total").expect("jobs counter present");
-    assert_eq!(jobs, 2);
+    assert_eq!(jobs, 3);
     let by_origin: u64 = ["cached", "warm", "cold"]
         .iter()
         .map(|o| exp.counter(&format!("serve_jobs_{o}_total")).unwrap_or(0))
@@ -108,6 +114,17 @@ fn scrape_invariants_hold_after_work() {
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
+
+    telem.spans().check_balance().expect("every span opened must close");
+    // The spans each request opened, in the order it opened them.
+    let opened = |req: u64| -> Vec<SpanPhase> {
+        let events = telem.spans().events();
+        events.iter().filter(|e| e.req == req && e.begin).map(|e| e.phase).collect()
+    };
+    use SpanPhase::{Boot, Queue, Request, Restore, Serialize, Simulate};
+    assert_eq!(opened(reqs[0]), [Request, Queue, Boot, Simulate, Serialize], "cold");
+    assert_eq!(opened(reqs[1]), [Request], "a cached request records its request span only");
+    assert_eq!(opened(reqs[2]), [Request, Queue, Restore, Simulate, Serialize], "warm");
 }
 
 /// The CI startup sequence: a server prewarming in the background

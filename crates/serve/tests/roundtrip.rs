@@ -5,11 +5,12 @@
 //! service actually runs.
 
 use cheri_serve::{
-    transparency_gate, Client, JobEngine, Origin, Server, ServerConfig, WorkerPool,
-    HIST_COUNTER_PAIRS,
+    transparency_gate, Client, JobEngine, JobParts, Origin, Request, Server, ServerConfig,
+    WorkerPool, HIST_COUNTER_PAIRS,
 };
 use cheri_sweep::{run_matrix, Profile};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn spawn_server(cfg: ServerConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
     let server = Server::bind("127.0.0.1:0", cfg).unwrap();
@@ -74,6 +75,74 @@ fn single_job_record_matches_its_report_line() {
     let (key, _origin, record) = client.job(parts, true).unwrap();
     let expected = batch.job(&key).expect("job is part of the smoke matrix");
     assert_eq!(record, expected.to_json(), "served record must equal its batch report line");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// One of the two quickest smoke jobs.
+fn quick_job() -> JobParts {
+    JobParts {
+        workload: "allocstress".into(),
+        strategy: "mips".into(),
+        tag_kb: 8,
+        profile: Profile::Smoke,
+    }
+}
+
+/// A cache hit is answered on its connection thread, never queued: with
+/// the only worker busy on a long uncached sweep, a primed job still
+/// comes back `cached`, byte-equal to its first answer, while the sweep
+/// has work left.
+#[test]
+fn cache_hits_skip_a_busy_worker() {
+    let (addr, handle) = spawn_server(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut b = Client::connect(&addr).unwrap();
+    let (_, _, primed) = b.job(quick_job(), true).unwrap();
+
+    let mut a = Client::connect(&addr).unwrap();
+    a.send(&Request::Sweep { profile: Profile::Smoke, cache: false, verify: false }).unwrap();
+    // Jobs queued behind the one running: the worker is busy.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while b.health().unwrap().queue_depth == 0 {
+        assert!(Instant::now() < deadline, "the sweep never occupied the worker");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let (_, origin, record) = b.job(quick_job(), true).unwrap();
+    assert_eq!(origin, Origin::Cached);
+    assert_eq!(record, primed, "a hit must carry the primed record's bytes");
+    assert!(b.health().unwrap().queue_depth > 0, "the hit must not have waited for the sweep");
+
+    b.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// With the lookup on the connection thread, a miss is looked up (and
+/// counted) there once; the worker that executes it does not look again.
+#[test]
+fn each_cache_miss_and_hit_is_counted_once() {
+    let (addr, handle) = spawn_server(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut client = Client::connect(&addr).unwrap();
+
+    // Uncached: runs cold, pools its snapshot, stores nothing.
+    let (_, origin, record) = client.job(quick_job(), false).unwrap();
+    assert_eq!(origin, Origin::Cold);
+
+    let before = client.stats().unwrap();
+    let (_, origin, _) = client.job(quick_job(), true).unwrap();
+    assert_eq!(origin, Origin::Warm, "pooled but not cached: a miss that runs warm");
+    let missed = client.stats().unwrap();
+    assert_eq!(missed.cache_misses, before.cache_misses + 1, "one miss, counted once");
+    assert_eq!(missed.cache_hits, before.cache_hits);
+
+    let (_, origin, repeat) = client.job(quick_job(), true).unwrap();
+    assert_eq!(origin, Origin::Cached);
+    assert_eq!(repeat, record);
+    let hit = client.stats().unwrap();
+    assert_eq!(hit.cache_hits, missed.cache_hits + 1, "one hit, counted once");
+    assert_eq!(hit.cache_misses, missed.cache_misses);
+    assert_eq!(hit.jobs, before.jobs + 2, "every job counts once, hit or miss");
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
