@@ -1,17 +1,17 @@
 //! Tracing overhead: simulator throughput with no sink attached, with a
 //! [`NullSink`] (disabled — the common production configuration), and
-//! with a live [`AggregateSink`].
+//! with a live [`RingBufferSink`].
 //!
 //! The design target: a NullSink costs one branch per emission site, so
 //! its throughput must sit within noise of the un-instrumented
-//! baseline. The aggregate sink pays for real counter updates and is
-//! expected to be measurably (but not catastrophically) slower.
+//! baseline. The ring sink pays for building and keeping every event
+//! and is expected to be measurably (but not catastrophically) slower.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use beri_sim::{Machine, MachineConfig, StepResult};
 use cheri_asm::{reg, Asm};
-use cheri_trace::{shared, AggregateSink, AnySink, NullSink, SharedSink};
+use cheri_trace::{shared, AnySink, NullSink, RingBufferSink, SharedSink};
 
 /// A memory-heavy loop: every iteration is a load + store + ALU work,
 /// exercising the cache/tag emission paths, ending in a syscall.
@@ -59,8 +59,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.bench_function("null_sink", |b| {
         b.iter(|| run_with_sink(&prog, Some(shared(AnySink::Null(NullSink)))))
     });
-    g.bench_function("aggregate_sink", |b| {
-        b.iter(|| run_with_sink(&prog, Some(shared(AnySink::Aggregate(AggregateSink::new())))))
+    g.bench_function("ring_sink", |b| {
+        b.iter(|| run_with_sink(&prog, Some(shared(AnySink::Ring(RingBufferSink::new(4096))))))
     });
     g.finish();
 }

@@ -26,8 +26,6 @@
 //!             [--telem-out FILE]      on drain, flush the request-span
 //!                                     timeline (Chrome trace JSON + final
 //!                                     metric snapshot) to FILE atomically
-//!             [--no-telem]            disable telemetry entirely (the
-//!                                     detached half of the overhead A/B)
 //!             [--queue-limit N]       queue depth at which `health` reports
 //!                                     not ready (default 256)
 //!             [--selfcheck PROFILE]   no server: run the in-process
@@ -44,7 +42,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "cheri-serve [--addr HOST:PORT] [--workers N] [--no-cache] [--no-warm] \
      [--prewarm smoke|full|paper] [--prewarm-background smoke|full|paper] [--results DIR] \
-     [--telem-out FILE] [--no-telem] [--queue-limit N] [--selfcheck smoke|full|paper]";
+     [--telem-out FILE] [--queue-limit N] [--selfcheck smoke|full|paper]";
 
 struct Args {
     addr: String,
@@ -54,7 +52,6 @@ struct Args {
     prewarm: Option<Profile>,
     prewarm_background: Option<Profile>,
     results: Option<PathBuf>,
-    telem: bool,
     telem_out: Option<PathBuf>,
     queue_limit: u64,
     selfcheck: Option<Profile>,
@@ -74,7 +71,6 @@ fn parse_args() -> Args {
         prewarm: None,
         prewarm_background: None,
         results: None,
-        telem: true,
         telem_out: None,
         queue_limit: 256,
         selfcheck: None,
@@ -96,7 +92,6 @@ fn parse_args() -> Args {
             }
             "--results" => args.results = Some(PathBuf::from(cli.value("--results"))),
             "--telem-out" => args.telem_out = Some(PathBuf::from(cli.value("--telem-out"))),
-            "--no-telem" => args.telem = false,
             "--queue-limit" => args.queue_limit = cli.positive("--queue-limit") as u64,
             "--selfcheck" => args.selfcheck = Some(profile(&mut cli, "--selfcheck")),
             other => cli.unknown(other),
@@ -147,7 +142,6 @@ fn main() {
         warm: args.warm,
         results_dir: args.results.clone(),
         watch_signals: true,
-        telem: args.telem,
         telem_out: args.telem_out.clone(),
         queue_limit: args.queue_limit,
     };

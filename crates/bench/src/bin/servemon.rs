@@ -28,7 +28,7 @@
 use cheri_bench::cli::{self, Cli};
 use cheri_serve::protocol::{HealthSnapshot, StatsSnapshot};
 use cheri_serve::Client;
-use cheri_telem::{parse_exposition, Exposition, PromHist};
+use cheri_telem::{parse_exposition, Exposition};
 use cheri_trace::json::JsonWriter;
 use std::time::{Duration, Instant};
 
@@ -80,25 +80,6 @@ fn poll(client: &mut Client) -> Result<Sample, String> {
     let health = client.health()?;
     let stats = client.stats()?;
     Ok(Sample { exp, health, stats, at: Instant::now() })
-}
-
-/// The nearest-rank percentile of a cumulative-bucket histogram, as the
-/// matched bucket's upper bound — or the exact max for the +Inf bucket.
-/// Returns `None` for an empty histogram.
-fn hist_quantile_upper(h: &PromHist, pct: u64, exact_max: Option<u64>) -> Option<u64> {
-    if h.count == 0 {
-        return None;
-    }
-    let rank = (pct.min(100) * h.count).div_ceil(100).clamp(1, h.count);
-    for (le, cum) in &h.buckets {
-        if *cum >= rank {
-            return match le.parse::<u64>() {
-                Ok(bound) => Some(bound),
-                Err(_) => exact_max, // "+Inf": only the max gauge knows
-            };
-        }
-    }
-    None
 }
 
 /// Counter value or 0 (absent just means "nothing recorded yet").
@@ -157,7 +138,7 @@ fn draw_frame(addr: &str, prev: Option<&Sample>, s: &Sample, clear: bool) {
     let jps = jobs_per_sec_x100(prev, s);
     let lat = s.exp.histogram("serve_job_latency_us");
     let max_us = s.exp.gauge("serve_job_latency_max_us");
-    let q = |pct| lat.and_then(|h| hist_quantile_upper(h, pct, max_us));
+    let q = |pct| lat.and_then(|h| h.quantile_upper(pct, max_us));
     println!(
         "servemon @ {addr} | up {} ms | cheri-serve v{} ({} workers, cache {}, warm {})",
         s.stats.uptime_ms,
@@ -214,7 +195,7 @@ fn json_frame(s: &Sample) -> String {
     let jobs = c(&s.exp, "serve_jobs_total");
     let lat = s.exp.histogram("serve_job_latency_us");
     let max_us = s.exp.gauge("serve_job_latency_max_us");
-    let q = |pct| lat.and_then(|h| hist_quantile_upper(h, pct, max_us)).unwrap_or(0);
+    let q = |pct| lat.and_then(|h| h.quantile_upper(pct, max_us)).unwrap_or(0);
     let mut w = JsonWriter::object();
     w.bool_field("ready", s.health.ready);
     w.str_field("prewarm", &s.health.prewarm);

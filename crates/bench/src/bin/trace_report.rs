@@ -1,7 +1,6 @@
 //! `trace_report` — runs one Olden workload under any pointer strategy
-//! with the cheri-trace subsystem attached, prints the aggregated
-//! counter/histogram table, and cross-checks the event stream against
-//! the legacy per-struct counters (they must agree exactly).
+//! and prints its counters: every machine, cache, tag and OS counter,
+//! read from the simulator's own statistics (`RunOutcome::metrics`).
 //!
 //! ```text
 //! trace_report <bench> [--strategy <name>] [--scaled|--paper]
@@ -9,14 +8,16 @@
 //! trace_report --diff <a.json> <b.json>
 //! ```
 //!
-//! `--jsonl` additionally streams every event as a JSON line;
-//! `--out` saves the aggregate snapshot for later comparison with
-//! `--diff`, which prints per-counter deltas between two saved runs.
+//! `--jsonl` streams every architectural event as a JSON line (the one
+//! case that attaches a trace sink; `cheri-bench`'s `trace_transparency`
+//! test checks such a stream against the counters); `--out` saves the
+//! counter snapshot for later comparison with `--diff`, which prints
+//! per-counter deltas between two saved runs.
 
 use cheri_bench::cli::Cli;
 use cheri_bench::{params_for, parse_bench_name, parse_scale};
 use cheri_sweep::{run_spec_with_config, JobSpec, StrategyKind};
-use cheri_trace::{marker, names, shared, AggregateSink, AnySink, JsonlSink, Sink, Snapshot};
+use cheri_trace::{marker, shared, AnySink, JsonlSink, Sink, Snapshot};
 
 const USAGE: &str = "trace_report <workload> [--strategy <name>]\n\
      \u{20}                   [--scaled|--paper] [--jsonl <path>] [--out <path>]\n\
@@ -29,35 +30,6 @@ fn load_snapshot(cli: &Cli, path: &str) -> Snapshot {
     Snapshot::from_json(&text)
         .unwrap_or_else(|e| cli.usage_exit(&format!("{path}: not a snapshot: {e}")))
 }
-
-/// Counter families where the aggregated event stream must reproduce
-/// the legacy per-struct counters bit-for-bit.
-const PARITY: &[&str] = &[
-    names::INSTRUCTIONS,
-    names::CAP_INSTRUCTIONS,
-    names::L1I_HITS,
-    names::L1I_MISSES,
-    names::L1I_WRITEBACKS,
-    names::L1D_HITS,
-    names::L1D_MISSES,
-    names::L1D_WRITEBACKS,
-    names::L2_HITS,
-    names::L2_MISSES,
-    names::L2_WRITEBACKS,
-    names::TLB_REFILLS,
-    names::TAG_TABLE_READS,
-    names::TAG_TABLE_WRITES,
-    names::TAG_CACHE_HITS,
-    names::TAG_CACHE_MISSES,
-    names::TAG_CACHE_WRITEBACKS,
-    names::LOADS,
-    names::STORES,
-    names::CAP_EXCEPTIONS,
-    names::SYSCALLS,
-    names::CONTEXT_SWITCHES,
-    names::DOMAIN_CALLS,
-    names::DOMAIN_RETURNS,
-];
 
 fn main() {
     let mut cli = Cli::new("trace_report", USAGE);
@@ -101,50 +73,28 @@ fn main() {
     };
     let params = params_for(parse_scale());
 
-    // Aggregate always; tee into a JSONL stream when asked.
-    let mut sinks = vec![AnySink::Aggregate(AggregateSink::new())];
-    if let Some(path) = &jsonl_path {
-        let jsonl = JsonlSink::create(std::path::Path::new(path))
+    let sink = jsonl_path.map(|path| {
+        let jsonl = JsonlSink::create(std::path::Path::new(&path))
             .unwrap_or_else(|e| cli.usage_exit(&format!("cannot create {path}: {e}")));
-        sinks.push(AnySink::Jsonl(jsonl));
-    }
-    let sink = shared(AnySink::Multi(sinks));
+        shared(AnySink::Jsonl(jsonl))
+    });
 
     let spec = JobSpec::new(bench, strategy, params);
-    let run = run_spec_with_config(&spec, spec.machine_config(), Some(sink.clone()))
+    let run = run_spec_with_config(&spec, spec.machine_config(), sink.clone())
         .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), strategy.name()))
         .run;
-    marker(&Some(sink.clone()), "run end");
-    sink.borrow_mut().flush();
+    if let Some(handle) = &sink {
+        marker(&sink, "run end");
+        handle.borrow_mut().flush();
+    }
 
-    let aggregated = match &*sink.borrow() {
-        AnySink::Multi(sinks) => match &sinks[0] {
-            AnySink::Aggregate(a) => a.snapshot(),
-            _ => unreachable!("aggregate is always the first sink"),
-        },
-        _ => unreachable!("sink is always a Multi"),
-    };
-
+    let metrics = &run.outcome.metrics;
     println!("== trace_report: {} [{}] ==", bench.name(), strategy.name());
     println!("exit: {:?}   cycles: {}\n", run.outcome.exit, run.outcome.stats.cycles);
-    print!("{}", aggregated.render_table());
-
-    // The acceptance property: the event stream, aggregated, equals the
-    // legacy per-struct counters the kernel exported into the outcome.
-    let legacy = &run.outcome.metrics;
-    let mut mismatches = 0;
-    for name in PARITY {
-        let (ev, lg) = (aggregated.counter(name), legacy.counter(name));
-        if ev != lg {
-            eprintln!("PARITY MISMATCH {name}: events={ev} legacy={lg}");
-            mismatches += 1;
-        }
-    }
-    assert_eq!(mismatches, 0, "event stream disagrees with legacy counters");
-    println!("\nparity: all {} shared counters match the legacy statistics", PARITY.len());
+    print!("{}", metrics.render_table());
 
     if let Some(path) = &out_path {
-        std::fs::write(path, aggregated.to_json())
+        std::fs::write(path, metrics.to_json())
             .unwrap_or_else(|e| cli.usage_exit(&format!("cannot write {path}: {e}")));
         println!("snapshot written to {path}");
     }

@@ -126,7 +126,7 @@ impl TagController {
     /// Attaches (or with `None`, detaches) a trace sink. Every
     /// tag-cache probe and tag-table read/write is mirrored into the
     /// sink adjacent to the corresponding [`TagCacheStats`] increment,
-    /// so aggregated event counts equal the legacy statistics exactly.
+    /// so counting the events reproduces those statistics exactly.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
     }

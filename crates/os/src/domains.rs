@@ -80,8 +80,9 @@ impl Kernel {
         self.machine_mut().advance_past_trap();
         let saved = Context::save(&self.machine().cpu);
         self.domain_stack.push(saved);
-        // Domain numbering for trace attribution: 0 is the root
-        // process, registered domain `i` is `i + 1`.
+        // Domain numbering for `DomainCross` events: 0 is the root
+        // process, registered domain `i` is `i + 1`. (Domain spans carry
+        // the registered index `i` itself.)
         let from = self.domain_id_stack.last().copied().unwrap_or(0);
         let to = id + 1;
         self.domain_id_stack.push(to);

@@ -8,6 +8,7 @@ use beri_sim::{Exception, Machine, MachineConfig, Stats, StepResult, TrapKind};
 use cheri_asm::Program;
 use cheri_core::{CapCause, Capability, Perms};
 use cheri_mem::MemError;
+use cheri_trace::chrome::Ph;
 use cheri_trace::{emit, names, SharedSink, Snapshot, SpanKind, TraceEvent};
 
 use crate::abi;
@@ -96,9 +97,9 @@ pub struct RunOutcome {
     pub pages_touched: u64,
     /// Tag-controller statistics (capability tag traffic, Section 4.2).
     pub tag_stats: cheri_mem::TagCacheStats,
-    /// A unified metrics snapshot: every machine, cache, tag, and OS
-    /// counter under its canonical [`cheri_trace::names`] key. The
-    /// legacy fields above are thin views onto the same quantities.
+    /// Every machine, cache, tag, and OS counter under its canonical
+    /// [`cheri_trace::names`] key ([`Kernel::metrics`]). The fields
+    /// above are views onto the same quantities.
     pub metrics: Snapshot,
 }
 
@@ -179,10 +180,11 @@ pub struct Kernel {
     pub(crate) domain_calls: u64,
     pub(crate) domain_returns: u64,
     pub(crate) sink: Option<SharedSink>,
-    // The phase span currently open on the timeline (trace SpanBegin
-    // emitted, SpanEnd pending). Host-side observation state: reset on
-    // exec and on snapshot restore, never serialized.
-    pub(crate) open_phase: Option<u64>,
+    // The guest spans currently open, innermost last: the one state
+    // behind both the trace stream's SpanBegin/SpanEnd and the
+    // profiler's timeline. Host-side observation state: reset on exec
+    // and on snapshot restore, never serialized.
+    pub(crate) spans: Vec<(SpanKind, u64)>,
 }
 
 impl Kernel {
@@ -207,7 +209,7 @@ impl Kernel {
             domain_calls: 0,
             domain_returns: 0,
             sink: None,
-            open_phase: None,
+            spans: Vec::new(),
         }
     }
 
@@ -299,7 +301,7 @@ impl Kernel {
         let pid = self.execs;
         emit(&self.sink, || TraceEvent::ContextSwitch { pid });
         // The previous address space's spans die with it.
-        self.open_phase = None;
+        self.spans.clear();
         let ts = self.machine.stats.cycles;
         if let Some(p) = self.machine.profiler_mut() {
             p.on_exec(pid, ts);
@@ -370,28 +372,13 @@ impl Kernel {
             p.on_syscall(num, ts, tariff);
         }
         let result = match num {
-            abi::SYS_EXIT => {
-                self.close_spans(ts);
-                return Some(ExitReason::Exit(a0));
-            }
+            abi::SYS_EXIT => return Some(ExitReason::Exit(a0)),
             abi::SYS_PHASE => {
                 self.phases.push(PhaseRecord { id: a0, stats: self.machine.stats });
-                if let Some(prev) = self.open_phase.take() {
-                    emit(&self.sink, || TraceEvent::SpanEnd {
-                        kind: SpanKind::Phase,
-                        id: prev,
-                        cycles: ts,
-                    });
+                if matches!(self.spans.last(), Some((SpanKind::Phase, _))) {
+                    self.span_end(ts);
                 }
-                emit(&self.sink, || TraceEvent::SpanBegin {
-                    kind: SpanKind::Phase,
-                    id: a0,
-                    cycles: ts,
-                });
-                self.open_phase = Some(a0);
-                if let Some(p) = self.machine.profiler_mut() {
-                    p.on_phase(a0, ts);
-                }
+                self.span_begin(SpanKind::Phase, a0, ts);
                 None
             }
             abi::SYS_PRINT => {
@@ -412,14 +399,7 @@ impl Kernel {
             abi::SYS_DCALL => {
                 let a1 = self.machine.cpu.gpr[usize::from(beri_sim::reg::A1)];
                 if self.domain_call(a0, a1) {
-                    emit(&self.sink, || TraceEvent::SpanBegin {
-                        kind: SpanKind::Domain,
-                        id: a0,
-                        cycles: ts,
-                    });
-                    if let Some(p) = self.machine.profiler_mut() {
-                        p.on_domain_call(a0, ts);
-                    }
+                    self.span_begin(SpanKind::Domain, a0, ts);
                     // The callee is installed; do not advance (already
                     // positioned at the entry point).
                     return None;
@@ -427,22 +407,17 @@ impl Kernel {
                 Some(u64::MAX)
             }
             abi::SYS_DRETURN => {
-                let from = self.domain_id_stack.last().copied();
                 if self.domain_return(a0) {
-                    if let Some(id) = from {
-                        emit(&self.sink, || TraceEvent::SpanEnd {
-                            kind: SpanKind::Domain,
-                            id,
-                            cycles: ts,
-                        });
-                    }
-                    if let Some(p) = self.machine.profiler_mut() {
-                        p.on_domain_return(ts);
+                    // The activation ends, and with it any span the
+                    // callee opened.
+                    while let Some(kind) = self.span_end(ts) {
+                        if kind == SpanKind::Domain {
+                            break;
+                        }
                     }
                     return None; // caller context restored, v0 set
                 }
                 // A return with no caller ends the process.
-                self.close_spans(ts);
                 return Some(ExitReason::Exit(a0));
             }
             unknown => {
@@ -459,22 +434,26 @@ impl Kernel {
         None
     }
 
-    /// Closes every open timeline span at cycle `ts` — the process is
-    /// exiting, and a balanced timeline renders correctly in Perfetto.
-    fn close_spans(&mut self, ts: u64) {
-        if let Some(prev) = self.open_phase.take() {
-            emit(&self.sink, || TraceEvent::SpanEnd {
-                kind: SpanKind::Phase,
-                id: prev,
-                cycles: ts,
-            });
-        }
-        for &id in self.domain_id_stack.iter().rev() {
-            emit(&self.sink, || TraceEvent::SpanEnd { kind: SpanKind::Domain, id, cycles: ts });
-        }
+    /// Opens guest span `kind id` at cycle `ts` on the trace stream and
+    /// the profiler timeline.
+    fn span_begin(&mut self, kind: SpanKind, id: u64, ts: u64) {
+        self.spans.push((kind, id));
+        emit(&self.sink, || TraceEvent::SpanBegin { kind, id, cycles: ts });
         if let Some(p) = self.machine.profiler_mut() {
-            p.on_exit(ts);
+            p.on_span(Ph::Begin, kind, id, ts);
         }
+    }
+
+    /// Closes the innermost open span at cycle `ts`, with the kind and
+    /// id it opened with, and returns its kind (`None` when no span is
+    /// open).
+    fn span_end(&mut self, ts: u64) -> Option<SpanKind> {
+        let (kind, id) = self.spans.pop()?;
+        emit(&self.sink, || TraceEvent::SpanEnd { kind, id, cycles: ts });
+        if let Some(p) = self.machine.profiler_mut() {
+            p.on_span(Ph::End, kind, id, ts);
+        }
+        Some(kind)
     }
 
     /// Runs the current process to completion.
@@ -597,6 +576,15 @@ impl Kernel {
                 }
             }
         };
+        // Every exit passes here: close the spans still open, innermost
+        // first. A syscall exit (the only source of `Exit`) closes them
+        // where the syscall began, which is where the timeline places
+        // it; its tariff is already charged.
+        let mut ts = self.machine.stats.cycles;
+        if matches!(exit, ExitReason::Exit(_)) {
+            ts -= self.cfg.syscall_cycles;
+        }
+        while self.span_end(ts).is_some() {}
         Ok(Some(RunOutcome {
             exit,
             stats: self.machine.stats,
@@ -609,11 +597,10 @@ impl Kernel {
         }))
     }
 
-    /// A unified snapshot of every counter the kernel and the machine
-    /// beneath it maintain, keyed by the canonical
-    /// [`cheri_trace::names`] constants. This is the same data an
-    /// attached [`cheri_trace::AggregateSink`] accumulates from the
-    /// event stream, read directly from the legacy per-struct counters.
+    /// Every counter the kernel and the machine beneath it maintain,
+    /// keyed by the canonical [`cheri_trace::names`] constants — the
+    /// workspace's one aggregate of the architectural events, read
+    /// directly from the simulator's own counters.
     #[must_use]
     pub fn metrics(&self) -> Snapshot {
         let mut snap = self.machine.metrics();

@@ -148,10 +148,10 @@ impl Kernel {
         self.domain_stack =
             s.domain_stack.iter().map(context_from_state).collect::<Result<Vec<_>, _>>()?;
         self.domain_id_stack = s.domain_id_stack.clone();
-        // Timeline spans are host-side observation state, never part of
-        // a snapshot: a restored kernel starts with no open span (the
+        // Guest spans are host-side observation state, never part of a
+        // snapshot: a restored kernel starts with no open span (the
         // machine restore likewise resets any attached profiler).
-        self.open_phase = None;
+        self.spans.clear();
         Ok(())
     }
 

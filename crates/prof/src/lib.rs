@@ -18,7 +18,9 @@
 //!   and the folded sample counts sum to total retired instructions;
 //! * **a timeline** — kernel phases, syscalls, domain crossings, and
 //!   context switches as Chrome trace-event / Perfetto JSON
-//!   ([`Timeline::to_json`]), timestamped in guest cycles.
+//!   ([`Timeline::to_json`]), timestamped in guest cycles. The kernel
+//!   owns the guest's open spans and hands the profiler each begin and
+//!   end ([`Profiler::on_span`]); the profiler only records them.
 //!
 //! ## Transparency
 //!
@@ -41,6 +43,8 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+use cheri_trace::chrome::Ph;
+use cheri_trace::SpanKind;
 use std::collections::{BTreeMap, HashMap};
 
 mod report;
@@ -49,7 +53,7 @@ mod timeline;
 
 pub use report::{FuncProfile, ProfileReport};
 pub use symbols::{SymbolDef, SymbolTable, UNKNOWN_SYM};
-pub use timeline::{Timeline, TimelineEvent, TimelinePhase};
+pub use timeline::{Timeline, TimelineEvent};
 
 /// A point-in-time copy of the machine's global miss counters, taken at
 /// every retire. The profiler charges the delta since the previous
@@ -117,10 +121,6 @@ pub struct Profiler {
     pending: u64,
     folded: BTreeMap<Vec<u32>, u64>,
     timeline: Timeline,
-    /// Kernel-phase span currently open on the timeline.
-    open_phase: Option<u64>,
-    /// Domain-crossing spans currently open on the timeline.
-    open_domains: Vec<u64>,
 }
 
 impl Profiler {
@@ -214,48 +214,20 @@ impl Profiler {
 
     // --- timeline (called by the kernel) --------------------------------
 
-    /// `SYS_PHASE id` at cycle `ts`: closes the open phase span and
-    /// opens the next.
-    pub fn on_phase(&mut self, id: u64, ts: u64) {
-        if let Some(prev) = self.open_phase.take() {
-            self.timeline.end("phase", format!("phase {prev}"), ts);
-        }
-        self.timeline.begin("phase", format!("phase {id}"), ts);
-        self.open_phase = Some(id);
+    /// The kernel opened (`Ph::Begin`) or closed (`Ph::End`) guest span
+    /// `kind id` at cycle `ts`.
+    pub fn on_span(&mut self, ph: Ph, kind: SpanKind, id: u64, ts: u64) {
+        self.timeline.push(ph, kind.as_str(), format!("{} {id}", kind.as_str()), ts, 0);
     }
 
     /// A syscall serviced at cycle `ts` costing `dur` cycles.
     pub fn on_syscall(&mut self, nr: u64, ts: u64, dur: u64) {
-        self.timeline.complete("syscall", format!("syscall {nr}"), ts, dur);
-    }
-
-    /// A protection-domain call entered domain `id` at cycle `ts`.
-    pub fn on_domain_call(&mut self, id: u64, ts: u64) {
-        self.timeline.begin("domain", format!("domain {id}"), ts);
-        self.open_domains.push(id);
-    }
-
-    /// A protection-domain return at cycle `ts`.
-    pub fn on_domain_return(&mut self, ts: u64) {
-        if let Some(id) = self.open_domains.pop() {
-            self.timeline.end("domain", format!("domain {id}"), ts);
-        }
+        self.timeline.push(Ph::Complete, "syscall", format!("syscall {nr}"), ts, dur);
     }
 
     /// An `exec` (address-space context switch) at cycle `ts`.
     pub fn on_exec(&mut self, pid: u64, ts: u64) {
-        self.timeline.instant("os", format!("exec pid {pid}"), ts);
-    }
-
-    /// The process exited at cycle `ts`: closes every open span so the
-    /// timeline is balanced.
-    pub fn on_exit(&mut self, ts: u64) {
-        while self.open_domains.pop().is_some() {
-            self.timeline.end("domain", "domain".into(), ts);
-        }
-        if let Some(prev) = self.open_phase.take() {
-            self.timeline.end("phase", format!("phase {prev}"), ts);
-        }
+        self.timeline.push(Ph::Instant, "os", format!("exec pid {pid}"), ts, 0);
     }
 
     // --- lifecycle ------------------------------------------------------
@@ -278,8 +250,6 @@ impl Profiler {
         self.pending = 0;
         self.folded.clear();
         self.timeline.clear();
-        self.open_phase = None;
-        self.open_domains.clear();
     }
 
     /// The raw per-PC table, sorted by PC (deterministic).
@@ -433,7 +403,7 @@ mod tests {
     fn reset_discards_everything_and_reseeds() {
         let mut p = Profiler::new();
         p.on_retire(0x1000, sample(3, 1));
-        p.on_phase(1, 100);
+        p.on_span(Ph::Begin, SpanKind::Phase, 1, 100);
         p.reset(sample(10, 7));
         assert_eq!(p.total_retired(), 0);
         assert!(p.pc_table().is_empty());
@@ -445,20 +415,27 @@ mod tests {
     }
 
     #[test]
-    fn phase_and_domain_spans_balance() {
+    fn spans_are_recorded_as_handed_over() {
         let mut p = Profiler::new();
         p.on_exec(1, 0);
-        p.on_phase(1, 10);
+        p.on_span(Ph::Begin, SpanKind::Phase, 1, 10);
         p.on_syscall(3, 12, 120);
-        p.on_phase(2, 500);
-        p.on_domain_call(0, 600);
-        p.on_domain_return(700);
-        p.on_exit(900);
+        p.on_span(Ph::Begin, SpanKind::Domain, 0, 600);
+        p.on_span(Ph::End, SpanKind::Domain, 0, 700);
+        p.on_span(Ph::End, SpanKind::Phase, 1, 900);
         let report = p.into_report();
-        let events = report.timeline.events();
-        let begins = events.iter().filter(|e| e.phase == TimelinePhase::Begin).count();
-        let ends = events.iter().filter(|e| e.phase == TimelinePhase::End).count();
-        assert_eq!(begins, ends, "every span must close");
-        assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts), "timeline must be monotone");
+        let rows: Vec<(Ph, &str, &str)> =
+            report.timeline.events().iter().map(|e| (e.ph, e.cat, e.name.as_str())).collect();
+        assert_eq!(
+            rows,
+            [
+                (Ph::Instant, "os", "exec pid 1"),
+                (Ph::Begin, "phase", "phase 1"),
+                (Ph::Complete, "syscall", "syscall 3"),
+                (Ph::Begin, "domain", "domain 0"),
+                (Ph::End, "domain", "domain 0"),
+                (Ph::End, "phase", "phase 1"),
+            ]
+        );
     }
 }

@@ -1,40 +1,16 @@
-//! Timeline export in the Chrome trace-event JSON format (the
-//! `traceEvents` array form), loadable by Perfetto and `chrome://
-//! tracing`. Timestamps are guest cycle counts — deterministic and
-//! monotone — rather than host microseconds, so two runs of the same
+//! The guest timeline, rendered as a Chrome trace-event document by the
+//! shared writer (`cheri_trace::chrome`) and loadable by Perfetto and
+//! `chrome://tracing`. Timestamps are guest cycle counts — deterministic
+//! and monotone — rather than host microseconds, so two runs of the same
 //! job produce byte-identical timelines.
 
-use cheri_trace::json::JsonWriter;
-
-/// The Chrome trace-event phase of one timeline entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimelinePhase {
-    /// Span begin (`"B"`).
-    Begin,
-    /// Span end (`"E"`).
-    End,
-    /// Complete event with a duration (`"X"`).
-    Complete,
-    /// Instant event (`"i"`).
-    Instant,
-}
-
-impl TimelinePhase {
-    fn ph(self) -> &'static str {
-        match self {
-            TimelinePhase::Begin => "B",
-            TimelinePhase::End => "E",
-            TimelinePhase::Complete => "X",
-            TimelinePhase::Instant => "i",
-        }
-    }
-}
+use cheri_trace::chrome::{self, Ph, Row};
 
 /// One timeline entry.
 #[derive(Clone, Debug)]
 pub struct TimelineEvent {
     /// Event phase.
-    pub phase: TimelinePhase,
+    pub ph: Ph,
     /// Event name (`"phase 2"`, `"syscall 4"`, …).
     pub name: String,
     /// Category (`"phase"`, `"syscall"`, `"domain"`, `"os"`).
@@ -53,24 +29,9 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Opens a span.
-    pub fn begin(&mut self, cat: &'static str, name: String, ts: u64) {
-        self.events.push(TimelineEvent { phase: TimelinePhase::Begin, name, cat, ts, dur: 0 });
-    }
-
-    /// Closes a span.
-    pub fn end(&mut self, cat: &'static str, name: String, ts: u64) {
-        self.events.push(TimelineEvent { phase: TimelinePhase::End, name, cat, ts, dur: 0 });
-    }
-
-    /// Records a complete event (begin + duration in one entry).
-    pub fn complete(&mut self, cat: &'static str, name: String, ts: u64, dur: u64) {
-        self.events.push(TimelineEvent { phase: TimelinePhase::Complete, name, cat, ts, dur });
-    }
-
-    /// Records an instant event.
-    pub fn instant(&mut self, cat: &'static str, name: String, ts: u64) {
-        self.events.push(TimelineEvent { phase: TimelinePhase::Instant, name, cat, ts, dur: 0 });
+    /// Appends one entry (`dur` counts only on [`Ph::Complete`] entries).
+    pub fn push(&mut self, ph: Ph, cat: &'static str, name: String, ts: u64, dur: u64) {
+        self.events.push(TimelineEvent { ph, name, cat, ts, dur });
     }
 
     /// The recorded events, in emission order.
@@ -85,31 +46,20 @@ impl Timeline {
     }
 
     /// Serialises the timeline as a Chrome trace-event document:
-    /// `{"traceEvents":[...]}` with integer cycle timestamps.
+    /// `{"traceEvents":[...]}` with integer cycle timestamps, all on
+    /// lane 1.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut items = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                items.push(',');
-            }
-            let mut w = JsonWriter::object();
-            w.str_field("name", &e.name);
-            w.str_field("cat", e.cat);
-            w.str_field("ph", e.phase.ph());
-            w.u64_field("ts", e.ts);
-            if e.phase == TimelinePhase::Complete {
-                w.u64_field("dur", e.dur);
-            }
-            w.u64_field("pid", 1);
-            w.u64_field("tid", 1);
-            items.push_str(&w.close());
-        }
-        items.push(']');
-        let mut doc = JsonWriter::object();
-        doc.raw_field("traceEvents", &items);
-        doc.str_field("displayTimeUnit", "ns");
-        doc.close()
+        let rows = chrome::events(self.events.iter().map(|e| Row {
+            name: &e.name,
+            cat: e.cat,
+            ph: e.ph,
+            ts: e.ts,
+            dur: e.dur,
+            tid: 1,
+            args: None,
+        }));
+        chrome::document(&rows, "ns", &[])
     }
 }
 
@@ -121,10 +71,10 @@ mod tests {
     #[test]
     fn timeline_json_parses_and_keeps_order() {
         let mut t = Timeline::default();
-        t.instant("os", "exec".into(), 0);
-        t.begin("phase", "phase 1".into(), 10);
-        t.complete("syscall", "syscall 4".into(), 15, 120);
-        t.end("phase", "phase 1".into(), 200);
+        t.push(Ph::Instant, "os", "exec".into(), 0, 0);
+        t.push(Ph::Begin, "phase", "phase 1".into(), 10, 0);
+        t.push(Ph::Complete, "syscall", "syscall 4".into(), 15, 120);
+        t.push(Ph::End, "phase", "phase 1".into(), 200, 0);
         let doc = json::parse(&t.to_json()).expect("valid JSON");
         let events = doc.as_obj().unwrap()["traceEvents"].as_arr().unwrap();
         assert_eq!(events.len(), 4);

@@ -226,11 +226,11 @@ impl JobEngine {
     /// A fresh engine. `cache_enabled` gates the result cache;
     /// `warm_enabled` gates snapshot-pool execution (off = every
     /// uncached job boots cold, the configuration the warm-vs-cold
-    /// benchmark compares against). Telemetry is attached and enabled;
-    /// use [`JobEngine::with_telem`] to share or disable it.
+    /// benchmark compares against). The engine records into telemetry
+    /// of its own; use [`JobEngine::with_telem`] to share it.
     #[must_use]
     pub fn new(cache_enabled: bool, warm_enabled: bool) -> JobEngine {
-        JobEngine::with_telem(cache_enabled, warm_enabled, Arc::new(ServiceTelem::new(true)))
+        JobEngine::with_telem(cache_enabled, warm_enabled, Arc::default())
     }
 
     /// As [`JobEngine::new`] with a caller-supplied telemetry handle

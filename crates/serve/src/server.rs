@@ -68,9 +68,6 @@ pub struct ServerConfig {
     /// this; tests leave it off so a ^C to the test runner cannot leak
     /// into server state).
     pub watch_signals: bool,
-    /// Record telemetry (spans + metrics). Off is the detached half of
-    /// the overhead A/B: every telemetry operation becomes a no-op.
-    pub telem: bool,
     /// Write the final telemetry flush (Chrome trace + metric snapshot)
     /// to this path on drain, atomically.
     pub telem_out: Option<PathBuf>,
@@ -86,7 +83,6 @@ impl Default for ServerConfig {
             warm: true,
             results_dir: None,
             watch_signals: false,
-            telem: true,
             telem_out: None,
             queue_limit: 256,
         }
@@ -124,7 +120,7 @@ impl Server {
     /// Socket errors from binding.
     pub fn bind(addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let telem = Arc::new(ServiceTelem::new(cfg.telem));
+        let telem = Arc::new(ServiceTelem::default());
         let shared = Arc::new(Shared {
             engine: Arc::new(JobEngine::with_telem(cfg.cache, cfg.warm, telem.clone())),
             workers: WorkerPool::new(cfg.workers),

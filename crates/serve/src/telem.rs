@@ -11,14 +11,12 @@
 //! Telemetry must never perturb served results. That holds by
 //! construction: the engine runs jobs through the *same function*
 //! whether observed or not (`cheri_sweep::run_job`, whose span hook the
-//! batch path passes a no-op), all metrics are derived from host clocks and
-//! counters outside the simulator, and a [`ServiceTelem`] constructed
-//! disabled turns every operation into a no-op — the detached half of
-//! the overhead A/B in EXPERIMENTS.md.
+//! batch path passes a no-op), and all metrics are derived from host
+//! clocks and counters outside the simulator.
 
 use crate::protocol::Origin;
 use cheri_telem::{SpanLog, SpanPhase, TelemRegistry};
-use cheri_trace::json::JsonWriter;
+use cheri_trace::chrome;
 use std::time::Instant;
 
 /// Counter: jobs completed through the engine (any origin).
@@ -99,6 +97,7 @@ impl JobCtx {
 }
 
 /// The service's shared telemetry state: one registry, one span log.
+#[derive(Default)]
 pub struct ServiceTelem {
     registry: TelemRegistry,
     spans: SpanLog,
@@ -109,18 +108,6 @@ pub(crate) fn elapsed_us(t0: Instant) -> u64 {
 }
 
 impl ServiceTelem {
-    /// Fresh telemetry; disabled makes every operation a no-op.
-    #[must_use]
-    pub fn new(enabled: bool) -> ServiceTelem {
-        ServiceTelem { registry: TelemRegistry::new(enabled), spans: SpanLog::new(enabled) }
-    }
-
-    /// Whether telemetry is recorded at all.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.registry.enabled()
-    }
-
     /// The metric registry.
     #[must_use]
     pub fn registry(&self) -> &TelemRegistry {
@@ -211,11 +198,8 @@ impl ServiceTelem {
     /// the final metric snapshot embedded under `telemMetrics`.
     #[must_use]
     pub fn flush_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.raw_field("traceEvents", &self.spans.to_chrome_events_json());
-        w.str_field("displayTimeUnit", "ms");
-        w.raw_field("telemMetrics", &self.registry.snapshot().to_json());
-        w.close()
+        let metrics = self.registry.snapshot().to_json();
+        chrome::document(&self.spans.to_chrome_events_json(), "ms", &[("telemMetrics", &metrics)])
     }
 }
 
@@ -253,9 +237,6 @@ impl<'a> PhaseRecorder<'a> {
     /// The hook body: pass `&mut |name, begin| rec.note(name, begin)`
     /// to a `*_spanned` runner.
     pub fn note(&mut self, name: &'static str, begin: bool) {
-        if !self.telem.enabled() {
-            return;
-        }
         let Some((phase, counter, hist)) = phase_metrics(name) else { return };
         if begin {
             self.started.push((name, Instant::now()));
@@ -282,7 +263,7 @@ mod tests {
 
     #[test]
     fn phase_recorder_balances_and_pairs_counts() {
-        let telem = ServiceTelem::new(true);
+        let telem = ServiceTelem::default();
         let ctx = JobCtx { req: 5, job: 1 };
         let mut rec = PhaseRecorder::new(&telem, ctx, "warm");
         rec.note("restore", true);
@@ -293,24 +274,11 @@ mod tests {
         telem.spans().check_balance().unwrap();
         let snap = telem.registry().snapshot();
         for (hist, counter) in HIST_COUNTER_PAIRS {
-            let count = snap.histogram(hist).map_or(0, cheri_telem::HistSnapshot::count);
+            let count = snap.histogram(hist).map_or(0, cheri_telem::Histogram::count);
             assert_eq!(count, snap.counter(counter), "{hist} vs {counter}");
         }
         assert_eq!(snap.counter(JOBS), 1);
         assert_eq!(snap.counter(JOBS_WARM), 1);
         assert_eq!(snap.gauge(JOB_LATENCY_MAX_US), 1234);
-    }
-
-    #[test]
-    fn disabled_telem_is_inert() {
-        let telem = ServiceTelem::new(false);
-        let mut rec = PhaseRecorder::new(&telem, JobCtx::default(), "cold");
-        rec.note("boot", true);
-        rec.note("boot", false);
-        telem.job_finished(Origin::Cold, 9);
-        let out = telem.serialize_span(JobCtx::single(1), || 42);
-        assert_eq!(out, 42);
-        assert!(telem.spans().is_empty());
-        assert_eq!(telem.registry().snapshot(), cheri_telem::TelemSnapshot::default());
     }
 }

@@ -1576,12 +1576,12 @@ impl Machine {
         self.stats.cycles += delta * self.cfg.hierarchy.dram_latency;
     }
 
-    /// Exports every legacy counter — [`Stats`], the per-cache hit/miss
+    /// Exports every counter — [`Stats`], the per-cache hit/miss
     /// fields, DRAM traffic, and the tag-controller statistics — into
     /// one [`Snapshot`] under the canonical `cheri_trace::names`. The
-    /// legacy structs stay authoritative (their public accessors are
+    /// structs stay authoritative (their public accessors are
     /// unchanged); this is the common export used for run-to-run diffs
-    /// and for cross-checking an event-driven `AggregateSink`.
+    /// and the one aggregate of the architectural events.
     #[must_use]
     pub fn metrics(&self) -> Snapshot {
         let mut snap = Snapshot::default();

@@ -7,9 +7,8 @@
 //! the host-side counterpart, built on the same principles:
 //!
 //! * **u64-only, deterministic.** The [`TelemRegistry`] holds counters,
-//!   gauges, and log2-bucket streaming histograms — all `u64`, snapshot
-//!   in name order, diffable exactly like the guest-side
-//!   `MetricsRegistry` (the snapshot converts losslessly into one).
+//!   gauges, and the workspace's one [`Histogram`] (log2 buckets, exact
+//!   max) — all `u64`, snapshot in name order.
 //! * **Hard invariants, not best-effort logging.** Correlated updates
 //!   (a histogram observation and the counter that should count it) go
 //!   through one [`TelemRegistry::batch`] critical section, so every
@@ -17,29 +16,28 @@
 //!   consistency contract the metrics tests assert against a live
 //!   server. Span streams ([`SpanLog`]) must balance begin/end per
 //!   request id; [`SpanLog::check_balance`] is the machine check.
-//! * **Cheap enough to leave on.** One short uncontended mutex per
-//!   update, at *service* rate (per request/phase, not per retired
-//!   instruction). The registry can also be constructed disabled, which
-//!   turns every operation into a no-op — the A/B the telemetry
-//!   overhead benchmark compares.
+//! * **Always on.** One short uncontended mutex per update, at
+//!   *service* rate (per request/phase, not per retired instruction).
 //!
-//! Spans reuse the shape PR 5 introduced for guest span events
-//! (`SpanBegin`/`SpanEnd` with a kind, an id, and a timestamp): here the
-//! kind is a [`SpanPhase`], the id is a (request, job) pair, and the
-//! timestamp is host microseconds since the log was created. The log
-//! exports as a Chrome trace-event / Perfetto timeline with one lane
+//! Spans have the shape of the guest span events (`SpanBegin`/`SpanEnd`
+//! with a kind, an id, and a timestamp), but name different spans for a
+//! different caller: here the kind is a [`SpanPhase`], the id is a
+//! (request, job) pair, and the timestamp is host microseconds since
+//! the log was created. The log renders through the workspace's one
+//! Chrome trace-event writer (`cheri_trace::chrome`) with one lane
 //! (`tid`) per request id.
 //!
 //! [`prom`] renders a registry snapshot as a Prometheus text exposition
 //! (stable ordering, `# TYPE` lines, `_bucket`/`_sum`/`_count`
 //! triplets) and parses one back with the format invariants checked —
 //! the parser is what the golden tests and the `servemon` dashboard
-//! both consume.
+//! both consume, and [`PromHist::quantile_upper`] is the one place a
+//! percentile is derived from a histogram.
 
 pub mod prom;
 pub mod registry;
 pub mod span;
 
 pub use prom::{parse_exposition, render_exposition, Exposition, PromHist};
-pub use registry::{HistSnapshot, TelemBatch, TelemRegistry, TelemSnapshot};
+pub use registry::{Histogram, TelemBatch, TelemRegistry, TelemSnapshot};
 pub use span::{SpanEvent, SpanLog, SpanPhase};

@@ -16,8 +16,7 @@
 //! a malformed exposition fails loudly in CI rather than rendering as
 //! nonsense.
 
-use crate::registry::TelemSnapshot;
-use cheri_trace::Histogram;
+use crate::registry::{Histogram, TelemSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -63,6 +62,23 @@ pub struct PromHist {
     pub sum: u64,
     /// Value of the `_count` sample.
     pub count: u64,
+}
+
+impl PromHist {
+    /// The nearest-rank `pct` percentile (`ceil(pct·N/100)`, `pct`
+    /// capped at 100) as the upper bound `le` of the bucket holding it.
+    /// A rank in the `+Inf` bucket has no finite bound, so it answers
+    /// `exact_max`, the maximum gauge the exposition carries beside the
+    /// histogram. `None` for an empty histogram.
+    #[must_use]
+    pub fn quantile_upper(&self, pct: u64, exact_max: Option<u64>) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = (pct.min(100) * self.count).div_ceil(100).clamp(1, self.count);
+        let (le, _) = self.buckets.iter().find(|(_, cum)| *cum >= rank)?;
+        le.parse().ok().or(exact_max)
+    }
 }
 
 /// A parsed and validated exposition.
@@ -260,7 +276,7 @@ mod tests {
     use crate::registry::TelemRegistry;
 
     fn sample_registry() -> TelemRegistry {
-        let reg = TelemRegistry::new(true);
+        let reg = TelemRegistry::default();
         reg.batch(|b| {
             b.add("serve_jobs_total", 4);
             b.add("serve_cache_hits_total", 1);
@@ -331,6 +347,68 @@ mod tests {
             let err = parse_exposition(text).unwrap_err();
             assert!(err.contains(want), "for {text:?}: got `{err}`, want `{want}`");
         }
+    }
+
+    /// The reference the quantile is pinned against: fully sorted
+    /// values, `ceil(p·N/100)` nearest-rank.
+    fn sorted_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
+        let rank = (pct * sorted.len() as u64).div_ceil(100).clamp(1, sorted.len() as u64);
+        sorted[rank as usize - 1]
+    }
+
+    fn rendered(values: &[u64]) -> PromHist {
+        let reg = TelemRegistry::default();
+        reg.batch(|b| {
+            for &v in values {
+                b.record("latency_us", v);
+            }
+        });
+        let exp = parse_exposition(&render_exposition(&reg.snapshot())).unwrap();
+        exp.histogram("latency_us").unwrap().clone()
+    }
+
+    #[test]
+    fn quantiles_bracket_the_sorted_reference() {
+        // A deliberately lumpy distribution spanning many buckets.
+        let mut values: Vec<u64> = Vec::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..1000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(match i % 4 {
+                0 => x % 100,
+                1 => x % 10_000,
+                2 => x % 1_000_000,
+                _ => x % 50,
+            });
+        }
+        let h = rendered(&values);
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        for pct in [1, 10, 50, 90, 95, 99, 100] {
+            let truth = sorted_nearest_rank(&sorted, pct);
+            let upper = h.quantile_upper(pct, None).unwrap();
+            assert!(truth <= upper, "p{pct}: upper bound {upper} below truth {truth}");
+            assert_eq!(
+                Histogram::bucket_of(truth),
+                Histogram::bucket_of(upper),
+                "p{pct}: {truth} is not in the bucket ending at {upper}"
+            );
+        }
+        assert_eq!(h.count, 1000);
+    }
+
+    #[test]
+    fn a_rank_in_the_inf_bucket_answers_the_exact_max() {
+        // Values of 2^63 and above land in bucket 64, which the
+        // exposition folds into +Inf.
+        let max = u64::MAX - 5;
+        let h = rendered(&[3, max]);
+        assert_eq!(h.quantile_upper(50, Some(max)), Some(3));
+        assert_eq!(h.quantile_upper(100, Some(max)), Some(max));
+        assert_eq!(h.quantile_upper(100, None), None);
+        assert_eq!(PromHist::default().quantile_upper(50, Some(max)), None);
     }
 
     #[test]

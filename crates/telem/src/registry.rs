@@ -11,37 +11,55 @@
 //! like "the latency histogram has exactly as many observations as the
 //! jobs counter" hold in every scrape, not just at quiescence.
 //!
-//! Histograms use the guest-side log2 bucketing (via
-//! [`cheri_trace::Histogram::bucket_of`]: bucket 0 holds zeros, bucket
-//! *k* the range `[2^(k-1), 2^k)`) plus an exact running maximum, from
-//! which [`HistSnapshot`] derives nearest-rank percentiles: the
-//! `ceil(p·N/100)` rank is resolved to its bucket exactly, the reported
-//! upper bound is tightened by the exact max, and the percentile tests
-//! pin both against a fully sorted reference.
+//! Histograms are log2-bucketed ([`Histogram::bucket_of`]) with an
+//! exact running maximum. Percentiles are read from the rendered
+//! exposition ([`PromHist::quantile_upper`](crate::PromHist::quantile_upper)),
+//! the one place a quantile is derived.
 
 use cheri_trace::json::{self, Json, JsonWriter};
-use cheri_trace::{Histogram, Snapshot, SnapshotDiff};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// One log2-bucket streaming histogram with exact count, saturating
-/// sum, and exact maximum. This is both the accumulation state inside
-/// the registry and the per-histogram payload of a [`TelemSnapshot`].
+/// The workspace's one histogram: a log2-bucket streaming histogram
+/// with exact count, saturating sum, and exact maximum. Bucket 0 holds
+/// zeros and bucket *k* (1..=64) the range `[2^(k-1), 2^k)`. This is
+/// both the accumulation state inside the registry and the
+/// per-histogram payload of a [`TelemSnapshot`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistSnapshot {
+pub struct Histogram {
     buckets: [u64; 65],
     count: u64,
     sum: u64,
     max: u64,
 }
 
-impl Default for HistSnapshot {
-    fn default() -> HistSnapshot {
-        HistSnapshot { buckets: [0; 65], count: 0, sum: 0, max: 0 }
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram { buckets: [0; 65], count: 0, sum: 0, max: 0 }
     }
 }
 
-impl HistSnapshot {
+impl Histogram {
+    /// Bucket index for `v`.
+    #[must_use]
+    pub fn bucket_of(v: u64) -> usize {
+        if v == 0 {
+            0
+        } else {
+            64 - v.leading_zeros() as usize
+        }
+    }
+
+    /// Inclusive-exclusive value range covered by bucket `i`.
+    #[must_use]
+    pub fn bucket_range(i: usize) -> (u64, u64) {
+        if i == 0 {
+            (0, 1)
+        } else {
+            (1u64 << (i - 1), (1u64 << (i - 1)).saturating_mul(2))
+        }
+    }
+
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
         self.buckets[Histogram::bucket_of(v)] += 1;
@@ -73,42 +91,6 @@ impl HistSnapshot {
         self.buckets.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, &c)| (i, c))
     }
 
-    /// The half-open `[lo, hi)` bucket range containing the
-    /// `ceil(pct·N/100)` nearest-rank observation (`pct` in 1..=100).
-    /// Returns `(0, 0)` for an empty histogram.
-    #[must_use]
-    pub fn quantile_bounds(&self, pct: u64) -> (u64, u64) {
-        if self.count == 0 {
-            return (0, 0);
-        }
-        let rank = (pct * self.count).div_ceil(100).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, c) in self.nonzero_buckets() {
-            cum += c;
-            if cum >= rank {
-                return Histogram::bucket_range(i);
-            }
-        }
-        Histogram::bucket_range(64)
-    }
-
-    /// Inclusive upper bound on the `ceil(pct·N/100)` nearest-rank
-    /// observation: the bucket's top, tightened by the exact maximum
-    /// when the rank falls in the histogram's final nonzero bucket.
-    /// `quantile_upper(100)` is the exact max.
-    #[must_use]
-    pub fn quantile_upper(&self, pct: u64) -> u64 {
-        let (lo, hi) = self.quantile_bounds(pct);
-        if hi == 0 {
-            return 0;
-        }
-        if self.max >= lo && self.max < hi {
-            self.max
-        } else {
-            hi.saturating_sub(1)
-        }
-    }
-
     fn to_json_raw(&self) -> String {
         let mut w = JsonWriter::object();
         w.u64_field("count", self.count);
@@ -120,9 +102,9 @@ impl HistSnapshot {
         w.close()
     }
 
-    fn from_json(v: &Json) -> Result<HistSnapshot, String> {
+    fn from_json(v: &Json) -> Result<Histogram, String> {
         let obj = v.as_obj().ok_or("histogram must be an object")?;
-        let mut h = HistSnapshot {
+        let mut h = Histogram {
             buckets: [0; 65],
             count: obj.get("count").and_then(Json::as_u64).ok_or("missing count")?,
             sum: obj.get("sum").and_then(Json::as_u64).ok_or("missing sum")?,
@@ -150,7 +132,7 @@ impl HistSnapshot {
 pub struct TelemSnapshot {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    hists: BTreeMap<String, HistSnapshot>,
+    hists: BTreeMap<String, Histogram>,
 }
 
 impl TelemSnapshot {
@@ -168,7 +150,7 @@ impl TelemSnapshot {
 
     /// Histogram `name`, if any observation was ever recorded.
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HistSnapshot> {
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
     }
 
@@ -186,32 +168,8 @@ impl TelemSnapshot {
 
     /// All histograms in name order.
     #[must_use]
-    pub fn histograms(&self) -> &BTreeMap<String, HistSnapshot> {
+    pub fn histograms(&self) -> &BTreeMap<String, Histogram> {
         &self.hists
-    }
-
-    /// Converts counters and gauges into a guest-side metrics
-    /// [`Snapshot`], so the trace crate's diff machinery (saturating
-    /// deltas, regression warnings, rendered tables) applies to service
-    /// telemetry unchanged.
-    #[must_use]
-    pub fn to_metrics(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        for (k, v) in &self.counters {
-            snap.set_counter(k, *v);
-        }
-        for (k, v) in &self.gauges {
-            snap.set_counter(k, *v);
-        }
-        snap
-    }
-
-    /// Per-counter deltas from `self` to `other` (union of counter and
-    /// gauge names), with the trace crate's saturation-and-warn
-    /// behaviour on regressed counters.
-    #[must_use]
-    pub fn diff(&self, other: &TelemSnapshot) -> SnapshotDiff {
-        self.to_metrics().diff(&other.to_metrics())
     }
 
     /// Serialises as one JSON object:
@@ -258,7 +216,7 @@ impl TelemSnapshot {
         }
         if let Some(hists) = obj.get("histograms") {
             for (k, v) in hists.as_obj().ok_or("histograms must be an object")? {
-                snap.hists.insert(k.clone(), HistSnapshot::from_json(v)?);
+                snap.hists.insert(k.clone(), Histogram::from_json(v)?);
             }
         }
         Ok(snap)
@@ -269,7 +227,7 @@ impl TelemSnapshot {
 struct Data {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, HistSnapshot>,
+    hists: BTreeMap<&'static str, Histogram>,
 }
 
 /// A batch of updates applied under one registry lock — the tool for
@@ -303,59 +261,19 @@ impl TelemBatch<'_> {
     }
 }
 
-/// The registry: all service metrics behind one mutex, with no-op
-/// operation when constructed disabled (the detached half of the
-/// telemetry-overhead A/B).
+/// The registry: all service metrics behind one mutex.
+#[derive(Default)]
 pub struct TelemRegistry {
     data: Mutex<Data>,
-    enabled: bool,
 }
 
 impl TelemRegistry {
-    /// A fresh registry; `enabled = false` turns every operation into a
-    /// no-op and every snapshot into the empty snapshot.
-    #[must_use]
-    pub fn new(enabled: bool) -> TelemRegistry {
-        TelemRegistry { data: Mutex::new(Data::default()), enabled }
-    }
-
-    /// Whether this registry records anything at all.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Applies several updates in one critical section, so no scrape
     /// can observe a state between them.
     pub fn batch(&self, f: impl FnOnce(&mut TelemBatch)) {
-        if !self.enabled {
-            return;
-        }
         if let Ok(mut data) = self.data.lock() {
             f(&mut TelemBatch { data: &mut data });
         }
-    }
-
-    /// Adds `delta` to counter `name`.
-    pub fn add(&self, name: &'static str, delta: u64) {
-        self.batch(|b| b.add(name, delta));
-    }
-
-    /// Sets gauge `name` to an absolute value.
-    pub fn set_gauge(&self, name: &'static str, value: u64) {
-        self.batch(|b| b.set_gauge(name, value));
-    }
-
-    /// Records one observation into histogram `name`.
-    pub fn record(&self, name: &'static str, value: u64) {
-        self.batch(|b| b.record(name, value));
-    }
-
-    /// Current value of counter `name` (0 if never touched or the
-    /// registry is disabled).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.data.lock().map_or(0, |d| d.counters.get(name).copied().unwrap_or(0))
     }
 
     /// A consistent snapshot of every metric, read under one lock.
@@ -374,70 +292,32 @@ impl TelemRegistry {
 mod tests {
     use super::*;
 
-    /// The reference the quantile derivation is pinned against: fully
-    /// sorted values, `ceil(p·N/100)` nearest-rank.
-    fn sorted_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
-        let rank = (pct * sorted.len() as u64).div_ceil(100).clamp(1, sorted.len() as u64);
-        sorted[rank as usize - 1]
-    }
-
     #[test]
-    fn quantiles_bracket_the_sorted_reference() {
-        // A deliberately lumpy distribution spanning many buckets.
-        let mut values: Vec<u64> = Vec::new();
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for i in 0..1000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            values.push(match i % 4 {
-                0 => x % 100,
-                1 => x % 10_000,
-                2 => x % 1_000_000,
-                _ => x % 50,
-            });
-        }
-        let mut h = HistSnapshot::default();
-        for &v in &values {
-            h.record(v);
-        }
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        for pct in [1, 10, 50, 90, 95, 99, 100] {
-            let truth = sorted_nearest_rank(&sorted, pct);
-            let (lo, hi) = h.quantile_bounds(pct);
-            assert!(truth >= lo && truth < hi, "p{pct}: {truth} not in [{lo},{hi})");
-            assert!(h.quantile_upper(pct) >= truth, "p{pct}: upper bound below truth");
-            assert!(h.quantile_upper(pct) < hi, "p{pct}: upper bound outside bucket");
-        }
-        assert_eq!(h.quantile_upper(100), *sorted.last().unwrap(), "p100 is the exact max");
-        assert_eq!(h.max(), *sorted.last().unwrap());
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.sum(), values.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn quantiles_on_tiny_histograms() {
-        let mut h = HistSnapshot::default();
-        assert_eq!(h.quantile_bounds(50), (0, 0), "empty histogram");
-        assert_eq!(h.quantile_upper(50), 0);
-        h.record(7);
-        // One observation: every percentile is its bucket, upper is
-        // exactly 7 (the max tightens the [4,8) bucket).
-        for pct in [1, 50, 100] {
-            assert_eq!(h.quantile_bounds(pct), (4, 8));
-            assert_eq!(h.quantile_upper(pct), 7);
+    fn log2_buckets() {
+        assert_eq!(Histogram::bucket_of(0), 0);
+        assert_eq!(Histogram::bucket_of(1), 1);
+        assert_eq!(Histogram::bucket_of(2), 2);
+        assert_eq!(Histogram::bucket_of(3), 2);
+        assert_eq!(Histogram::bucket_of(4), 3);
+        assert_eq!(Histogram::bucket_of(1023), 10);
+        assert_eq!(Histogram::bucket_of(1024), 11);
+        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
+        for v in [0u64, 1, 2, 3, 7, 8, 100, 1 << 40] {
+            let (lo, hi) = Histogram::bucket_range(Histogram::bucket_of(v));
+            assert!(v >= lo && v < hi, "{v} not in [{lo},{hi})");
         }
     }
 
     #[test]
     fn snapshot_json_roundtrip() {
-        let reg = TelemRegistry::new(true);
-        reg.add("jobs_total", 3);
-        reg.set_gauge("queue_depth", 2);
-        for v in [0, 1, 30, 30, 31, 120, 1 << 20] {
-            reg.record("latency_us", v);
-        }
+        let reg = TelemRegistry::default();
+        reg.batch(|b| {
+            b.add("jobs_total", 3);
+            b.set_gauge("queue_depth", 2);
+            for v in [0, 1, 30, 30, 31, 120, 1 << 20] {
+                b.record("latency_us", v);
+            }
+        });
         let snap = reg.snapshot();
         let back = TelemSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
@@ -448,20 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = TelemRegistry::new(false);
-        reg.add("jobs_total", 1);
-        reg.record("latency_us", 10);
-        reg.set_gauge("queue_depth", 5);
-        assert_eq!(reg.counter("jobs_total"), 0);
-        assert_eq!(reg.snapshot(), TelemSnapshot::default());
-    }
-
-    #[test]
     fn batch_is_atomic_with_respect_to_snapshots() {
         // A writer hammers (counter, histogram) pairs in one batch; a
         // reader snapshots concurrently and must never see them differ.
-        let reg = std::sync::Arc::new(TelemRegistry::new(true));
+        let reg = std::sync::Arc::new(TelemRegistry::default());
         let writer = {
             let reg = reg.clone();
             std::thread::spawn(move || {
@@ -475,26 +345,12 @@ mod tests {
         };
         for _ in 0..200 {
             let snap = reg.snapshot();
-            let hist = snap.histogram("latency_us").map_or(0, HistSnapshot::count);
+            let hist = snap.histogram("latency_us").map_or(0, Histogram::count);
             assert_eq!(snap.counter("jobs_total"), hist, "scrape saw a torn update");
         }
         writer.join().unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("jobs_total"), 5_000);
         assert_eq!(snap.histogram("latency_us").unwrap().count(), 5_000);
-    }
-
-    #[test]
-    fn diff_reuses_the_metrics_machinery() {
-        let reg = TelemRegistry::new(true);
-        reg.add("jobs_total", 2);
-        let a = reg.snapshot();
-        reg.add("jobs_total", 3);
-        reg.set_gauge("queue_depth", 1);
-        let b = reg.snapshot();
-        let d = a.diff(&b);
-        let jobs = d.entries().iter().find(|e| e.0 == "jobs_total").unwrap();
-        assert_eq!((jobs.1, jobs.2, jobs.3), (2, 5, 3));
-        assert!(d.warnings().is_empty());
     }
 }

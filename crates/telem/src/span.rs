@@ -11,11 +11,13 @@
 //! is not open and closes every span it opens — the roundtrip tests
 //! run it against a live server's log.
 //!
-//! The export ([`SpanLog::to_chrome_json`]) is the Chrome trace-event
-//! format (`{"traceEvents":[...]}` with `ph: "B"/"E"`), loadable in
-//! `chrome://tracing` and Perfetto, with one timeline lane (`tid`) per
-//! request id so concurrent requests render side by side.
+//! The export ([`SpanLog::to_chrome_events_json`]) renders through the
+//! workspace's one Chrome trace-event writer (`cheri_trace::chrome`) as
+//! `ph: "B"/"E"` rows, with one timeline lane (`tid`) per request id so
+//! concurrent requests render side by side. Events are stored compact
+//! (48 bytes each) and rendered only at export.
 
+use cheri_trace::chrome::{self, Ph, Row};
 use cheri_trace::json::JsonWriter;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -67,31 +69,21 @@ pub struct SpanEvent {
     pub tag: Option<&'static str>,
 }
 
-/// An append-only, thread-shared log of span events.
+/// An append-only, thread-shared log of span events; its epoch is the
+/// moment it was created.
 pub struct SpanLog {
     events: Mutex<Vec<SpanEvent>>,
     epoch: Instant,
-    enabled: bool,
+}
+
+impl Default for SpanLog {
+    fn default() -> SpanLog {
+        SpanLog { events: Mutex::new(Vec::new()), epoch: Instant::now() }
+    }
 }
 
 impl SpanLog {
-    /// A fresh log; `enabled = false` makes every record a no-op and
-    /// every export empty.
-    #[must_use]
-    pub fn new(enabled: bool) -> SpanLog {
-        SpanLog { events: Mutex::new(Vec::new()), epoch: Instant::now(), enabled }
-    }
-
-    /// Whether this log records anything at all.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn push(&self, begin: bool, phase: SpanPhase, req: u64, job: u64, tag: Option<&'static str>) {
-        if !self.enabled {
-            return;
-        }
         let t_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
         if let Ok(mut events) = self.events.lock() {
             events.push(SpanEvent { begin, phase, req, job, t_us, tag });
@@ -142,46 +134,28 @@ impl SpanLog {
         check_balance(&self.events())
     }
 
-    /// The `traceEvents` array alone (as a raw JSON array), for callers
-    /// embedding the timeline in a larger document — one `B`/`E` record
-    /// per event, `tid` = request id (one lane per request), `ts` in
+    /// The `traceEvents` array (a raw JSON array) for a Chrome
+    /// trace-event document ([`chrome::document`]): one `B`/`E` row per
+    /// event, `tid` = request id (one lane per request), `ts` in
     /// microseconds, the job index and any tag carried in `args`.
     #[must_use]
     pub fn to_chrome_events_json(&self) -> String {
-        let rows: Vec<String> = self
-            .events()
-            .iter()
-            .map(|e| {
-                let mut w = JsonWriter::object();
-                w.str_field("name", e.phase.as_str());
-                w.str_field("cat", "serve");
-                w.str_field("ph", if e.begin { "B" } else { "E" });
-                w.u64_field("pid", 1);
-                w.u64_field("tid", e.req);
-                w.u64_field("ts", e.t_us);
-                let mut args = JsonWriter::object();
-                args.u64_field("job", e.job);
-                if let Some(tag) = e.tag {
-                    args.str_field("origin", tag);
-                }
-                w.raw_field("args", &args.close());
-                w.close()
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
-    }
-
-    /// Exports as a complete Chrome trace-event JSON document (loadable
-    /// in `chrome://tracing` / Perfetto). See [`to_chrome_events_json`]
-    /// for the per-event shape.
-    ///
-    /// [`to_chrome_events_json`]: SpanLog::to_chrome_events_json
-    #[must_use]
-    pub fn to_chrome_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.raw_field("traceEvents", &self.to_chrome_events_json());
-        w.str_field("displayTimeUnit", "ms");
-        w.close()
+        chrome::events(self.events().iter().map(|e| {
+            let mut args = JsonWriter::object();
+            args.u64_field("job", e.job);
+            if let Some(tag) = e.tag {
+                args.str_field("origin", tag);
+            }
+            Row {
+                name: e.phase.as_str(),
+                cat: "serve",
+                ph: if e.begin { Ph::Begin } else { Ph::End },
+                ts: e.t_us,
+                dur: 0,
+                tid: e.req,
+                args: Some(args.close()),
+            }
+        }))
     }
 }
 
@@ -227,7 +201,7 @@ mod tests {
 
     #[test]
     fn balanced_log_passes_and_unbalanced_fails() {
-        let log = SpanLog::new(true);
+        let log = SpanLog::default();
         log.begin(SpanPhase::Request, 1, 0);
         log.begin(SpanPhase::Queue, 1, 0);
         log.end(SpanPhase::Queue, 1, 0);
@@ -257,7 +231,7 @@ mod tests {
         // A parallel sweep: two jobs of one request interleave their
         // simulate spans. Balance is per (req, job, phase), so this is
         // legal; the same interleaving on a single job key is not.
-        let log = SpanLog::new(true);
+        let log = SpanLog::default();
         log.begin(SpanPhase::Simulate, 1, 0);
         log.begin(SpanPhase::Simulate, 1, 1);
         log.end(SpanPhase::Simulate, 1, 0);
@@ -267,7 +241,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json_with_one_lane_per_request() {
-        let log = SpanLog::new(true);
+        let log = SpanLog::default();
         log.begin(SpanPhase::Request, 7, 0);
         log.begin(SpanPhase::Simulate, 7, 0);
         log.end_tagged(SpanPhase::Simulate, 7, 0, "cold");
@@ -275,8 +249,8 @@ mod tests {
         log.begin(SpanPhase::Request, 8, 0);
         log.end_tagged(SpanPhase::Request, 8, 0, "cached");
 
-        let parsed = json::parse(&log.to_chrome_json()).unwrap();
-        let events = parsed.as_obj().unwrap()["traceEvents"].as_arr().unwrap();
+        let parsed = json::parse(&log.to_chrome_events_json()).unwrap();
+        let events = parsed.as_arr().unwrap();
         assert_eq!(events.len(), 6);
         for e in events {
             let obj = e.as_obj().unwrap();
@@ -295,13 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_records_nothing() {
-        let log = SpanLog::new(false);
-        log.begin(SpanPhase::Request, 1, 0);
-        log.end(SpanPhase::Request, 1, 0);
-        assert!(log.is_empty());
-        log.check_balance().unwrap();
-        let parsed = json::parse(&log.to_chrome_json()).unwrap();
-        assert_eq!(parsed.as_obj().unwrap()["traceEvents"].as_arr().unwrap().len(), 0);
+    fn span_events_stay_compact() {
+        // A cached request logs two events and the log keeps them until
+        // the flush, so the event size sets the service's resident
+        // growth per request.
+        assert!(std::mem::size_of::<SpanEvent>() <= 48);
     }
 }

@@ -32,14 +32,16 @@ impl CacheLevel {
 /// What a [`TraceEvent::SpanBegin`]/[`TraceEvent::SpanEnd`] pair brackets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// A benchmark phase (between `SYS_PHASE` markers).
+    /// A benchmark phase (between `SYS_PHASE` markers); its id is the
+    /// phase id.
     Phase,
-    /// A protection-domain activation (between domain call and return).
+    /// A protection-domain activation (between domain call and return);
+    /// its id is the registered domain index.
     Domain,
 }
 
 impl SpanKind {
-    /// Lower-case short name used in JSON.
+    /// Lower-case short name used in JSON and as the timeline category.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -59,8 +61,7 @@ pub enum TraceEvent {
     /// eviction triggered by this access.
     CacheAccess { level: CacheLevel, write: bool, hit: bool, writeback: bool },
     /// A data-side access completed; `cycles` is the full hierarchy
-    /// charge for the access (feeds the `latency.data_access`
-    /// histogram).
+    /// charge for the access.
     DataAccess { write: bool, bytes: u64, cycles: u64 },
     /// A TLB refill was taken for `vaddr`; `cycles` is the refill
     /// tariff charged by the kernel handler.
@@ -85,8 +86,9 @@ pub enum TraceEvent {
     /// `to`, `!enter` a return from `from`.
     DomainCross { from: u64, to: u64, enter: bool },
     /// A timeline span opened (kernel phase or domain activation) at
-    /// guest cycle `cycles`. Spans are pure timeline structure: they
-    /// carry no counter and aggregation ignores them.
+    /// guest cycle `cycles`. Spans are pure timeline structure and
+    /// mirror no counter. The kernel closes them innermost first, each
+    /// with the `kind` and `id` it opened with.
     SpanBegin { kind: SpanKind, id: u64, cycles: u64 },
     /// The matching span closed at guest cycle `cycles`.
     SpanEnd { kind: SpanKind, id: u64, cycles: u64 },

@@ -1,12 +1,16 @@
-//! # cheri-trace — unified tracing & metrics for the CHERI reproduction
+//! # cheri-trace — unified tracing for the CHERI reproduction
 //!
 //! Every quantity the paper measures (the Figure 4/5 overheads, the
 //! §4.2 tag-cache behaviour, the §8 ablations) is an architectural
-//! event count. This crate gives those events one shared vocabulary
-//! ([`TraceEvent`]), one delivery mechanism (the [`Sink`] trait and the
-//! statically dispatched [`AnySink`]), and one export format (the
-//! [`Snapshot`] produced by a [`MetricsRegistry`], with mechanical
-//! [`Snapshot::diff`] between runs).
+//! event count. The simulator's own counters (`beri_sim::Stats`, the
+//! cache hierarchy, `TagCacheStats`) are the one aggregate of those
+//! counts: `Kernel::metrics` reads them into a [`Snapshot`] under the
+//! canonical [`names`], with mechanical [`Snapshot::diff`] between runs.
+//! This crate gives the events behind them one vocabulary
+//! ([`TraceEvent`]) and one delivery mechanism (the [`Sink`] trait and
+//! the statically dispatched [`AnySink`]) for per-event consumers — a
+//! JSONL stream or a ring buffer — plus the one Chrome trace-event
+//! writer ([`chrome`]) every timeline in the workspace renders through.
 //!
 //! ## Design constraints
 //!
@@ -19,34 +23,27 @@
 //!   `FnOnce() -> TraceEvent` via [`emit`].
 //! * **Observational transparency.** Sinks only observe; nothing in
 //!   this crate feeds back into architectural state. An integration
-//!   test in `cheri-bench` asserts that a fully aggregated run and an
+//!   test in `cheri-bench` asserts that a traced run and an
 //!   un-instrumented run of an Olden workload reach bit-identical
 //!   architectural end-states.
-//! * **Exact parity with legacy counters.** The per-struct counters
-//!   (`beri_sim::Stats`, `Cache` hit/miss fields, `TagCacheStats`)
-//!   remain authoritative and their public accessors keep working; the
-//!   event stream is emitted adjacent to every legacy increment so an
-//!   [`AggregateSink`] reproduces the same numbers under the canonical
-//!   names in [`names`].
+//! * **A complete stream.** Every event is emitted adjacent to the
+//!   counter increment it mirrors, so counting a JSONL stream's lines
+//!   by event kind reproduces the counters exactly — the same
+//!   integration test asserts it for every counter in [`names`].
 //!
 //! ## Quick use
 //!
 //! ```
-//! use cheri_trace::{shared, AggregateSink, AnySink, emit, CacheLevel, TraceEvent};
+//! use cheri_trace::{shared, AnySink, emit, RingBufferSink, TraceEvent};
 //!
-//! let sink = shared(AnySink::Aggregate(AggregateSink::new()));
+//! let sink = shared(AnySink::Ring(RingBufferSink::new(16)));
 //! let attached = Some(sink.clone());
-//! emit(&attached, || TraceEvent::CacheAccess {
-//!     level: CacheLevel::L1D,
-//!     write: false,
-//!     hit: true,
-//!     writeback: false,
-//! });
-//! let snap = match &*sink.borrow() {
-//!     AnySink::Aggregate(a) => a.snapshot(),
+//! emit(&attached, || TraceEvent::Syscall { nr: 4, cycles: 120 });
+//! let kept = match &*sink.borrow() {
+//!     AnySink::Ring(r) => r.events().len(),
 //!     _ => unreachable!(),
 //! };
-//! assert_eq!(snap.counter("cache.l1d.hits"), 1);
+//! assert_eq!(kept, 1);
 //! ```
 
 // Library paths must report errors, not abort: every fallible path
@@ -55,22 +52,20 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod chrome;
 mod event;
 pub mod json;
 mod metrics;
 mod sink;
 
 pub use event::{CacheLevel, SpanKind, TraceEvent};
-pub use metrics::{Histogram, MetricsRegistry, Snapshot, SnapshotDiff};
+pub use metrics::{Snapshot, SnapshotDiff};
 pub use sink::{
-    active, emit, marker, shared, AggregateSink, AnySink, JsonlSink, NullSink, RingBufferSink,
-    SharedSink, Sink,
+    active, emit, marker, shared, AnySink, JsonlSink, NullSink, RingBufferSink, SharedSink, Sink,
 };
 
-/// Canonical metric names shared by the event aggregator and the legacy
-/// counter exporters, so the two sides can be compared for exact
-/// equality. Keep `beri_sim::Machine::metrics` and
-/// [`AggregateSink`] in sync with this list.
+/// Canonical counter names: the keys `beri_sim::Machine::metrics` and
+/// `Kernel::metrics` export the simulator's counters under.
 pub mod names {
     /// Instructions retired.
     pub const INSTRUCTIONS: &str = "sim.instructions";
@@ -109,10 +104,6 @@ pub mod names {
     /// Data-side memory operations observed at retire.
     pub const LOADS: &str = "mem.loads";
     pub const STORES: &str = "mem.stores";
-    /// Latency histograms (log2-bucketed cycles).
-    pub const LAT_DATA_ACCESS: &str = "latency.data_access";
-    pub const LAT_TLB_REFILL: &str = "latency.tlb_refill";
-    pub const LAT_SYSCALL: &str = "latency.syscall";
 }
 
 #[cfg(test)]
@@ -129,29 +120,6 @@ mod tests {
             TraceEvent::TlbRefill { vaddr: 0, cycles: 30 }
         });
         assert!(!built, "NullSink must not force event construction");
-    }
-
-    #[test]
-    fn aggregate_matches_event_stream() {
-        let sink = shared(AnySink::Aggregate(AggregateSink::new()));
-        let attached = Some(sink.clone());
-        for i in 0..10u64 {
-            emit(&attached, || TraceEvent::Retire { pc: 0x1000 + 4 * i, cap: i % 2 == 0 });
-        }
-        emit(&attached, || TraceEvent::Syscall { nr: 4, cycles: 120 });
-        emit(&attached, || TraceEvent::TagCache { hit: false, writeback: true });
-        let snap = match &*sink.borrow() {
-            AnySink::Aggregate(a) => a.snapshot(),
-            _ => unreachable!(),
-        };
-        assert_eq!(snap.counter(names::INSTRUCTIONS), 10);
-        assert_eq!(snap.counter(names::CAP_INSTRUCTIONS), 5);
-        assert_eq!(snap.counter(names::SYSCALLS), 1);
-        assert_eq!(snap.counter(names::TAG_CACHE_MISSES), 1);
-        assert_eq!(snap.counter(names::TAG_CACHE_WRITEBACKS), 1);
-        let h = snap.histogram(names::LAT_SYSCALL).expect("syscall latency recorded");
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 120);
     }
 
     #[test]
@@ -173,17 +141,13 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_and_diff() {
-        let mut reg = MetricsRegistry::new();
-        reg.add(names::TLB_REFILLS, 7);
-        reg.add(names::SYSCALLS, 2);
-        reg.record(names::LAT_TLB_REFILL, 30);
-        reg.record(names::LAT_TLB_REFILL, 31);
-        let a = reg.snapshot();
-        reg.add(names::TLB_REFILLS, 5);
-        let b = reg.snapshot();
+        let mut a = Snapshot::default();
+        a.set_counter(names::TLB_REFILLS, 7);
+        a.set_counter(names::SYSCALLS, 2);
+        let mut b = a.clone();
+        b.set_counter(names::TLB_REFILLS, 12);
 
-        let text = a.to_json();
-        let back = Snapshot::from_json(&text).expect("parse own output");
+        let back = Snapshot::from_json(&a.to_json()).expect("parse own output");
         assert_eq!(back, a);
 
         let d = a.diff(&b);

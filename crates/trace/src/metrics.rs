@@ -1,178 +1,14 @@
-//! Named counters, log2-bucketed latency histograms, and mechanical
-//! run-to-run comparison.
+//! A named-counter snapshot and mechanical run-to-run comparison.
 
-use crate::json::{self, Json, JsonWriter};
+use crate::json::{self, JsonWriter};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A log2-bucketed histogram of cycle counts: bucket 0 holds zeros,
-/// bucket *k* (k ≥ 1) holds values with highest set bit *k−1*, i.e. the
-/// range `[2^(k-1), 2^k)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram { buckets: [0; 65], count: 0, sum: 0 }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Bucket index for `v`.
-    #[must_use]
-    pub fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations (saturating).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean observation, or 0 for an empty histogram.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Non-empty buckets as `(index, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, &c)| (i, c))
-    }
-
-    /// Inclusive-exclusive value range covered by bucket `i`.
-    #[must_use]
-    pub fn bucket_range(i: usize) -> (u64, u64) {
-        if i == 0 {
-            (0, 1)
-        } else {
-            (1u64 << (i - 1), (1u64 << (i - 1)).saturating_mul(2))
-        }
-    }
-
-    fn to_json_raw(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.u64_field("count", self.count);
-        w.u64_field("sum", self.sum);
-        let buckets: Vec<String> =
-            self.nonzero_buckets().map(|(i, c)| format!("[{i},{c}]")).collect();
-        w.raw_field("buckets", &format!("[{}]", buckets.join(",")));
-        w.close()
-    }
-
-    fn from_json(v: &Json) -> Result<Histogram, String> {
-        let obj = v.as_obj().ok_or("histogram must be an object")?;
-        let mut h = Histogram::new();
-        h.count = obj.get("count").and_then(Json::as_u64).ok_or("missing count")?;
-        h.sum = obj.get("sum").and_then(Json::as_u64).ok_or("missing sum")?;
-        for pair in obj.get("buckets").and_then(Json::as_arr).ok_or("missing buckets")? {
-            let pair = pair.as_arr().ok_or("bucket must be [index,count]")?;
-            let (i, c) = match pair {
-                [i, c] => (
-                    i.as_u64().ok_or("bad bucket index")? as usize,
-                    c.as_u64().ok_or("bad bucket count")?,
-                ),
-                _ => return Err("bucket must be a pair".into()),
-            };
-            *h.buckets.get_mut(i).ok_or("bucket index out of range")? = c;
-        }
-        Ok(h)
-    }
-}
-
-/// A named set of counters and latency histograms. This is the single
-/// accumulation point the scattered legacy counters are exported into
-/// (via `Machine::metrics`) and that the event-driven
-/// [`AggregateSink`](crate::AggregateSink) feeds directly.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to counter `name`.
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Sets counter `name` to an absolute value (used when exporting
-    /// legacy struct counters wholesale).
-    pub fn set(&mut self, name: &'static str, value: u64) {
-        self.counters.insert(name, value);
-    }
-
-    /// Records one latency observation into histogram `name`.
-    pub fn record(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// Current value of counter `name` (0 if never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// An owned, comparable copy of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            histograms: self.histograms.iter().map(|(&k, v)| (k.to_string(), v.clone())).collect(),
-        }
-    }
-
-    /// Per-counter deltas between two snapshots (convenience forward to
-    /// [`Snapshot::diff`]).
-    #[must_use]
-    pub fn diff(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
-        a.diff(b)
-    }
-}
-
-/// An immutable, serialisable copy of a registry's state at one moment.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// An immutable, serialisable set of named counters at one moment —
+/// `Kernel::metrics` fills one from the simulator's own counters.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Snapshot {
@@ -188,26 +24,9 @@ impl Snapshot {
         &self.counters
     }
 
-    /// Histogram `name`, if recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All histograms in name order.
-    #[must_use]
-    pub fn histograms(&self) -> &BTreeMap<String, Histogram> {
-        &self.histograms
-    }
-
     /// Inserts/overwrites a counter (used by exporters).
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
-    }
-
-    /// Inserts/overwrites a histogram (used by exporters).
-    pub fn set_histogram(&mut self, name: &str, h: Histogram) {
-        self.histograms.insert(name.to_string(), h);
     }
 
     /// Per-counter deltas from `self` (the "before"/"a" run) to `other`
@@ -249,25 +68,20 @@ impl Snapshot {
         SnapshotDiff { entries, warnings }
     }
 
-    /// Serialises as one JSON object:
-    /// `{"counters":{..},"histograms":{..}}`.
+    /// Serialises as one JSON object: `{"counters":{..}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut counters = JsonWriter::object();
         for (k, v) in &self.counters {
             counters.u64_field(k, *v);
         }
-        let mut histograms = JsonWriter::object();
-        for (k, h) in &self.histograms {
-            histograms.raw_field(k, &h.to_json_raw());
-        }
         let mut w = JsonWriter::object();
         w.raw_field("counters", &counters.close());
-        w.raw_field("histograms", &histograms.close());
         w.close()
     }
 
-    /// Parses the output of [`Snapshot::to_json`].
+    /// Parses the output of [`Snapshot::to_json`]. Other top-level keys
+    /// are ignored.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let v = json::parse(text)?;
         let obj = v.as_obj().ok_or("snapshot must be an object")?;
@@ -277,46 +91,18 @@ impl Snapshot {
                 snap.counters.insert(k.clone(), v.as_u64().ok_or("counter must be a u64")?);
             }
         }
-        if let Some(hists) = obj.get("histograms") {
-            for (k, v) in hists.as_obj().ok_or("histograms must be an object")? {
-                snap.histograms.insert(k.clone(), Histogram::from_json(v)?);
-            }
-        }
         Ok(snap)
     }
 
-    /// Renders an aligned human-readable table of all counters, then
-    /// histogram summaries.
+    /// Renders an aligned human-readable table of all counters.
     #[must_use]
     pub fn render_table(&self) -> String {
-        let width = self
-            .counters
-            .keys()
-            .chain(self.histograms.keys())
-            .map(String::len)
-            .max()
-            .unwrap_or(8)
-            .max(8);
+        let width = self.counters.keys().map(String::len).max().unwrap_or(8).max(8);
         let mut out = String::new();
         out.push_str(&format!("{:<width$}  {:>16}\n", "counter", "value"));
         out.push_str(&format!("{:-<width$}  {:->16}\n", "", ""));
         for (k, v) in &self.counters {
             out.push_str(&format!("{k:<width$}  {v:>16}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "{k:<width$}  {:>16}  (mean {:.1} cycles, max bucket ",
-                h.count(),
-                h.mean()
-            ));
-            let top = h.nonzero_buckets().last();
-            match top {
-                Some((i, _)) => {
-                    let (lo, hi) = Histogram::bucket_range(i);
-                    out.push_str(&format!("[{lo},{hi}))\n"));
-                }
-                None => out.push_str("-)\n"),
-            }
         }
         out
     }
@@ -370,40 +156,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log2_buckets() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(1023), 10);
-        assert_eq!(Histogram::bucket_of(1024), 11);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
-        for v in [0u64, 1, 2, 3, 7, 8, 100, 1 << 40] {
-            let (lo, hi) = Histogram::bucket_range(Histogram::bucket_of(v));
-            assert!(v >= lo && (v < hi || hi < lo), "{v} not in [{lo},{hi})");
-        }
-    }
-
-    #[test]
-    fn histogram_json_roundtrip() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 30, 30, 31, 120, 1 << 20] {
-            h.record(v);
-        }
-        let v = json::parse(&h.to_json_raw()).unwrap();
-        let back = Histogram::from_json(&v).unwrap();
-        assert_eq!(back, h);
-    }
-
-    #[test]
-    fn registry_snapshot_is_independent() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("x", 1);
-        let snap = reg.snapshot();
-        reg.add("x", 10);
-        assert_eq!(snap.counter("x"), 1);
-        assert_eq!(reg.counter("x"), 11);
+    fn json_roundtrip_ignores_unknown_keys() {
+        let mut snap = Snapshot::default();
+        snap.set_counter("tlb.refills", 7);
+        snap.set_counter("os.syscalls", 2);
+        assert_eq!(Snapshot::from_json(&snap.to_json()).unwrap(), snap);
+        let older = r#"{"counters":{"tlb.refills":7,"os.syscalls":2},"histograms":{}}"#;
+        assert_eq!(Snapshot::from_json(older).unwrap(), snap);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! the same handle and all feed one stream.
 
 use crate::event::TraceEvent;
-use crate::metrics::{MetricsRegistry, Snapshot};
-use crate::names;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -147,91 +145,6 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Folds the event stream into the canonical named counters and latency
-/// histograms of a [`MetricsRegistry`]. The names match what
-/// `beri_sim::Machine::metrics` exports from the legacy per-struct
-/// counters, so the two can be asserted equal.
-#[derive(Clone, Debug, Default)]
-pub struct AggregateSink {
-    registry: MetricsRegistry,
-}
-
-impl AggregateSink {
-    /// An empty aggregator.
-    #[must_use]
-    pub fn new() -> AggregateSink {
-        AggregateSink::default()
-    }
-
-    /// The accumulated registry.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// A snapshot of the accumulated state.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
-}
-
-impl Sink for AggregateSink {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        let r = &mut self.registry;
-        match *ev {
-            TraceEvent::Retire { cap, .. } => {
-                r.add(names::INSTRUCTIONS, 1);
-                if cap {
-                    r.add(names::CAP_INSTRUCTIONS, 1);
-                }
-            }
-            TraceEvent::CacheAccess { level, hit, writeback, .. } => {
-                use crate::event::CacheLevel::*;
-                let (h, m, w) = match level {
-                    L1I => (names::L1I_HITS, names::L1I_MISSES, names::L1I_WRITEBACKS),
-                    L1D => (names::L1D_HITS, names::L1D_MISSES, names::L1D_WRITEBACKS),
-                    L2 => (names::L2_HITS, names::L2_MISSES, names::L2_WRITEBACKS),
-                };
-                r.add(if hit { h } else { m }, 1);
-                if writeback {
-                    r.add(w, 1);
-                }
-            }
-            TraceEvent::DataAccess { write, cycles, .. } => {
-                r.add(if write { names::STORES } else { names::LOADS }, 1);
-                r.record(names::LAT_DATA_ACCESS, cycles);
-            }
-            TraceEvent::TlbRefill { cycles, .. } => {
-                r.add(names::TLB_REFILLS, 1);
-                r.record(names::LAT_TLB_REFILL, cycles);
-            }
-            TraceEvent::TagTableRead { .. } => r.add(names::TAG_TABLE_READS, 1),
-            TraceEvent::TagTableWrite { .. } => r.add(names::TAG_TABLE_WRITES, 1),
-            TraceEvent::TagCache { hit, writeback } => {
-                r.add(if hit { names::TAG_CACHE_HITS } else { names::TAG_CACHE_MISSES }, 1);
-                if writeback {
-                    r.add(names::TAG_CACHE_WRITEBACKS, 1);
-                }
-            }
-            TraceEvent::CapException { .. } => r.add(names::CAP_EXCEPTIONS, 1),
-            TraceEvent::Syscall { cycles, .. } => {
-                r.add(names::SYSCALLS, 1);
-                r.record(names::LAT_SYSCALL, cycles);
-            }
-            TraceEvent::ContextSwitch { .. } => r.add(names::CONTEXT_SWITCHES, 1),
-            TraceEvent::DomainCross { enter, .. } => {
-                r.add(if enter { names::DOMAIN_CALLS } else { names::DOMAIN_RETURNS }, 1);
-            }
-            // Spans are timeline structure, not counters: every span is
-            // paired with a counted event (Syscall for phases,
-            // DomainCross for domains), so counting them here would
-            // break the aggregate-vs-legacy parity checks.
-            TraceEvent::SpanBegin { .. } | TraceEvent::SpanEnd { .. } => {}
-        }
-    }
-}
-
 /// All sink shapes behind one statically dispatched enum, so the hot
 /// emission path never goes through a vtable.
 #[derive(Debug)]
@@ -242,10 +155,6 @@ pub enum AnySink {
     Ring(RingBufferSink),
     /// JSON-lines stream.
     Jsonl(JsonlSink),
-    /// Counter/histogram aggregation.
-    Aggregate(AggregateSink),
-    /// Fan-out to several sinks (e.g. JSONL + aggregate in one run).
-    Multi(Vec<AnySink>),
 }
 
 impl Sink for AnySink {
@@ -254,14 +163,6 @@ impl Sink for AnySink {
             AnySink::Null(s) => s.on_event(ev),
             AnySink::Ring(s) => s.on_event(ev),
             AnySink::Jsonl(s) => s.on_event(ev),
-            AnySink::Aggregate(s) => s.on_event(ev),
-            AnySink::Multi(sinks) => {
-                for s in sinks {
-                    if s.enabled() {
-                        s.on_event(ev);
-                    }
-                }
-            }
         }
     }
 
@@ -270,12 +171,6 @@ impl Sink for AnySink {
             AnySink::Null(s) => s.marker(label),
             AnySink::Ring(s) => s.marker(label),
             AnySink::Jsonl(s) => s.marker(label),
-            AnySink::Aggregate(s) => s.marker(label),
-            AnySink::Multi(sinks) => {
-                for s in sinks {
-                    s.marker(label);
-                }
-            }
         }
     }
 
@@ -284,12 +179,6 @@ impl Sink for AnySink {
             AnySink::Null(s) => s.flush(),
             AnySink::Ring(s) => s.flush(),
             AnySink::Jsonl(s) => s.flush(),
-            AnySink::Aggregate(s) => s.flush(),
-            AnySink::Multi(sinks) => {
-                for s in sinks {
-                    s.flush();
-                }
-            }
         }
     }
 
@@ -298,8 +187,6 @@ impl Sink for AnySink {
             AnySink::Null(s) => s.enabled(),
             AnySink::Ring(s) => s.enabled(),
             AnySink::Jsonl(s) => s.enabled(),
-            AnySink::Aggregate(s) => s.enabled(),
-            AnySink::Multi(sinks) => sinks.iter().any(Sink::enabled),
         }
     }
 }
@@ -316,8 +203,7 @@ pub fn shared(sink: AnySink) -> SharedSink {
 }
 
 /// Normalizes a sink handle for attachment: a disabled sink (a
-/// [`NullSink`], or a `Multi` of nothing but null sinks) is equivalent
-/// to no sink at all, so instrumented components store `None` for it
+/// [`NullSink`]) is equivalent to no sink at all, so instrumented components store `None` for it
 /// and the per-event cost collapses to the bare `Option` check — the
 /// "tracing off" configuration runs the exact baseline code path.
 /// Sinks never change their enabled state after construction, so this
@@ -381,27 +267,5 @@ mod tests {
         assert_eq!(lines[0], r#"{"marker":"run start: treeadd/cheri"}"#);
         assert!(lines[1].contains(r#""ev":"cache""#));
         assert_eq!(sink.written(), 1);
-    }
-
-    #[test]
-    fn multi_fans_out_and_enabled_is_any() {
-        let multi =
-            AnySink::Multi(vec![AnySink::Null(NullSink), AnySink::Aggregate(AggregateSink::new())]);
-        assert!(multi.enabled());
-        let sink = shared(multi);
-        let attached = Some(sink.clone());
-        emit(&attached, || TraceEvent::ContextSwitch { pid: 1 });
-        match &*sink.borrow() {
-            AnySink::Multi(sinks) => match &sinks[1] {
-                AnySink::Aggregate(a) => {
-                    assert_eq!(a.snapshot().counter(crate::names::CONTEXT_SWITCHES), 1);
-                }
-                _ => unreachable!(),
-            },
-            _ => unreachable!(),
-        }
-
-        let all_null = AnySink::Multi(vec![AnySink::Null(NullSink)]);
-        assert!(!all_null.enabled());
     }
 }

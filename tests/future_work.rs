@@ -5,6 +5,8 @@ use cheri::asm::{reg, Asm};
 use cheri::core::Capability;
 use cheri::os::{abi, boot, ExitReason, KernelConfig};
 
+mod common;
+
 /// Builds a callee compartment at `base`: a function that doubles its
 /// argument and returns via SYS_DRETURN. Addresses inside the
 /// compartment are C0-relative.
@@ -12,6 +14,15 @@ fn double_server(base: u64) -> cheri::asm::Program {
     let mut a = Asm::new(base);
     a.daddu(reg::A0, reg::A0, reg::A0);
     a.li64(reg::V0, abi::SYS_DRETURN as i64);
+    a.syscall(0);
+    a.finalize().unwrap()
+}
+
+/// A callee that ends the whole process from inside its activation.
+fn exiting_server(base: u64) -> cheri::asm::Program {
+    let mut a = Asm::new(base);
+    a.li64(reg::A0, 5);
+    a.li64(reg::V0, abi::SYS_EXIT as i64);
     a.syscall(0);
     a.finalize().unwrap()
 }
@@ -37,9 +48,12 @@ fn protected_domain_call_round_trip() {
     let dom_base = 0x40_0000u64;
     let dom_len = 0x1000u64;
 
-    // Caller: secret on the heap; calls domain 0 with 21; exits with the
+    // Caller: opens phase 1; calls domain 0 with 21; exits with the
     // result plus a marker proving it resumed with its own state.
     let mut a = Asm::new(layout.text_base);
+    a.li64(reg::A0, 1);
+    a.li64(reg::V0, abi::SYS_PHASE as i64);
+    a.syscall(0);
     a.li64(reg::S0, 1000); // caller-held state
     a.li64(reg::A0, 0); // domain id
     a.li64(reg::A1, 21); // argument
@@ -53,9 +67,49 @@ fn protected_domain_call_round_trip() {
     kernel.exec(&caller).unwrap();
     kernel.load_image(&double_server(dom_base)).unwrap();
     kernel.register_domain("doubler", dom_base, dom_base, dom_len).unwrap();
-    let out = kernel.run().unwrap();
-    assert_eq!(out.exit_value(), Some(1042), "{:?}", out.exit);
+    let run = common::run_observed(&mut kernel);
+    assert_eq!(run.outcome.exit_value(), Some(1042), "{:?}", run.outcome.exit);
     assert_eq!(kernel.domain_call_depth(), 0, "call stack balanced");
+    // The activation's span closes with its own id, inside the phase.
+    assert_eq!(run.stream, common::edges(&["+phase 1", "+domain 0", "-domain 0", "-phase 1"]));
+    assert_eq!(run.timeline, run.stream);
+}
+
+#[test]
+fn spans_close_innermost_first_when_the_process_ends_inside_a_domain() {
+    // The callee ends the process from inside its activation, once
+    // through SYS_EXIT and once by faulting: either way the domain span
+    // closes, under its own name, before the phase that encloses it.
+    let dom_base = 0x40_0000u64;
+    let heap = KernelConfig::default().layout.heap_base;
+    for (callee, faults) in [(exiting_server(dom_base), false), (nosy_server(dom_base, heap), true)]
+    {
+        let mut kernel = boot(KernelConfig::default());
+        let mut a = Asm::new(kernel.layout().text_base);
+        a.li64(reg::A0, 1);
+        a.li64(reg::V0, abi::SYS_PHASE as i64);
+        a.syscall(0);
+        a.li64(reg::A0, 0);
+        a.li64(reg::V0, abi::SYS_DCALL as i64);
+        a.syscall(0);
+        a.li64(reg::V0, abi::SYS_EXIT as i64);
+        a.syscall(0);
+        kernel.exec(&a.finalize().unwrap()).unwrap();
+        kernel.load_image(&callee).unwrap();
+        kernel.register_domain("callee", dom_base, dom_base, 0x1000).unwrap();
+        let run = common::run_observed(&mut kernel);
+        if faults {
+            assert!(
+                matches!(run.outcome.exit, ExitReason::CapFault { .. }),
+                "{:?}",
+                run.outcome.exit
+            );
+        } else {
+            assert_eq!(run.outcome.exit, ExitReason::Exit(5));
+        }
+        assert_eq!(run.stream, common::edges(&["+phase 1", "+domain 0", "-domain 0", "-phase 1"]));
+        assert_eq!(run.timeline, run.stream);
+    }
 }
 
 #[test]

@@ -8,6 +8,8 @@ use cheri::os::{abi, boot, Context, ExitReason, KernelConfig};
 use cheri::sim::tlb::TlbFlags;
 use cheri::sim::{Machine, MachineConfig, StepResult, TrapKind};
 
+mod common;
+
 #[test]
 fn unmodified_os_boots_with_full_authority() {
     // Section 4.3: "On CPU reset, capability registers are initialized,
@@ -183,4 +185,22 @@ fn malloc_without_system_calls() {
         "allocations must not enter the kernel: {}",
         out.stats.syscalls
     );
+}
+
+#[test]
+fn guest_spans_close_on_every_exit() {
+    // A process that opens phase 1 and then stops on `break` (not
+    // through SYS_EXIT) still leaves a balanced span stream and timeline:
+    // every exit closes the spans it leaves open.
+    let mut kernel = boot(KernelConfig::default());
+    let mut a = Asm::new(kernel.layout().text_base);
+    a.li64(reg::A0, 1);
+    a.li64(reg::V0, abi::SYS_PHASE as i64);
+    a.syscall(0);
+    a.break_(7);
+    kernel.exec(&a.finalize().unwrap()).unwrap();
+    let run = common::run_observed(&mut kernel);
+    assert_eq!(run.outcome.exit, ExitReason::Break(7));
+    assert_eq!(run.stream, common::edges(&["+phase 1", "-phase 1"]));
+    assert_eq!(run.timeline, run.stream);
 }
