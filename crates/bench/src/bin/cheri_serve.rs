@@ -1,26 +1,21 @@
-//! `cheri-serve` — the persistent sweep/profile simulation service.
+//! `cheri-serve` — the persistent sweep simulation service.
 //!
 //! Boots the TCP server from `cheri-serve` (the crate), keeps a pool of
 //! pre-booted phase-2 snapshots that workers clone-and-resume for warm
-//! execution, and serves line-delimited JSON requests (sweep / job /
-//! profile / replay — see DESIGN.md §4f for the protocol). SIGINT and
-//! SIGTERM drain: in-flight jobs finish, queued jobs bail, the process
-//! exits 0 with nothing partial on disk.
+//! execution, and serves line-delimited JSON requests (`sweep`, `job`,
+//! `metrics`, `health`, `ping`, `shutdown` — see DESIGN.md §4f for the
+//! protocol). SIGINT and SIGTERM drain: in-flight jobs finish, queued
+//! jobs bail, the process exits 0 with nothing partial on disk.
 //!
 //! ```text
 //! cheri-serve [--addr HOST:PORT]      bind address (default 127.0.0.1:0,
 //!                                     an ephemeral port; the bound address
 //!                                     is printed as "listening on ...")
 //!             [--workers N]           worker threads (default: host)
-//!             [--no-cache]            disable the content-hashed result cache
-//!             [--no-warm]             disable snapshot-pool warm execution
-//!                                     (every uncached job boots cold)
 //!             [--prewarm PROFILE]     pre-boot the snapshot pool for a
-//!                                     profile (smoke|full|paper) before
-//!                                     accepting work
-//!             [--prewarm-background PROFILE]
-//!                                     as --prewarm, but serve while booting;
-//!                                     `health` answers ready:false until done
+//!                                     profile (smoke|full|paper) in the
+//!                                     background while serving; `health`
+//!                                     answers ready:false until done
 //!             [--results DIR]         persist every completed served sweep
 //!                                     report under DIR (atomic write+rename)
 //!             [--telem-out FILE]      on drain, flush the request-span
@@ -35,22 +30,20 @@
 //! ```
 
 use cheri_bench::cli::{self, Cli};
-use cheri_serve::{signal, transparency_gate, JobEngine, Server, ServerConfig, Stop, WorkerPool};
+use cheri_serve::{
+    signal, telem, transparency_gate, JobEngine, Server, ServerConfig, Stop, WorkerPool,
+};
 use cheri_sweep::Profile;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const USAGE: &str = "cheri-serve [--addr HOST:PORT] [--workers N] [--no-cache] [--no-warm] \
-     [--prewarm smoke|full|paper] [--prewarm-background smoke|full|paper] [--results DIR] \
-     [--telem-out FILE] [--queue-limit N] [--selfcheck smoke|full|paper]";
+const USAGE: &str = "cheri-serve [--addr HOST:PORT] [--workers N] [--prewarm smoke|full|paper] \
+     [--results DIR] [--telem-out FILE] [--queue-limit N] [--selfcheck smoke|full|paper]";
 
 struct Args {
     addr: String,
     workers: usize,
-    cache: bool,
-    warm: bool,
     prewarm: Option<Profile>,
-    prewarm_background: Option<Profile>,
     results: Option<PathBuf>,
     telem_out: Option<PathBuf>,
     queue_limit: u64,
@@ -66,10 +59,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:0".into(),
         workers: cheri_sweep::default_threads(),
-        cache: true,
-        warm: true,
         prewarm: None,
-        prewarm_background: None,
         results: None,
         telem_out: None,
         queue_limit: 256,
@@ -84,12 +74,7 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--addr" => args.addr = cli.value("--addr"),
             "--workers" => args.workers = cli.positive("--workers"),
-            "--no-cache" => args.cache = false,
-            "--no-warm" => args.warm = false,
             "--prewarm" => args.prewarm = Some(profile(&mut cli, "--prewarm")),
-            "--prewarm-background" => {
-                args.prewarm_background = Some(profile(&mut cli, "--prewarm-background"));
-            }
             "--results" => args.results = Some(PathBuf::from(cli.value("--results"))),
             "--telem-out" => args.telem_out = Some(PathBuf::from(cli.value("--telem-out"))),
             "--queue-limit" => args.queue_limit = cli.positive("--queue-limit") as u64,
@@ -104,7 +89,7 @@ fn parse_args() -> Args {
 /// through it in-process, and gate byte-identity against the cold batch
 /// path. Exit 0 on identity, 1 on divergence.
 fn selfcheck(args: &Args, profile: Profile) -> ! {
-    let engine = Arc::new(JobEngine::new(args.cache, args.warm));
+    let engine = Arc::new(JobEngine::default());
     let workers = WorkerPool::new(args.workers);
     let stop = Stop::new(false);
     let prewarmed = engine.prewarm(profile, &workers, &stop);
@@ -114,14 +99,14 @@ fn selfcheck(args: &Args, profile: Profile) -> ! {
     );
     match transparency_gate(&engine, &workers, profile) {
         Ok(report) => {
-            let stats = engine.stats(0);
+            let counts = engine.telem().registry().snapshot();
             println!(
                 "selfcheck OK: served report ({} jobs; {} cached, {} warm, {} cold) is \
                  byte-identical to the cold batch report",
                 report.jobs.len(),
-                stats.cache_hits,
-                stats.warm_runs,
-                stats.cold_runs
+                counts.counter(telem::JOBS_CACHED),
+                counts.counter(telem::JOBS_WARM),
+                counts.counter(telem::JOBS_COLD)
             );
             workers.shutdown();
             std::process::exit(0);
@@ -138,8 +123,6 @@ fn main() {
     signal::install();
     let cfg = ServerConfig {
         workers: args.workers,
-        cache: args.cache,
-        warm: args.warm,
         results_dir: args.results.clone(),
         watch_signals: true,
         telem_out: args.telem_out.clone(),
@@ -150,17 +133,8 @@ fn main() {
     let addr = server.local_addr().unwrap_or_else(|e| fail(&format!("local_addr: {e}")));
     // CI and scripts scrape this exact line for the ephemeral port.
     println!("cheri-serve: listening on {addr}");
-    println!(
-        "cheri-serve: {} worker(s), cache {}, warm execution {}",
-        args.workers,
-        if args.cache { "on" } else { "off" },
-        if args.warm { "on" } else { "off" }
-    );
+    println!("cheri-serve: {} worker(s)", args.workers);
     if let Some(profile) = args.prewarm {
-        let added = server.prewarm(profile);
-        println!("cheri-serve: prewarmed {added} snapshot(s) for the {} profile", profile.name());
-    }
-    if let Some(profile) = args.prewarm_background {
         server.prewarm_background(profile);
         println!(
             "cheri-serve: prewarming the {} profile in the background (health reports ready \

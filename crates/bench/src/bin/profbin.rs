@@ -78,7 +78,7 @@ fn main() {
     let (args, cli) = parse_args();
     // The same by-name constructor the cheri-serve protocol resolves
     // jobs through, so "profbin --workload X --strategy Y" and a served
-    // profile request name exactly the same experiment.
+    // job request name exactly the same experiment.
     let spec =
         JobSpec::from_parts(&args.workload, &args.strategy, args.tag_kb, OldenParams::scaled())
             .unwrap_or_else(|| {

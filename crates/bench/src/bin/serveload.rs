@@ -172,9 +172,7 @@ struct Outcome {
 fn one_request(client: &mut Client, work: &Work, cache: bool) -> Outcome {
     let t0 = Instant::now();
     let done = match work {
-        Work::Sweep(profile) => {
-            client.sweep(*profile, cache, false, |_, _, _, _| {}).map(|(report, _)| Some(report))
-        }
+        Work::Sweep(profile) => client.sweep(*profile, cache, |_, _, _, _| {}).map(Some),
         Work::Job(parts) => client.job(parts.clone(), cache).map(|_| None),
     };
     let latency_us = t0.elapsed().as_micros() as u64;

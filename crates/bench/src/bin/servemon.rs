@@ -1,8 +1,8 @@
 //! `servemon` — a live terminal dashboard for a running `cheri-serve`
 //! instance.
 //!
-//! Polls the server's `metrics` (Prometheus text exposition), `health`,
-//! and `stats` verbs and redraws one plain-text frame per interval:
+//! Polls the server's `metrics` (Prometheus text exposition) and
+//! `health` verbs and redraws one plain-text frame per interval:
 //! jobs/s, per-origin hit rates, queue depth and worker states, latency
 //! percentiles (upper bucket bounds from the streaming histograms, the
 //! exact max from its gauge), and per-phase averages. No TUI
@@ -26,7 +26,7 @@
 //! streaming histogram — see DESIGN.md §4i.
 
 use cheri_bench::cli::{self, Cli};
-use cheri_serve::protocol::{HealthSnapshot, StatsSnapshot};
+use cheri_serve::protocol::HealthSnapshot;
 use cheri_serve::Client;
 use cheri_telem::{parse_exposition, Exposition};
 use cheri_trace::json::JsonWriter;
@@ -66,11 +66,10 @@ fn parse_args() -> Args {
     args
 }
 
-/// One poll of the server: exposition + health + stats.
+/// One poll of the server: exposition + health.
 struct Sample {
     exp: Exposition,
     health: HealthSnapshot,
-    stats: StatsSnapshot,
     at: Instant,
 }
 
@@ -78,8 +77,7 @@ fn poll(client: &mut Client) -> Result<Sample, String> {
     let text = client.metrics()?;
     let exp = parse_exposition(&text).map_err(|e| format!("bad metrics exposition: {e}"))?;
     let health = client.health()?;
-    let stats = client.stats()?;
-    Ok(Sample { exp, health, stats, at: Instant::now() })
+    Ok(Sample { exp, health, at: Instant::now() })
 }
 
 /// Counter value or 0 (absent just means "nothing recorded yet").
@@ -102,7 +100,7 @@ fn jobs_per_sec_x100(prev: Option<&Sample>, cur: &Sample) -> u64 {
             let dt_ms = (cur.at.duration_since(p.at).as_millis() as u64).max(1);
             djobs.saturating_mul(100_000) / dt_ms
         }
-        None => jobs.saturating_mul(100_000) / cur.stats.uptime_ms.max(1),
+        None => jobs.saturating_mul(100_000) / cur.health.uptime_ms.max(1),
     }
 }
 
@@ -140,12 +138,8 @@ fn draw_frame(addr: &str, prev: Option<&Sample>, s: &Sample, clear: bool) {
     let max_us = s.exp.gauge("serve_job_latency_max_us");
     let q = |pct| lat.and_then(|h| h.quantile_upper(pct, max_us));
     println!(
-        "servemon @ {addr} | up {} ms | cheri-serve v{} ({} workers, cache {}, warm {})",
-        s.stats.uptime_ms,
-        if s.stats.version.is_empty() { "?" } else { &s.stats.version },
-        s.stats.workers,
-        if s.stats.cache_enabled { "on" } else { "off" },
-        if s.stats.warm_enabled { "on" } else { "off" },
+        "servemon @ {addr} | up {} ms | cheri-serve v{} ({} workers)",
+        h.uptime_ms, h.version, h.workers,
     );
     println!(
         "health   {} | prewarm {} | workers {}/{} alive | queue {}/{}",
@@ -166,12 +160,11 @@ fn draw_frame(addr: &str, prev: Option<&Sample>, s: &Sample, clear: bool) {
         jps % 100,
     );
     println!(
-        "server   busy {}/{} workers | pool {} snapshots | cache {} results | {} requests",
+        "server   busy {}/{} workers | pool {} snapshots | cache {} results",
         s.exp.gauge("serve_workers_busy").unwrap_or(0),
-        s.stats.workers,
-        s.stats.pool_entries,
-        s.stats.cached_results,
-        s.stats.requests,
+        h.workers,
+        s.exp.gauge("serve_pool_entries").unwrap_or(0),
+        s.exp.gauge("serve_cached_results").unwrap_or(0),
     );
     println!(
         "latency  p50 {} | p95 {} | p99 {} | max {}",
@@ -199,7 +192,7 @@ fn json_frame(s: &Sample) -> String {
     let mut w = JsonWriter::object();
     w.bool_field("ready", s.health.ready);
     w.str_field("prewarm", &s.health.prewarm);
-    w.u64_field("uptime_ms", s.stats.uptime_ms);
+    w.u64_field("uptime_ms", s.health.uptime_ms);
     w.u64_field("workers", s.health.workers);
     w.u64_field("workers_alive", s.health.workers_alive);
     w.u64_field("workers_busy", s.exp.gauge("serve_workers_busy").unwrap_or(0));
@@ -214,9 +207,9 @@ fn json_frame(s: &Sample) -> String {
     w.u64_field("p95_us_upper", q(95));
     w.u64_field("p99_us_upper", q(99));
     w.u64_field("max_us", max_us.unwrap_or(0));
-    w.u64_field("pool_entries", s.stats.pool_entries);
-    w.u64_field("cached_results", s.stats.cached_results);
-    w.str_field("version", &s.stats.version);
+    w.u64_field("pool_entries", s.exp.gauge("serve_pool_entries").unwrap_or(0));
+    w.u64_field("cached_results", s.exp.gauge("serve_cached_results").unwrap_or(0));
+    w.str_field("version", &s.health.version);
     w.close()
 }
 

@@ -22,7 +22,6 @@
 use cheri_snap::StateHash;
 use cheri_sweep::{JobRecord, JobSpec};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A finished job's record and its serialised form
@@ -61,65 +60,27 @@ pub fn cache_key_canonical(canonical_config: &str, snap: StateHash) -> u64 {
     StateHash::of_bytes(text.as_bytes()).0
 }
 
-/// A thread-safe result cache with hit/miss accounting.
-///
-/// A disabled cache ([`ResultCache::new`] with `enabled = false`) never
-/// hits and never stores, so a load-generation run can force every
-/// request down the execution path while keeping the same call sites.
+/// A thread-safe result cache. Hits and misses are not counted here: a
+/// hit is exactly one `serve_jobs_cached_total` in the telemetry
+/// registry.
+#[derive(Default)]
 pub struct ResultCache {
     map: Mutex<HashMap<u64, Arc<StoredRecord>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    enabled: bool,
 }
 
 impl ResultCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new(enabled: bool) -> ResultCache {
-        ResultCache {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            enabled,
-        }
-    }
-
-    /// Whether this cache stores anything at all.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Looks a key up, counting the hit or miss. Always a (counted)
-    /// miss when the cache is disabled. A hit shares the stored entry.
+    /// Looks a key up. A hit shares the stored entry.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<Arc<StoredRecord>> {
-        let found = if self.enabled {
-            self.map.lock().map_or(None, |m| m.get(&key).cloned())
-        } else {
-            None
-        };
-        match found {
-            Some(rec) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(rec)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.map.lock().map_or(None, |m| m.get(&key).cloned())
     }
 
-    /// Stores a record (no-op when disabled). Two workers racing on the
-    /// same key store byte-identical records — the simulator is
-    /// deterministic — so last-write-wins is harmless.
+    /// Stores a record. Two workers racing on the same key store
+    /// byte-identical records — the simulator is deterministic — so
+    /// last-write-wins is harmless.
     pub fn store(&self, key: u64, record: &Arc<StoredRecord>) {
-        if self.enabled {
-            if let Ok(mut m) = self.map.lock() {
-                m.insert(key, Arc::clone(record));
-            }
+        if let Ok(mut m) = self.map.lock() {
+            m.insert(key, Arc::clone(record));
         }
     }
 
@@ -133,18 +94,6 @@ impl ResultCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -171,25 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_never_hits() {
-        let cache = ResultCache::new(false);
-        cache.store(7, &record("a"));
-        assert_eq!(cache.lookup(7), None);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn enabled_cache_counts_hits_and_misses() {
-        let cache = ResultCache::new(true);
+    fn a_hit_shares_the_stored_entry() {
+        let cache = ResultCache::default();
         assert_eq!(cache.lookup(1), None);
         let stored = record("a");
         cache.store(1, &stored);
         let hit = cache.lookup(1).unwrap();
         assert!(Arc::ptr_eq(&hit, &stored), "a hit shares the stored entry, never a copy");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!(!cache.is_empty());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! A blocking client for the `cheri-serve/v1` protocol, used by the
-//! `serveload` load generator, the CI smoke round-trip, and the tests.
+//! A blocking client for the `cheri-serve/v2` protocol, used by
+//! `serveload`, `servemon`, `cheribench`, and the tests.
 //!
 //! The client is deliberately thin: it frames lines, encodes requests,
 //! decodes events, and offers one helper per request kind that runs the
@@ -9,7 +9,7 @@
 //! re-serialises them.
 
 use crate::protocol::{
-    decode_event, encode_request, Event, HealthSnapshot, JobParts, Origin, Request, StatsSnapshot,
+    decode_event, encode_request, Event, HealthSnapshot, JobParts, Origin, Request,
 };
 use cheri_sweep::Profile;
 use std::io::{BufRead, BufReader, Write};
@@ -67,10 +67,7 @@ impl Client {
             Ok(0) => Err("server closed the connection".into()),
             Ok(_) => {
                 let ev = decode_event(&line)?;
-                if let Event::Report { req, .. }
-                | Event::Record { req, .. }
-                | Event::Profile { req, .. } = &ev
-                {
+                if let Event::Report { req, .. } | Event::Record { req, .. } = &ev {
                     self.last_req = *req;
                 }
                 Ok(ev)
@@ -94,8 +91,7 @@ impl Client {
     }
 
     /// Runs a sweep to completion, invoking `progress` per finished job,
-    /// and returns the raw report bytes plus whether the server's
-    /// in-process transparency gate ran (`verify: true` requests).
+    /// and returns the raw report bytes.
     ///
     /// # Errors
     ///
@@ -105,17 +101,16 @@ impl Client {
         &mut self,
         profile: Profile,
         cache: bool,
-        verify: bool,
         mut progress: F,
-    ) -> Result<(String, bool), String>
+    ) -> Result<String, String>
     where
         F: FnMut(u64, u64, &str, Origin),
     {
-        self.send(&Request::Sweep { profile, cache, verify })?;
+        self.send(&Request::Sweep { profile, cache })?;
         loop {
             match self.next_event()? {
                 Event::Progress { done, total, key, origin } => progress(done, total, &key, origin),
-                Event::Report { report, verified, .. } => return Ok((report, verified)),
+                Event::Report { report, .. } => return Ok(report),
                 Event::Error { message } => return Err(message),
                 other => return Err(format!("expected progress/report, got {other:?}")),
             }
@@ -137,49 +132,6 @@ impl Client {
             Event::Record { key, origin, record, .. } => Ok((key, origin, record)),
             Event::Error { message } => Err(message),
             other => Err(format!("expected record, got {other:?}")),
-        }
-    }
-
-    /// Runs one profiled job; returns `(key, raw record, raw profile)`.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors or a server-side `error` event.
-    pub fn profile(&mut self, parts: JobParts) -> Result<(String, String, String), String> {
-        self.send(&Request::Profile { parts })?;
-        match self.next_event()? {
-            Event::Profile { key, record, profile, .. } => Ok((key, record, profile)),
-            Event::Error { message } => Err(message),
-            other => Err(format!("expected profile, got {other:?}")),
-        }
-    }
-
-    /// Replays one job from its pooled snapshot; returns `(key,
-    /// snapshot state hash, raw record bytes)`.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, no pooled snapshot, or a server-side error.
-    pub fn replay(&mut self, parts: JobParts) -> Result<(String, String, String), String> {
-        self.send(&Request::Replay { parts })?;
-        match self.next_event()? {
-            Event::Record { key, snap_hash, record, .. } => Ok((key, snap_hash, record)),
-            Event::Error { message } => Err(message),
-            other => Err(format!("expected record, got {other:?}")),
-        }
-    }
-
-    /// Fetches the server's counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors or an unexpected event.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, String> {
-        self.send(&Request::Stats)?;
-        match self.next_event()? {
-            Event::Stats(s) => Ok(s),
-            Event::Error { message } => Err(message),
-            other => Err(format!("expected stats, got {other:?}")),
         }
     }
 

@@ -5,15 +5,14 @@
 //! every rung of the ladder bottoms out in [`run_job`], the runner the
 //! batch binaries use — [`Mode::Resume`] for warm execution (exactly
 //! `xsweep --warm`'s restore path), [`Mode::Split`] for cold execution
-//! (exactly its cold path), [`Mode::BootOnly`] for prewarm and
-//! [`Mode::Profiled`] for profile requests. The service adds only
-//! *where results come from* (cache, pooled snapshot, fresh boot),
-//! never *how they are computed* — which is why the transparency gate
-//! can demand byte-identity with the batch report.
+//! (exactly its cold path) and [`Mode::BootOnly`] for prewarm. The
+//! service adds only *where results come from* (cache, pooled snapshot,
+//! fresh boot), never *how they are computed* — which is why the
+//! transparency gate can demand byte-identity with the batch report.
 
 use crate::cache::{cache_key_canonical, ResultCache, StoredRecord, NO_SNAPSHOT};
 use crate::pool::{PoolEntry, SnapshotPool};
-use crate::protocol::{Origin, StatsSnapshot};
+use crate::protocol::Origin;
 use crate::signal;
 use crate::telem::{elapsed_us, JobCtx, PhaseRecorder, ServiceTelem};
 use cheri_sweep::{
@@ -57,17 +56,22 @@ impl Stop {
     }
 }
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A queued task: runs the submitted work, holding the busy count (the
+/// argument) while it does, then sends the result.
+type Task = Box<dyn FnOnce(&AtomicU64) + Send + 'static>;
 
 /// A fixed-size pool of persistent worker threads fed from one shared
 /// queue. All requests on all connections shard their jobs into the
 /// same pool, so total simulator parallelism is bounded by the worker
 /// count no matter how many clients are connected.
 ///
-/// A task that panics unwinds no further than its worker's loop: the
-/// worker survives to take the next task, so [`WorkerPool::alive`]
-/// keeps telling the truth. The task's captured reply channel drops
-/// unanswered, which is how its submitter learns of the panic.
+/// A task's result is sent only after its worker has left the busy
+/// count, so a submitter holding the result never sees its own task as
+/// [`WorkerPool::busy`]. A task that panics unwinds no further than
+/// [`WorkerPool::submit`]'s wrapper: the worker survives to take the
+/// next task, so [`WorkerPool::alive`] keeps telling the truth, and the
+/// reply sender drops unanswered, which is how the submitter learns of
+/// the panic.
 pub struct WorkerPool {
     tx: Mutex<Option<mpsc::Sender<Task>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -104,11 +108,7 @@ impl WorkerPool {
                     match task {
                         Ok(task) => {
                             queued.fetch_sub(1, Ordering::Relaxed);
-                            busy.fetch_add(1, Ordering::Relaxed);
-                            // The panic message itself goes to stderr
-                            // through the default hook.
-                            let _ = std::panic::catch_unwind(AssertUnwindSafe(task));
-                            busy.fetch_sub(1, Ordering::Relaxed);
+                            task(&busy);
                         }
                         Err(_) => break, // all senders gone: shutdown
                     }
@@ -152,14 +152,29 @@ impl WorkerPool {
         self.alive.load(Ordering::Relaxed)
     }
 
-    /// Submits a task; returns `false` if the pool has shut down (the
-    /// task is dropped).
-    pub fn submit<F: FnOnce() + Send + 'static>(&self, task: F) -> bool {
+    /// Submits `task`, whose result a worker sends on `reply` once it
+    /// has left the busy count. A task that panics sends nothing: its
+    /// `reply` drops unanswered (the panic message itself goes to
+    /// stderr through the default hook). Returns `false` if the pool has
+    /// shut down (the task and `reply` are dropped).
+    pub fn submit<T, F>(&self, reply: mpsc::Sender<T>, task: F) -> bool
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let task: Task = Box::new(move |busy: &AtomicU64| {
+            busy.fetch_add(1, Ordering::Relaxed);
+            let out = std::panic::catch_unwind(AssertUnwindSafe(task));
+            busy.fetch_sub(1, Ordering::Relaxed);
+            if let Ok(out) = out {
+                let _ = reply.send(out);
+            }
+        });
         match self.tx.lock() {
             Ok(guard) => match guard.as_ref() {
                 Some(tx) => {
                     self.queued.fetch_add(1, Ordering::Relaxed);
-                    let sent = tx.send(Box::new(task)).is_ok();
+                    let sent = tx.send(task).is_ok();
                     if !sent {
                         self.queued.fetch_sub(1, Ordering::Relaxed);
                     }
@@ -211,47 +226,17 @@ pub struct Miss {
 }
 
 /// The per-job decision ladder (cache → warm pool → cold boot) plus the
-/// shared state it works over. One engine serves every connection.
+/// shared state it works over. One engine serves every connection; its
+/// telemetry ([`JobEngine::telem`]) is the only count of the jobs it
+/// ran, by origin.
+#[derive(Default)]
 pub struct JobEngine {
     cache: ResultCache,
     pool: SnapshotPool,
-    warm: bool,
-    jobs: AtomicU64,
-    warm_runs: AtomicU64,
-    cold_runs: AtomicU64,
     telem: Arc<ServiceTelem>,
 }
 
 impl JobEngine {
-    /// A fresh engine. `cache_enabled` gates the result cache;
-    /// `warm_enabled` gates snapshot-pool execution (off = every
-    /// uncached job boots cold, the configuration the warm-vs-cold
-    /// benchmark compares against). The engine records into telemetry
-    /// of its own; use [`JobEngine::with_telem`] to share it.
-    #[must_use]
-    pub fn new(cache_enabled: bool, warm_enabled: bool) -> JobEngine {
-        JobEngine::with_telem(cache_enabled, warm_enabled, Arc::default())
-    }
-
-    /// As [`JobEngine::new`] with a caller-supplied telemetry handle
-    /// (the server shares one between the engine and the wire verbs).
-    #[must_use]
-    pub fn with_telem(
-        cache_enabled: bool,
-        warm_enabled: bool,
-        telem: Arc<ServiceTelem>,
-    ) -> JobEngine {
-        JobEngine {
-            cache: ResultCache::new(cache_enabled),
-            pool: SnapshotPool::new(),
-            warm: warm_enabled,
-            jobs: AtomicU64::new(0),
-            warm_runs: AtomicU64::new(0),
-            cold_runs: AtomicU64::new(0),
-            telem,
-        }
-    }
-
     /// The snapshot pool (exposed for prewarm and tests).
     #[must_use]
     pub fn pool(&self) -> &SnapshotPool {
@@ -264,7 +249,8 @@ impl JobEngine {
         &self.cache
     }
 
-    /// The telemetry handle this engine records into.
+    /// The telemetry handle this engine records into (the server's
+    /// wire verbs share it).
     #[must_use]
     pub fn telem(&self) -> &Arc<ServiceTelem> {
         &self.telem
@@ -307,7 +293,6 @@ impl JobEngine {
         let entry = self.pool.get(&canon);
         if let Some(entry) = entry.as_ref().filter(|_| use_cache) {
             if let Some(stored) = self.cache.lookup(cache_key_canonical(&canon, entry.hash)) {
-                self.jobs.fetch_add(1, Ordering::Relaxed);
                 self.telem.job_finished(Origin::Cached, elapsed_us(t0));
                 return Lookup::Hit(stored);
             }
@@ -318,8 +303,8 @@ impl JobEngine {
     /// The executing rungs for a job [`JobEngine::lookup`] missed,
     /// without looking it up again:
     ///
-    /// 1. pool entry present and warm execution enabled → restore and
-    ///    run the computation phase ([`Mode::Resume`]);
+    /// 1. pool entry present → restore and run the computation phase
+    ///    ([`Mode::Resume`]);
     /// 2. otherwise → full cold run ([`Mode::Split`]), pooling the
     ///    phase-2 snapshot it captures for every later request.
     ///
@@ -341,9 +326,7 @@ impl JobEngine {
         ctx: JobCtx,
     ) -> Result<(Arc<StoredRecord>, Origin), String> {
         let t0 = Instant::now();
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        let from = miss.entry.as_deref().filter(|_| self.warm);
-        let (record, origin, hash) = self.run(spec, &miss.canon, from, ctx)?;
+        let (record, origin, hash) = self.run(spec, &miss.canon, miss.entry.as_deref(), ctx)?;
         self.telem.job_finished(origin, elapsed_us(t0));
         let json = self.telem.serialize_span(ctx, || record.to_json());
         let stored = Arc::new(StoredRecord { record, json });
@@ -351,29 +334,6 @@ impl JobEngine {
             self.cache.store(cache_key_canonical(&miss.canon, hash), &stored);
         }
         Ok((stored, origin))
-    }
-
-    /// Re-executes one job from its pooled snapshot, bypassing the
-    /// cache, and returns the record plus the hash of the state it
-    /// resumed from — the service's triage hook (`replay` requests).
-    ///
-    /// # Errors
-    ///
-    /// If no snapshot is pooled for the job, or on restore/run errors.
-    pub fn execute_replay(
-        &self,
-        spec: &JobSpec,
-        ctx: JobCtx,
-    ) -> Result<(JobRecord, cheri_snap::StateHash), String> {
-        let t0 = Instant::now();
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        let canon = spec.canonical_json();
-        let entry = self.pool.get(&canon).ok_or_else(|| {
-            format!("no pooled snapshot for {} (run it once or prewarm)", spec.key())
-        })?;
-        let (rec, origin, hash) = self.run(spec, &canon, Some(&entry), ctx)?;
-        self.telem.job_finished(origin, elapsed_us(t0));
-        Ok((rec, hash))
     }
 
     /// The executing rungs of the ladder: resumes `from` (warm) or boots
@@ -387,9 +347,9 @@ impl JobEngine {
         from: Option<&PoolEntry>,
         ctx: JobCtx,
     ) -> Result<(JobRecord, Origin, cheri_snap::StateHash), String> {
-        let (origin, mode, runs) = match from {
-            Some(entry) => (Origin::Warm, Mode::Resume(&entry.snapshot), &self.warm_runs),
-            None => (Origin::Cold, Mode::Split, &self.cold_runs),
+        let (origin, mode) = match from {
+            Some(entry) => (Origin::Warm, Mode::Resume(&entry.snapshot)),
+            None => (Origin::Cold, Mode::Split),
         };
         let mut phases = PhaseRecorder::new(&self.telem, ctx, origin.name());
         let run = run_job(spec, spec.machine_config(), mode, None, &mut |n, b| phases.note(n, b))?;
@@ -400,27 +360,7 @@ impl JobEngine {
             (None, Some(snap)) => self.pool.insert(canon.to_string(), snap).hash,
             (None, None) => NO_SNAPSHOT,
         };
-        runs.fetch_add(1, Ordering::Relaxed);
         Ok((rec, origin, hash))
-    }
-
-    /// Runs one job cold with the guest profiler attached and returns
-    /// the record plus the serialised profile. Profiled runs are never
-    /// cached or warm-started: the profile is an observational artifact
-    /// of a *whole* run, and a restore resets it by design.
-    ///
-    /// # Errors
-    ///
-    /// As [`JobEngine::execute`].
-    pub fn execute_profiled(&self, spec: &JobSpec) -> Result<(JobRecord, String), String> {
-        let t0 = Instant::now();
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        let run = run_job(spec, spec.machine_config(), Mode::Profiled, None, &mut |_, _| {})?;
-        let result = run.result.expect("profiled runs complete");
-        let profile = run.profile.expect("profiled runs return a profile");
-        self.cold_runs.fetch_add(1, Ordering::Relaxed);
-        self.telem.job_finished(Origin::Cold, elapsed_us(t0));
-        Ok((JobRecord::from_result(&result), profile.to_json()))
     }
 
     /// Fills the pool with phase-2 pre-boots for every job of `profile`
@@ -438,22 +378,19 @@ impl JobEngine {
             }
             let engine = self.clone();
             let stop = stop.clone();
-            let tx = tx.clone();
-            let ok = workers.submit(move || {
-                let added = if stop.stopping() {
-                    false
-                } else {
-                    let run =
-                        run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
-                    match run.map(|r| r.snapshot) {
-                        Ok(Some(snap)) => {
-                            engine.pool.insert(canon, snap);
-                            true
-                        }
-                        Ok(None) | Err(_) => false,
+            let ok = workers.submit(tx.clone(), move || {
+                if stop.stopping() {
+                    return false;
+                }
+                let run =
+                    run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+                match run.map(|r| r.snapshot) {
+                    Ok(Some(snap)) => {
+                        engine.pool.insert(canon, snap);
+                        true
                     }
-                };
-                let _ = tx.send(added);
+                    Ok(None) | Err(_) => false,
+                }
             });
             if ok {
                 submitted += 1;
@@ -461,27 +398,6 @@ impl JobEngine {
         }
         drop(tx);
         rx.into_iter().filter(|&added| added).count().min(submitted)
-    }
-
-    /// The engine's counters as one consistent-enough snapshot (each
-    /// counter is individually exact; the set is sampled without a
-    /// global lock). Server-level fields — uptime, worker count,
-    /// version — are the caller's to fill in.
-    #[must_use]
-    pub fn stats(&self, requests: u64) -> StatsSnapshot {
-        StatsSnapshot {
-            requests,
-            jobs: self.jobs.load(Ordering::Relaxed),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cached_results: self.cache.len() as u64,
-            warm_runs: self.warm_runs.load(Ordering::Relaxed),
-            cold_runs: self.cold_runs.load(Ordering::Relaxed),
-            pool_entries: self.pool.len() as u64,
-            cache_enabled: self.cache.enabled(),
-            warm_enabled: self.warm,
-            ..StatsSnapshot::default()
-        }
     }
 }
 
@@ -525,11 +441,10 @@ where
         let spec = *spec;
         let worker_engine = engine.clone();
         let stop = stop.clone();
-        let tx = tx.clone();
         let ctx = JobCtx { req, job: i as u64 };
         let queued_at = Instant::now();
         engine.telem().queue_begin(ctx);
-        let ok = workers.submit(move || {
+        let ok = workers.submit(tx.clone(), move || {
             let engine = worker_engine;
             engine.telem().queue_end(ctx, elapsed_us(queued_at));
             let out = if stop.stopping() {
@@ -540,7 +455,7 @@ where
                     Err(e) => JobOut::Failed(format!("{}: {e}", spec.key())),
                 }
             };
-            let _ = tx.send((i, out));
+            (i, out)
         });
         if ok {
             submitted += 1;
@@ -580,9 +495,9 @@ where
 }
 
 /// The in-process transparency gate: serves `profile` through the
-/// engine (cache + pool as configured), runs the *same* matrix through
-/// the cold batch path ([`run_matrix`] — the library form of `xsweep`'s
-/// default mode), and demands the two serialised reports be
+/// engine (result cache and snapshot pool), runs the *same* matrix
+/// through the cold batch path ([`run_matrix`] — the library form of
+/// `xsweep`'s default mode), and demands the two serialised reports be
 /// byte-identical. Returns the served report on success.
 ///
 /// # Errors
@@ -597,19 +512,8 @@ pub fn transparency_gate(
     let served = run_profile(engine, workers, profile, true, &stop, 0, |_, _, _, _| {})?
         .ok_or("served sweep aborted unexpectedly")?;
     let batch = run_matrix(profile, workers.workers());
-    verify_against_batch(&served, &batch)?;
-    Ok(served)
-}
-
-/// The byte-identity comparison at the heart of the gate, split out so
-/// the server can reuse it for `verify: true` sweep requests.
-///
-/// # Errors
-///
-/// Names the first diverging job.
-pub fn verify_against_batch(served: &SweepReport, batch: &SweepReport) -> Result<(), String> {
     if served.to_json() == batch.to_json() {
-        return Ok(());
+        return Ok(served);
     }
     let key = served
         .jobs
@@ -632,29 +536,40 @@ mod tests {
         let pool = WorkerPool::new(4);
         let (tx, rx) = mpsc::channel();
         for i in 0..32usize {
-            let tx = tx.clone();
-            assert!(pool.submit(move || {
-                let _ = tx.send(i);
-            }));
+            assert!(pool.submit(tx.clone(), move || i));
         }
         drop(tx);
         let mut got: Vec<usize> = rx.into_iter().collect();
         got.sort_unstable();
         assert_eq!(got, (0..32).collect::<Vec<_>>());
         pool.shutdown();
-        assert!(!pool.submit(|| {}), "submit after shutdown must be refused");
+        let (tx, _rx) = mpsc::channel();
+        assert!(!pool.submit(tx, || 0), "submit after shutdown must be refused");
     }
 
     #[test]
     fn a_panicking_task_does_not_kill_its_worker() {
         let pool = WorkerPool::new(1);
-        assert!(pool.submit(|| panic!("seeded task panic")));
         let (tx, rx) = mpsc::channel();
-        assert!(pool.submit(move || {
-            let _ = tx.send(7);
-        }));
+        assert!(pool.submit(tx.clone(), || -> i32 { panic!("seeded task panic") }));
+        assert!(pool.submit(tx, || 7));
         assert_eq!(rx.recv(), Ok(7), "the same worker must run the next task");
+        assert!(rx.recv().is_err(), "the panicked task must send nothing");
         assert_eq!(pool.alive(), 1, "the panic must not cost the pool its worker");
+        pool.shutdown();
+    }
+
+    /// The result is sent only after the worker has left the busy
+    /// count, so a submitter holding its answer sees an idle pool.
+    #[test]
+    fn a_received_result_finds_its_worker_idle() {
+        let pool = WorkerPool::new(1);
+        for i in 0..200u64 {
+            let (tx, rx) = mpsc::channel();
+            assert!(pool.submit(tx, move || i));
+            assert_eq!(rx.recv(), Ok(i));
+            assert_eq!(pool.busy(), 0, "round {i}: result in, worker still counted busy");
+        }
         pool.shutdown();
     }
 

@@ -1,11 +1,11 @@
-//! `cheri-serve`: a persistent sweep/profile simulation service with a
+//! `cheri-serve`: a persistent sweep simulation service with a
 //! snapshot-warmed worker pool.
 //!
-//! The batch binaries (`xsweep`, `profbin`) pay a full boot + compile +
-//! exec + allocation for every job of every invocation. This crate
-//! keeps a simulator *resident*: a TCP server ([`Server`]) speaking
-//! line-delimited JSON ([`protocol`], `cheri-serve/v1`) shards incoming
-//! sweep/job/profile/replay requests across a persistent [`WorkerPool`],
+//! The batch binary (`xsweep`) pays a full boot + compile + exec +
+//! allocation for every job of every invocation. This crate keeps a
+//! simulator *resident*: a TCP server ([`Server`]) speaking
+//! line-delimited JSON ([`protocol`], `cheri-serve/v2`) shards incoming
+//! sweep and job requests across a persistent [`WorkerPool`],
 //! executes them warm from a pool of pre-booted phase-2 snapshots
 //! ([`SnapshotPool`]), and dedups identical work through a
 //! content-hashed result cache ([`ResultCache`]) keyed on the job's
@@ -38,13 +38,11 @@ pub mod telem;
 
 pub use cache::{cache_key, cache_key_canonical, ResultCache, StoredRecord, NO_SNAPSHOT};
 pub use client::Client;
-pub use engine::{
-    run_profile, transparency_gate, verify_against_batch, JobEngine, Stop, WorkerPool,
-};
+pub use engine::{run_profile, transparency_gate, JobEngine, Stop, WorkerPool};
 pub use pool::{PoolEntry, SnapshotPool};
 pub use protocol::{
     decode_event, decode_request, encode_event, encode_request, Event, HealthSnapshot, JobParts,
-    Origin, Request, StatsSnapshot, MAX_TAG_KB, SCHEMA,
+    Origin, Request, MAX_TAG_KB, SCHEMA,
 };
 pub use server::{Server, ServerConfig, MAX_LINE_BYTES};
 pub use telem::{JobCtx, PhaseRecorder, ServiceTelem, HIST_COUNTER_PAIRS};

@@ -1,10 +1,10 @@
-//! The `cheri-serve/v1` wire protocol: line-delimited JSON over TCP.
+//! The `cheri-serve/v2` wire protocol: line-delimited JSON over TCP.
 //!
 //! Every message — request or event — is exactly one JSON object on one
 //! line, terminated by `\n`, serialised with the workspace's hand-rolled
 //! JSON ([`cheri_trace::json`]). A client sends one [`Request`] line and
 //! then reads [`Event`] lines until a terminal event arrives (`report`,
-//! `record`, `profile`, `stats`, `pong`, `ok`, or `error`); `progress`
+//! `record`, `metrics`, `health`, `pong`, `ok`, or `error`); `progress`
 //! events may precede the terminal event of a sweep.
 //!
 //! Payload reports ride *inside* the protocol as escaped JSON strings
@@ -25,7 +25,7 @@ use cheri_trace::json::{self, Json, JsonWriter};
 use std::collections::BTreeMap;
 
 /// Schema identifier exchanged in `ping`/`pong`.
-pub const SCHEMA: &str = "cheri-serve/v1";
+pub const SCHEMA: &str = "cheri-serve/v2";
 
 /// The largest tag-cache size a request may name, in KB: 16× the
 /// largest point of the tag-cache ablation axis
@@ -109,9 +109,6 @@ pub enum Request {
         /// Consult/populate the result cache (`false` forces execution —
         /// the load generator's hot-path mode).
         cache: bool,
-        /// After serving, re-run the matrix through the cold batch path
-        /// in-process and assert byte-identity (the transparency gate).
-        verify: bool,
     },
     /// Run one cell; end with `record`.
     Job {
@@ -120,19 +117,6 @@ pub enum Request {
         /// Consult/populate the result cache.
         cache: bool,
     },
-    /// Run one cell with the guest profiler attached; end with `profile`.
-    Profile {
-        /// The cell, by name.
-        parts: JobParts,
-    },
-    /// Re-execute one cell from its pooled snapshot, bypassing the
-    /// cache; end with `record` carrying the snapshot's state hash.
-    Replay {
-        /// The cell, by name.
-        parts: JobParts,
-    },
-    /// Server counters; end with `stats`.
-    Stats,
     /// Prometheus text exposition of the telemetry registry; end with
     /// `metrics`.
     Metrics,
@@ -140,37 +124,6 @@ pub enum Request {
     Health,
     /// Drain in-flight jobs and exit; end with `ok`.
     Shutdown,
-}
-
-/// A snapshot of the server's counters plus its build/config identity.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Requests accepted (all kinds).
-    pub requests: u64,
-    /// Jobs executed or served from cache.
-    pub jobs: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Entries resident in the result cache.
-    pub cached_results: u64,
-    /// Warm (snapshot-resumed) executions.
-    pub warm_runs: u64,
-    /// Cold (full-boot) executions.
-    pub cold_runs: u64,
-    /// Phase-2 snapshots resident in the pool.
-    pub pool_entries: u64,
-    /// Milliseconds since the server started.
-    pub uptime_ms: u64,
-    /// Worker threads in the pool (config echo).
-    pub workers: u64,
-    /// Whether the result cache is enabled (config echo).
-    pub cache_enabled: bool,
-    /// Whether warm execution is enabled (config echo).
-    pub warm_enabled: bool,
-    /// The server's crate version.
-    pub version: String,
 }
 
 /// The server's readiness, as answered by the `health` verb. `ready`
@@ -194,6 +147,8 @@ pub struct HealthSnapshot {
     pub queue_limit: u64,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
+    /// The server's crate version.
+    pub version: String,
 }
 
 /// A server event: one line; terminal unless it is `progress`.
@@ -219,13 +174,11 @@ pub enum Event {
     Report {
         /// Profile the report covers.
         profile: String,
-        /// Whether the in-process transparency gate ran and passed.
-        verified: bool,
         /// The serialised `SweepReport`, byte-identical to what the
         /// batch `xsweep` path writes for the same matrix.
         report: String,
         /// The server-assigned request id (the span lane in a telemetry
-        /// dump; 0 from servers predating telemetry).
+        /// dump, and the number in a persisted report's file name).
         req: u64,
     },
     /// A single job finished.
@@ -234,28 +187,11 @@ pub enum Event {
         key: String,
         /// How the result was obtained.
         origin: Origin,
-        /// For replay: the pooled snapshot's state hash (hex); empty
-        /// otherwise.
-        snap_hash: String,
         /// The serialised `JobRecord`.
         record: String,
         /// The server-assigned request id (see [`Event::Report`]).
         req: u64,
     },
-    /// A profiled job finished.
-    Profile {
-        /// The job key.
-        key: String,
-        /// The serialised `JobRecord` (byte-identical to an unprofiled
-        /// run — profiling is observational).
-        record: String,
-        /// The serialised `ProfileReport`.
-        profile: String,
-        /// The server-assigned request id (see [`Event::Report`]).
-        req: u64,
-    },
-    /// Reply to `stats`.
-    Stats(StatsSnapshot),
     /// Reply to `metrics`.
     Metrics {
         /// The Prometheus text exposition (format 0.0.4), byte-stable
@@ -286,26 +222,16 @@ pub fn encode_request(req: &Request) -> String {
     let mut w = JsonWriter::object();
     match req {
         Request::Ping => w.str_field("type", "ping"),
-        Request::Sweep { profile, cache, verify } => {
+        Request::Sweep { profile, cache } => {
             w.str_field("type", "sweep");
             w.str_field("profile", profile.name());
             w.bool_field("cache", *cache);
-            w.bool_field("verify", *verify);
         }
         Request::Job { parts, cache } => {
             w.str_field("type", "job");
             job_fields(&mut w, parts);
             w.bool_field("cache", *cache);
         }
-        Request::Profile { parts } => {
-            w.str_field("type", "profile");
-            job_fields(&mut w, parts);
-        }
-        Request::Replay { parts } => {
-            w.str_field("type", "replay");
-            job_fields(&mut w, parts);
-        }
-        Request::Stats => w.str_field("type", "stats"),
         Request::Metrics => w.str_field("type", "metrics"),
         Request::Health => w.str_field("type", "health"),
         Request::Shutdown => w.str_field("type", "shutdown"),
@@ -330,25 +256,6 @@ fn get_bool(obj: &BTreeMap<String, Json>, key: &str, default: bool) -> Result<bo
 
 fn get_u64(obj: &BTreeMap<String, Json>, key: &str) -> Result<u64, String> {
     obj.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-/// Tolerant integer read for fields newer than the oldest speaker of
-/// the schema: absent means `default`, present must be an integer.
-fn get_u64_or(obj: &BTreeMap<String, Json>, key: &str, default: u64) -> Result<u64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| format!("field '{key}' must be an integer")),
-    }
-}
-
-/// As [`get_u64_or`] for strings.
-fn get_str_or(obj: &BTreeMap<String, Json>, key: &str, default: &str) -> Result<String, String> {
-    match obj.get(key) {
-        None => Ok(default.to_string()),
-        Some(v) => {
-            v.as_str().map(str::to_string).ok_or_else(|| format!("field '{key}' must be a string"))
-        }
-    }
 }
 
 fn get_profile(obj: &BTreeMap<String, Json>, default: Profile) -> Result<Profile, String> {
@@ -397,12 +304,8 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
         "sweep" => Request::Sweep {
             profile: get_profile(obj, Profile::Smoke)?,
             cache: get_bool(obj, "cache", true)?,
-            verify: get_bool(obj, "verify", false)?,
         },
         "job" => Request::Job { parts: get_parts(obj)?, cache: get_bool(obj, "cache", true)? },
-        "profile" => Request::Profile { parts: get_parts(obj)? },
-        "replay" => Request::Replay { parts: get_parts(obj)? },
-        "stats" => Request::Stats,
         "metrics" => Request::Metrics,
         "health" => Request::Health,
         "shutdown" => Request::Shutdown,
@@ -426,43 +329,18 @@ pub fn encode_event(ev: &Event) -> String {
             w.str_field("key", key);
             w.str_field("origin", origin.name());
         }
-        Event::Report { profile, verified, report, req } => {
+        Event::Report { profile, report, req } => {
             w.str_field("type", "report");
             w.str_field("profile", profile);
-            w.bool_field("verified", *verified);
             w.str_field("report", report);
             w.u64_field("req", *req);
         }
-        Event::Record { key, origin, snap_hash, record, req } => {
+        Event::Record { key, origin, record, req } => {
             w.str_field("type", "record");
             w.str_field("key", key);
             w.str_field("origin", origin.name());
-            w.str_field("snap_hash", snap_hash);
             w.str_field("record", record);
             w.u64_field("req", *req);
-        }
-        Event::Profile { key, record, profile, req } => {
-            w.str_field("type", "profile");
-            w.str_field("key", key);
-            w.str_field("record", record);
-            w.str_field("profile", profile);
-            w.u64_field("req", *req);
-        }
-        Event::Stats(s) => {
-            w.str_field("type", "stats");
-            w.u64_field("requests", s.requests);
-            w.u64_field("jobs", s.jobs);
-            w.u64_field("cache_hits", s.cache_hits);
-            w.u64_field("cache_misses", s.cache_misses);
-            w.u64_field("cached_results", s.cached_results);
-            w.u64_field("warm_runs", s.warm_runs);
-            w.u64_field("cold_runs", s.cold_runs);
-            w.u64_field("pool_entries", s.pool_entries);
-            w.u64_field("uptime_ms", s.uptime_ms);
-            w.u64_field("workers", s.workers);
-            w.bool_field("cache_enabled", s.cache_enabled);
-            w.bool_field("warm_enabled", s.warm_enabled);
-            w.str_field("version", &s.version);
         }
         Event::Metrics { text } => {
             w.str_field("type", "metrics");
@@ -477,6 +355,7 @@ pub fn encode_event(ev: &Event) -> String {
             w.u64_field("queue_depth", h.queue_depth);
             w.u64_field("queue_limit", h.queue_limit);
             w.u64_field("uptime_ms", h.uptime_ms);
+            w.str_field("version", &h.version);
         }
         Event::Ok => w.str_field("type", "ok"),
         Event::Error { message } => {
@@ -510,47 +389,25 @@ pub fn decode_event(line: &str) -> Result<Event, String> {
         },
         "report" => Event::Report {
             profile: get_str(obj, "profile")?,
-            verified: get_bool(obj, "verified", false)?,
             report: get_str(obj, "report")?,
-            req: get_u64_or(obj, "req", 0)?,
+            req: get_u64(obj, "req")?,
         },
         "record" => Event::Record {
             key: get_str(obj, "key")?,
             origin: origin(obj)?,
-            snap_hash: get_str(obj, "snap_hash")?,
             record: get_str(obj, "record")?,
-            req: get_u64_or(obj, "req", 0)?,
+            req: get_u64(obj, "req")?,
         },
-        "profile" => Event::Profile {
-            key: get_str(obj, "key")?,
-            record: get_str(obj, "record")?,
-            profile: get_str(obj, "profile")?,
-            req: get_u64_or(obj, "req", 0)?,
-        },
-        "stats" => Event::Stats(StatsSnapshot {
-            requests: get_u64(obj, "requests")?,
-            jobs: get_u64(obj, "jobs")?,
-            cache_hits: get_u64(obj, "cache_hits")?,
-            cache_misses: get_u64(obj, "cache_misses")?,
-            cached_results: get_u64(obj, "cached_results")?,
-            warm_runs: get_u64(obj, "warm_runs")?,
-            cold_runs: get_u64(obj, "cold_runs")?,
-            pool_entries: get_u64(obj, "pool_entries")?,
-            uptime_ms: get_u64_or(obj, "uptime_ms", 0)?,
-            workers: get_u64_or(obj, "workers", 0)?,
-            cache_enabled: get_bool(obj, "cache_enabled", false)?,
-            warm_enabled: get_bool(obj, "warm_enabled", false)?,
-            version: get_str_or(obj, "version", "")?,
-        }),
         "metrics" => Event::Metrics { text: get_str(obj, "text")? },
         "health" => Event::Health(HealthSnapshot {
             ready: get_bool(obj, "ready", false)?,
-            prewarm: get_str_or(obj, "prewarm", "none")?,
-            workers_alive: get_u64_or(obj, "workers_alive", 0)?,
-            workers: get_u64_or(obj, "workers", 0)?,
-            queue_depth: get_u64_or(obj, "queue_depth", 0)?,
-            queue_limit: get_u64_or(obj, "queue_limit", 0)?,
-            uptime_ms: get_u64_or(obj, "uptime_ms", 0)?,
+            prewarm: get_str(obj, "prewarm")?,
+            workers_alive: get_u64(obj, "workers_alive")?,
+            workers: get_u64(obj, "workers")?,
+            queue_depth: get_u64(obj, "queue_depth")?,
+            queue_limit: get_u64(obj, "queue_limit")?,
+            uptime_ms: get_u64(obj, "uptime_ms")?,
+            version: get_str(obj, "version")?,
         }),
         "ok" => Event::Ok,
         "error" => Event::Error { message: get_str(obj, "message")? },
@@ -566,8 +423,8 @@ mod tests {
     fn request_roundtrip() {
         let reqs = [
             Request::Ping,
-            Request::Sweep { profile: Profile::Smoke, cache: true, verify: false },
-            Request::Sweep { profile: Profile::Full, cache: false, verify: true },
+            Request::Sweep { profile: Profile::Smoke, cache: true },
+            Request::Sweep { profile: Profile::Full, cache: false },
             Request::Job {
                 parts: JobParts {
                     workload: "treeadd".into(),
@@ -577,23 +434,6 @@ mod tests {
                 },
                 cache: true,
             },
-            Request::Profile {
-                parts: JobParts {
-                    workload: "mst".into(),
-                    strategy: "cheri128".into(),
-                    tag_kb: 16,
-                    profile: Profile::Smoke,
-                },
-            },
-            Request::Replay {
-                parts: JobParts {
-                    workload: "bisort".into(),
-                    strategy: "mips".into(),
-                    tag_kb: 8,
-                    profile: Profile::Smoke,
-                },
-            },
-            Request::Stats,
             Request::Metrics,
             Request::Health,
             Request::Shutdown,
@@ -616,36 +456,13 @@ mod tests {
                 key: "treeadd/cheri/tag8".into(),
                 origin: Origin::Warm,
             },
-            Event::Report {
-                profile: "smoke".into(),
-                verified: true,
-                report: report.into(),
-                req: 4,
-            },
+            Event::Report { profile: "smoke".into(), report: report.into(), req: 4 },
             Event::Record {
                 key: "mst/mips/tag8".into(),
                 origin: Origin::Cached,
-                snap_hash: "00000000deadbeef".into(),
                 record: "{\"key\":\"mst/mips/tag8\"}".into(),
                 req: 17,
             },
-            Event::Profile {
-                key: "mst/cheri/tag8".into(),
-                record: "{}".into(),
-                profile: "{\"total\":{}}".into(),
-                req: 0,
-            },
-            Event::Stats(StatsSnapshot {
-                requests: 9,
-                jobs: 40,
-                cache_hits: 12,
-                uptime_ms: 4321,
-                workers: 2,
-                cache_enabled: true,
-                warm_enabled: true,
-                version: "0.1.0".into(),
-                ..StatsSnapshot::default()
-            }),
             Event::Metrics { text: "# TYPE serve_jobs_total counter\nserve_jobs_total 3\n".into() },
             Event::Health(HealthSnapshot {
                 ready: true,
@@ -655,6 +472,7 @@ mod tests {
                 queue_depth: 0,
                 queue_limit: 256,
                 uptime_ms: 99,
+                version: "0.1.0".into(),
             }),
             Event::Ok,
             Event::Error { message: "no pooled snapshot\nfor job".into() },
@@ -671,12 +489,7 @@ mod tests {
         // Multi-line payload with quotes and tabs: the exact bytes must
         // come back out — this is what the byte-identity gate rides on.
         let payload = "{\"a\":1,\n\t\"b\":[2,3]}\n";
-        let ev = Event::Report {
-            profile: "full".into(),
-            verified: false,
-            report: payload.into(),
-            req: 1,
-        };
+        let ev = Event::Report { profile: "full".into(), report: payload.into(), req: 1 };
         match decode_event(&encode_event(&ev)).unwrap() {
             Event::Report { report, .. } => assert_eq!(report, payload),
             other => panic!("wrong event: {other:?}"),
@@ -698,39 +511,19 @@ mod tests {
     }
 
     #[test]
-    fn decode_tolerates_pre_telemetry_lines() {
-        // Lines from a server predating the telemetry fields decode with
-        // defaults rather than erroring.
-        match decode_event("{\"type\":\"record\",\"key\":\"k\",\"origin\":\"cold\",\"snap_hash\":\"\",\"record\":\"{}\"}")
-            .unwrap()
-        {
-            Event::Record { req, .. } => assert_eq!(req, 0),
-            other => panic!("wrong event: {other:?}"),
-        }
-        match decode_event(
-            "{\"type\":\"stats\",\"requests\":1,\"jobs\":0,\"cache_hits\":0,\"cache_misses\":0,\
-             \"cached_results\":0,\"warm_runs\":0,\"cold_runs\":0,\"pool_entries\":0}",
-        )
-        .unwrap()
-        {
-            Event::Stats(s) => {
-                assert_eq!(s.uptime_ms, 0);
-                assert_eq!(s.version, "");
-                assert!(!s.cache_enabled);
-            }
-            other => panic!("wrong event: {other:?}"),
-        }
-    }
-
-    #[test]
     fn decode_rejects_unknown_names() {
-        assert!(decode_request("{\"type\":\"warp\"}").is_err());
+        for verb in ["warp", "stats", "profile", "replay"] {
+            let err = decode_request(&format!("{{\"type\":\"{verb}\"}}")).unwrap_err();
+            assert_eq!(err, format!("unknown request type '{verb}'"));
+        }
         assert!(decode_request(
             "{\"type\":\"job\",\"workload\":\"nosuch\",\"strategy\":\"cheri\",\"tag_kb\":8}"
         )
         .is_err());
         assert!(decode_request("{\"type\":\"sweep\",\"profile\":\"gigantic\"}").is_err());
-        assert!(decode_event("{\"type\":\"blip\"}").is_err());
+        for ev in ["blip", "stats", "profile"] {
+            assert!(decode_event(&format!("{{\"type\":\"{ev}\"}}")).is_err(), "{ev}");
+        }
     }
 
     #[test]

@@ -14,23 +14,23 @@
 //! writing to a `.tmp` sibling and renaming only after the full report
 //! is on disk, and only for sweeps that completed every job.
 //!
-//! Telemetry rides alongside: every *work* request (sweep, job,
-//! profile, replay) is assigned a monotonic request id, bracketed by a
-//! request span, and threaded through the engine so queue-wait,
-//! boot/restore, simulate, and serialize phases land in the shared
-//! [`ServiceTelem`]. Read-only verbs — `ping`, `stats`, `metrics`,
-//! `health` — take no id and record nothing, which is what keeps idle
-//! `metrics` scrapes byte-identical. The final drain flushes the span
-//! timeline and metric snapshot to `telem_out` with the same
+//! Telemetry rides alongside: every *work* request (sweep, job) is
+//! assigned a monotonic request id, bracketed by a request span, and
+//! threaded through the engine so queue-wait, boot/restore, simulate,
+//! and serialize phases land in the engine's [`ServiceTelem`], the only
+//! place the service counts anything. Read-only verbs — `ping`,
+//! `metrics`, `health` — take no id and record nothing, which is what
+//! keeps idle `metrics` scrapes byte-identical. The final drain flushes
+//! the span timeline and metric snapshot to `telem_out` with the same
 //! `.tmp`-then-rename discipline as reports.
 
 use crate::cache::StoredRecord;
-use crate::engine::{run_profile, verify_against_batch, JobEngine, Lookup, Stop, WorkerPool};
+use crate::engine::{run_profile, JobEngine, Lookup, Miss, Stop, WorkerPool};
 use crate::protocol::{
     decode_request, encode_event, Event, HealthSnapshot, Origin, Request, SCHEMA,
 };
 use crate::telem::{self, elapsed_us, JobCtx, ServiceTelem};
-use cheri_sweep::Profile;
+use cheri_sweep::{JobSpec, Profile};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -57,10 +57,6 @@ const PREWARM_DONE: u64 = 2;
 pub struct ServerConfig {
     /// Worker threads executing jobs (default: host parallelism).
     pub workers: usize,
-    /// Enable the content-hashed result cache.
-    pub cache: bool,
-    /// Enable warm execution from the snapshot pool.
-    pub warm: bool,
     /// Persist every completed served sweep report under this
     /// directory (atomically) when set.
     pub results_dir: Option<PathBuf>,
@@ -79,8 +75,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: cheri_sweep::default_threads(),
-            cache: true,
-            warm: true,
             results_dir: None,
             watch_signals: false,
             telem_out: None,
@@ -93,10 +87,8 @@ struct Shared {
     engine: Arc<JobEngine>,
     workers: WorkerPool,
     stop: Stop,
-    telem: Arc<ServiceTelem>,
     results_dir: Option<PathBuf>,
     telem_out: Option<PathBuf>,
-    requests: AtomicU64,
     /// Allocator for work-request ids (1-based; 0 means "no request").
     work_reqs: AtomicU64,
     prewarm_state: AtomicU64,
@@ -120,15 +112,12 @@ impl Server {
     /// Socket errors from binding.
     pub fn bind(addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let telem = Arc::new(ServiceTelem::default());
         let shared = Arc::new(Shared {
-            engine: Arc::new(JobEngine::with_telem(cfg.cache, cfg.warm, telem.clone())),
+            engine: Arc::default(),
             workers: WorkerPool::new(cfg.workers),
             stop: Stop::new(cfg.watch_signals),
-            telem,
             results_dir: cfg.results_dir,
             telem_out: cfg.telem_out,
-            requests: AtomicU64::new(0),
             work_reqs: AtomicU64::new(0),
             prewarm_state: AtomicU64::new(PREWARM_NONE),
             queue_limit: cfg.queue_limit,
@@ -153,32 +142,16 @@ impl Server {
         self.shared.stop.clone()
     }
 
-    /// The engine (for prewarming and inspection).
-    #[must_use]
-    pub fn engine(&self) -> Arc<JobEngine> {
-        self.shared.engine.clone()
-    }
-
-    /// The shared telemetry handle (for tests and embedders).
+    /// The engine's telemetry handle (for tests and embedders).
     #[must_use]
     pub fn telem(&self) -> Arc<ServiceTelem> {
-        self.shared.telem.clone()
+        self.shared.engine.telem().clone()
     }
 
-    /// Pre-boots the snapshot pool for `profile` before serving;
-    /// returns entries added. `health` reports not ready from the call
-    /// to the return.
-    #[must_use]
-    pub fn prewarm(&self, profile: Profile) -> usize {
-        self.shared.prewarm_state.store(PREWARM_RUNNING, Ordering::SeqCst);
-        let added = self.shared.engine.prewarm(profile, &self.shared.workers, &self.shared.stop);
-        self.shared.prewarm_state.store(PREWARM_DONE, Ordering::SeqCst);
-        added
-    }
-
-    /// As [`Server::prewarm`], but in a background thread so the server
-    /// can accept connections (answering `health` with `ready: false`,
-    /// `prewarm: "running"`) while the pool boots.
+    /// Pre-boots the snapshot pool for `profile` in a background
+    /// thread, so the server accepts connections while the pool boots;
+    /// `health` answers `ready: false`, `prewarm: "running"` until it
+    /// is done.
     pub fn prewarm_background(&self, profile: Profile) {
         // Flip the state *before* the thread exists so no health probe
         // can observe "none"/ready in the gap.
@@ -223,7 +196,7 @@ impl Server {
         }
         // Every producer of spans has been joined; the flush is final.
         if let Some(path) = &self.shared.telem_out {
-            flush_telem(path, &self.shared.telem);
+            flush_telem(path, self.shared.engine.telem());
         }
         Ok(())
     }
@@ -260,10 +233,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(_) => {
                 let close = match std::str::from_utf8(&line).map(str::trim) {
                     Ok("") => false,
-                    Ok(text) => {
-                        shared.requests.fetch_add(1, Ordering::Relaxed);
-                        handle_request(text, &mut writer, shared)
-                    }
+                    Ok(text) => handle_request(text, &mut writer, shared),
                     Err(_) => {
                         let message = "bad request: line is not UTF-8".to_string();
                         !send(&mut writer, &Event::Error { message })
@@ -284,11 +254,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Err(_) => return,
         }
     }
-}
-
-/// Milliseconds since the server started.
-fn uptime_ms(shared: &Shared) -> u64 {
-    u64::try_from(shared.start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
 /// The readiness conjunction behind the `health` verb.
@@ -312,13 +277,14 @@ fn health(shared: &Shared) -> HealthSnapshot {
         workers,
         queue_depth,
         queue_limit: shared.queue_limit,
-        uptime_ms: uptime_ms(shared),
+        uptime_ms: u64::try_from(shared.start.elapsed().as_millis()).unwrap_or(u64::MAX),
+        version: env!("CARGO_PKG_VERSION").to_string(),
     }
 }
 
 /// One `metrics` scrape: live gauges refreshed, registry rendered.
 fn scrape(shared: &Shared) -> String {
-    shared.telem.scrape(&[
+    shared.engine.telem().scrape(&[
         (telem::QUEUE_DEPTH, shared.workers.queue_depth()),
         (telem::WORKERS, shared.workers.workers() as u64),
         (telem::WORKERS_ALIVE, shared.workers.alive()),
@@ -332,26 +298,20 @@ fn scrape(shared: &Shared) -> String {
 /// span.
 fn begin_request(shared: &Shared) -> u64 {
     let req = shared.work_reqs.fetch_add(1, Ordering::Relaxed) + 1;
-    shared.telem.request_begin(req);
+    shared.engine.telem().request_begin(req);
     req
 }
 
 /// Closes request `req`'s span, tagged by its outcome, and sends that
 /// outcome; returns `true` when the client is unreachable.
 fn answer(writer: &mut TcpStream, shared: &Shared, req: u64, ev: &Event) -> bool {
-    shared.telem.request_end(req, end_tag(ev));
+    shared.engine.telem().request_end(req, end_tag(ev));
     !send(writer, ev)
 }
 
 /// A `record` event for a job's stored result.
 fn record_event(stored: &StoredRecord, origin: Origin, req: u64) -> Event {
-    Event::Record {
-        key: stored.record.key.clone(),
-        origin,
-        snap_hash: String::new(),
-        record: stored.json.clone(),
-        req,
-    }
+    Event::Record { key: stored.record.key.clone(), origin, record: stored.json.clone(), req }
 }
 
 /// The request span's closing tag, read off the outcome event.
@@ -359,7 +319,6 @@ fn end_tag(ev: &Event) -> &'static str {
     match ev {
         Event::Record { origin, .. } => origin.name(),
         Event::Report { .. } => "sweep",
-        Event::Profile { .. } => "profile",
         Event::Error { .. } => "error",
         _ => "ok",
     }
@@ -372,20 +331,12 @@ fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
         Ok(req) => req,
         Err(e) => return !send(writer, &Event::Error { message: format!("bad request: {e}") }),
     };
-    let observe_only =
-        matches!(req, Request::Ping | Request::Stats | Request::Metrics | Request::Health);
+    let observe_only = matches!(req, Request::Ping | Request::Metrics | Request::Health);
     if shared.stop.stopping() && !observe_only {
         return !send(writer, &Event::Error { message: "server is shutting down".into() });
     }
     match req {
         Request::Ping => !send(writer, &Event::Pong { schema: SCHEMA.into() }),
-        Request::Stats => {
-            let mut stats = shared.engine.stats(shared.requests.load(Ordering::Relaxed));
-            stats.uptime_ms = uptime_ms(shared);
-            stats.workers = shared.workers.workers() as u64;
-            stats.version = env!("CARGO_PKG_VERSION").to_string();
-            !send(writer, &Event::Stats(stats))
-        }
         Request::Metrics => !send(writer, &Event::Metrics { text: scrape(shared) }),
         Request::Health => !send(writer, &Event::Health(health(shared))),
         Request::Shutdown => {
@@ -393,8 +344,8 @@ fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
             shared.stop.request();
             true
         }
-        Request::Sweep { profile, cache, verify } => {
-            handle_sweep(writer, shared, profile, cache, verify, begin_request(shared))
+        Request::Sweep { profile, cache } => {
+            handle_sweep(writer, shared, profile, cache, begin_request(shared))
         }
         // The cached rung runs here, on the connection thread: a hit
         // is answered from the stored bytes with no task, no channel
@@ -406,72 +357,45 @@ fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
                 Ok((_, Lookup::Hit(stored))) => {
                     answer(writer, shared, req, &record_event(&stored, Origin::Cached, req))
                 }
-                Ok((spec, Lookup::Miss(miss))) => {
-                    serve_job(writer, shared, req, move |engine, ctx| {
-                        let (stored, origin) = engine.execute_miss(&spec, miss, ctx)?;
-                        Ok(record_event(&stored, origin, ctx.req))
-                    })
-                }
+                Ok((spec, Lookup::Miss(miss))) => serve_miss(writer, shared, req, spec, miss),
             }
-        }
-        Request::Profile { parts } => {
-            serve_job(writer, shared, begin_request(shared), move |engine, ctx| {
-                let spec = parts.spec()?;
-                let (record, profile) = engine.execute_profiled(&spec)?;
-                let json = engine.telem().serialize_span(ctx, || record.to_json());
-                Ok(Event::Profile { key: record.key.clone(), record: json, profile, req: ctx.req })
-            })
-        }
-        Request::Replay { parts } => {
-            serve_job(writer, shared, begin_request(shared), move |engine, ctx| {
-                let spec = parts.spec()?;
-                let (record, hash) = engine.execute_replay(&spec, ctx)?;
-                let json = engine.telem().serialize_span(ctx, || record.to_json());
-                Ok(Event::Record {
-                    key: record.key.clone(),
-                    origin: Origin::Warm,
-                    snap_hash: hash.to_string(),
-                    record: json,
-                    req: ctx.req,
-                })
-            })
         }
     }
 }
 
-/// Serves one single-job request (`job` on a cache miss, `profile`,
-/// `replay`) as request `req`: ships `work` to the worker pool and
-/// blocks this connection thread for its outcome, so executing requests
-/// obey the same global parallelism bound as sweeps, then answers with
-/// it. The queue wait (submission to pickup) is spanned and recorded; a
-/// refused submission closes the span immediately so the stream stays
-/// balanced. A task that ends without replying while the server is not
-/// stopping panicked (the pool contains it), and is answered as such.
-/// Returns `true` when the client is unreachable.
-fn serve_job<F>(writer: &mut TcpStream, shared: &Shared, req: u64, work: F) -> bool
-where
-    F: FnOnce(&JobEngine, JobCtx) -> Result<Event, String> + Send + 'static,
-{
+/// Serves a `job` the cached rung missed as request `req`: ships it to
+/// the worker pool and blocks this connection thread for its outcome,
+/// so executing requests obey the same global parallelism bound as
+/// sweeps, then answers with it. The queue wait (submission to pickup)
+/// is spanned and recorded; a refused submission closes the span
+/// immediately so the stream stays balanced. A task that ends without
+/// replying while the server is not stopping panicked (the pool
+/// contains it), and is answered as such. Returns `true` when the
+/// client is unreachable.
+fn serve_miss(
+    writer: &mut TcpStream,
+    shared: &Shared,
+    req: u64,
+    spec: JobSpec,
+    miss: Miss,
+) -> bool {
     let ctx = JobCtx::single(req);
-    let (tx, rx) = mpsc::channel::<Result<Event, String>>();
+    let (tx, rx) = mpsc::channel();
     let engine = shared.engine.clone();
     let stop = shared.stop.clone();
-    let worker_telem = shared.telem.clone();
     let queued_at = Instant::now();
-    shared.telem.queue_begin(ctx);
-    let submitted = shared.workers.submit(move || {
-        worker_telem.queue_end(ctx, elapsed_us(queued_at));
-        let out = if stop.stopping() {
-            Err("server is shutting down".to_string())
-        } else {
-            work(&engine, ctx)
-        };
-        let _ = tx.send(out);
+    engine.telem().queue_begin(ctx);
+    let submitted = shared.workers.submit(tx, move || {
+        engine.telem().queue_end(ctx, elapsed_us(queued_at));
+        if stop.stopping() {
+            return Err("server is shutting down".to_string());
+        }
+        engine.execute_miss(&spec, miss, ctx)
     });
     let reply = if submitted {
         match rx.recv() {
-            Ok(Ok(ev)) => ev,
-            Ok(Err(msg)) => Event::Error { message: msg },
+            Ok(Ok((stored, origin))) => record_event(&stored, origin, req),
+            Ok(Err(message)) => Event::Error { message },
             Err(_) if shared.stop.stopping() => {
                 Event::Error { message: "job was dropped during shutdown".into() }
             }
@@ -481,7 +405,7 @@ where
             },
         }
     } else {
-        shared.telem.queue_end(ctx, elapsed_us(queued_at));
+        shared.engine.telem().queue_end(ctx, elapsed_us(queued_at));
         Event::Error { message: "server is shutting down".into() }
     };
     answer(writer, shared, req, &reply)
@@ -492,7 +416,6 @@ fn handle_sweep(
     shared: &Shared,
     profile: Profile,
     cache: bool,
-    verify: bool,
     req: u64,
 ) -> bool {
     let fail = |writer: &mut TcpStream, message: String| {
@@ -520,33 +443,26 @@ fn handle_sweep(
         }
         Ok(Some(report)) => report,
     };
-    if verify {
-        // The in-process transparency gate: the same matrix through the
-        // cold batch path must serialise byte-identically.
-        let batch = cheri_sweep::run_matrix(profile, shared.workers.workers());
-        if let Err(message) = verify_against_batch(&report, &batch) {
-            return fail(writer, message);
-        }
-    }
     // One rendering feeds both the wire event and the persisted file,
     // so what lands on disk is byte-identical to what the client read.
-    let rendered = shared.telem.serialize_span(JobCtx::single(req), || report.to_json());
+    let rendered = shared.engine.telem().serialize_span(JobCtx::single(req), || report.to_json());
     if let Some(dir) = &shared.results_dir {
-        persist_report(dir, &report.profile, &rendered, shared.requests.load(Ordering::Relaxed));
+        persist_report(dir, &report.profile, &rendered, req);
     }
-    let ev =
-        Event::Report { profile: report.profile.clone(), verified: verify, report: rendered, req };
+    let ev = Event::Report { profile: report.profile, report: rendered, req };
     answer(writer, shared, req, &ev)
 }
 
-/// Persists a *complete* report atomically: full write to a `.tmp`
-/// sibling, then rename. A crash or shutdown at any point leaves either
-/// nothing or a finished report — never a partial file.
-fn persist_report(dir: &std::path::Path, profile: &str, rendered: &str, serial: u64) {
+/// Persists a *complete* report atomically as
+/// `serve-<profile>-<req>.json`: full write to a `.tmp` sibling, then
+/// rename. A crash or shutdown at any point leaves either nothing or a
+/// finished report — never a partial file. Request ids are unique, so
+/// concurrent sweeps never share a name.
+fn persist_report(dir: &std::path::Path, profile: &str, rendered: &str, req: u64) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let name = format!("serve-{profile}-{serial}.json");
+    let name = format!("serve-{profile}-{req}.json");
     let path = dir.join(&name);
     let tmp = dir.join(format!("{name}.tmp"));
     if std::fs::write(&tmp, rendered).is_ok() {

@@ -69,7 +69,7 @@ fn every_config_field_changes_the_key() {
 }
 
 /// A snapshot must hash identically after a serialization round-trip:
-/// the pool hashes at insertion, and replay/triage hash after restore —
+/// the pool hashes at insertion, and `snapreplay` hashes what it loads —
 /// if the two disagreed, every cache key would dangle.
 #[test]
 fn restored_snapshot_hashes_like_the_original() {

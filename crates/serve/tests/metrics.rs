@@ -42,7 +42,6 @@ serve_workers_busy 0
     // may differ.
     let _ = client.ping().unwrap();
     let _ = client.health().unwrap();
-    let _ = client.stats().unwrap();
     let second = client.metrics().unwrap();
     assert_eq!(first, second, "idle scrapes must be byte-identical");
 

@@ -5,10 +5,11 @@
 //! service actually runs.
 
 use cheri_serve::{
-    transparency_gate, Client, JobEngine, JobParts, Origin, Request, Server, ServerConfig,
+    telem, transparency_gate, Client, JobEngine, JobParts, Origin, Request, Server, ServerConfig,
     WorkerPool, HIST_COUNTER_PAIRS,
 };
 use cheri_sweep::{run_matrix, Profile};
+use cheri_telem::{parse_exposition, Exposition};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,6 +17,16 @@ fn spawn_server(cfg: ServerConfig) -> (String, std::thread::JoinHandle<std::io::
     let server = Server::bind("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     (addr, std::thread::spawn(move || server.serve()))
+}
+
+/// One `metrics` scrape, parsed.
+fn scrape(client: &mut Client) -> Exposition {
+    parse_exposition(&client.metrics().unwrap()).unwrap()
+}
+
+/// A counter from a scrape (absent means nothing was recorded yet).
+fn counter(exp: &Exposition, name: &str) -> u64 {
+    exp.counter(name).unwrap_or(0)
 }
 
 #[test]
@@ -26,13 +37,12 @@ fn served_sweep_is_byte_identical_to_batch() {
 
     // First pass executes (warm or cold); progress must tick every job.
     let mut seen = 0u64;
-    let (served, verified) = client
-        .sweep(Profile::Smoke, true, false, |done, total, _key, _origin| {
+    let served = client
+        .sweep(Profile::Smoke, true, |done, total, _key, _origin| {
             seen += 1;
             assert!(done <= total);
         })
         .unwrap();
-    assert!(!verified);
     let batch = run_matrix(Profile::Smoke, 2).to_json();
     assert_eq!(served, batch, "served sweep must reproduce the batch report byte-for-byte");
     assert_eq!(seen as usize, cheri_sweep::profile_matrix(Profile::Smoke).len());
@@ -40,20 +50,21 @@ fn served_sweep_is_byte_identical_to_batch() {
     // Second pass: same matrix, now answered from the result cache —
     // and still the same bytes.
     let mut origins = Vec::new();
-    let (cached, _) =
-        client.sweep(Profile::Smoke, true, false, |_, _, _, origin| origins.push(origin)).unwrap();
+    let cached =
+        client.sweep(Profile::Smoke, true, |_, _, _, origin| origins.push(origin)).unwrap();
     assert_eq!(cached, batch, "cached results must not change a byte");
     assert!(
         origins.iter().all(|o| *o == Origin::Cached),
         "second identical sweep must be fully deduped: {origins:?}"
     );
 
-    let stats = client.stats().unwrap();
-    assert!(stats.cache_hits >= origins.len() as u64);
-    assert!(stats.pool_entries > 0, "phase-2 snapshots should have been pooled");
-    assert_eq!(stats.workers, 2, "stats must echo the worker config");
-    assert!(stats.cache_enabled && stats.warm_enabled, "stats must echo the cache/warm config");
-    assert_eq!(stats.version, env!("CARGO_PKG_VERSION"));
+    let exp = scrape(&mut client);
+    assert_eq!(counter(&exp, telem::JOBS_CACHED), origins.len() as u64, "one hit per job");
+    assert_eq!(counter(&exp, telem::JOBS), 2 * origins.len() as u64);
+    assert!(exp.gauge(telem::POOL_ENTRIES).unwrap_or(0) > 0, "phase-2 snapshots should be pooled");
+    let health = client.health().unwrap();
+    assert_eq!(health.workers, 2, "health must echo the worker config");
+    assert_eq!(health.version, env!("CARGO_PKG_VERSION"));
     assert_eq!(client.last_req(), 2, "two sweeps -> request ids 1 and 2");
 
     client.shutdown().unwrap();
@@ -101,7 +112,7 @@ fn cache_hits_skip_a_busy_worker() {
     let (_, _, primed) = b.job(quick_job(), true).unwrap();
 
     let mut a = Client::connect(&addr).unwrap();
-    a.send(&Request::Sweep { profile: Profile::Smoke, cache: false, verify: false }).unwrap();
+    a.send(&Request::Sweep { profile: Profile::Smoke, cache: false }).unwrap();
     // Jobs queued behind the one running: the worker is busy.
     let deadline = Instant::now() + Duration::from_secs(120);
     while b.health().unwrap().queue_depth == 0 {
@@ -118,31 +129,37 @@ fn cache_hits_skip_a_busy_worker() {
     handle.join().unwrap().unwrap();
 }
 
-/// With the lookup on the connection thread, a miss is looked up (and
-/// counted) there once; the worker that executes it does not look again.
+/// With the lookup on the connection thread, a miss is looked up there
+/// once and the worker that executes it does not look again: each job
+/// lands in the registry exactly once, under its origin.
 #[test]
 fn each_cache_miss_and_hit_is_counted_once() {
     let (addr, handle) = spawn_server(ServerConfig { workers: 1, ..ServerConfig::default() });
     let mut client = Client::connect(&addr).unwrap();
+    let origins = [telem::JOBS_CACHED, telem::JOBS_WARM, telem::JOBS_COLD];
+    let counts = |exp: &Exposition| origins.map(|name| counter(exp, name));
 
     // Uncached: runs cold, pools its snapshot, stores nothing.
     let (_, origin, record) = client.job(quick_job(), false).unwrap();
     assert_eq!(origin, Origin::Cold);
 
-    let before = client.stats().unwrap();
+    let before = scrape(&mut client);
+    let [cached, warm, cold] = counts(&before);
     let (_, origin, _) = client.job(quick_job(), true).unwrap();
     assert_eq!(origin, Origin::Warm, "pooled but not cached: a miss that runs warm");
-    let missed = client.stats().unwrap();
-    assert_eq!(missed.cache_misses, before.cache_misses + 1, "one miss, counted once");
-    assert_eq!(missed.cache_hits, before.cache_hits);
+    let missed = scrape(&mut client);
+    assert_eq!(counts(&missed), [cached, warm + 1, cold], "one miss, counted once, as warm");
 
     let (_, origin, repeat) = client.job(quick_job(), true).unwrap();
     assert_eq!(origin, Origin::Cached);
     assert_eq!(repeat, record);
-    let hit = client.stats().unwrap();
-    assert_eq!(hit.cache_hits, missed.cache_hits + 1, "one hit, counted once");
-    assert_eq!(hit.cache_misses, missed.cache_misses);
-    assert_eq!(hit.jobs, before.jobs + 2, "every job counts once, hit or miss");
+    let hit = scrape(&mut client);
+    assert_eq!(counts(&hit), [cached + 1, warm + 1, cold], "one hit, counted once, as cached");
+    assert_eq!(
+        counter(&hit, telem::JOBS),
+        counter(&before, telem::JOBS) + 2,
+        "every job counts once, hit or miss"
+    );
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
@@ -179,14 +196,13 @@ fn served_new_workload_jobs_match_batch_lines() {
     handle.join().unwrap().unwrap();
 }
 
-/// The in-process gate the `--selfcheck` flag and `verify: true` sweeps
-/// run: served (cache + warm pool) vs cold batch, byte-compared — with
+/// The in-process gate the `--selfcheck` flag runs: served (cache + warm pool) vs cold batch, byte-compared — with
 /// telemetry recording, which is the acceptance form of "observation
 /// does not perturb results". The span stream the gate produced must also
 /// balance, and every phase histogram must agree with its counter.
 #[test]
 fn transparency_gate_passes_on_smoke_with_telemetry_attached() {
-    let engine = Arc::new(JobEngine::new(true, true));
+    let engine = Arc::new(JobEngine::default());
     let workers = WorkerPool::new(2);
     let report = transparency_gate(&engine, &workers, Profile::Smoke).unwrap();
     assert_eq!(report.profile, "smoke");

@@ -1,4 +1,5 @@
-//! Graceful-shutdown drain: tripping the stop token mid-sweep must
+//! Persisted reports and the graceful-shutdown drain: concurrent sweeps
+//! each persist their own report; tripping the stop token mid-sweep must
 //! leave `results/` with no partial files — either nothing new, or only
 //! complete, parseable reports — and the telemetry flush must follow
 //! the same contract: a whole, parseable timeline or no file at all.
@@ -7,6 +8,7 @@ use cheri_serve::{Client, Event, Request, Server, ServerConfig};
 use cheri_sweep::{Profile, SweepReport};
 use cheri_trace::json;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// A per-test scratch directory under the target dir (unique per test
 /// name; removed and recreated so reruns start clean).
@@ -17,14 +19,59 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+/// Two sweeps in flight at once each persist their own report, named by
+/// its request id, byte-equal to what its client received.
+#[test]
+fn concurrent_sweeps_persist_one_report_each() {
+    let dir = scratch("concurrent-sweeps");
+    let cfg =
+        ServerConfig { workers: 1, results_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.serve());
+
+    let mut clients = [Client::connect(&addr).unwrap(), Client::connect(&addr).unwrap()];
+    for client in &mut clients {
+        client.send(&Request::Sweep { profile: Profile::Smoke, cache: false }).unwrap();
+    }
+    // Both sweeps are in flight: more than one matrix of jobs waits for
+    // the one worker, so neither has finished.
+    let matrix = cheri_sweep::profile_matrix(Profile::Smoke).len() as u64;
+    let mut probe = Client::connect(&addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while probe.health().unwrap().queue_depth <= matrix {
+        assert!(Instant::now() < deadline, "the two sweeps were never queued together");
+    }
+    let mut reports = Vec::new();
+    for client in &mut clients {
+        let report = loop {
+            match client.next_event().unwrap() {
+                Event::Progress { .. } => {}
+                Event::Report { report, .. } => break report,
+                other => panic!("unexpected event: {other:?}"),
+            }
+        };
+        reports.push((client.last_req(), report));
+    }
+    probe.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+
+    assert_ne!(reports[0].0, reports[1].0, "each sweep has its own request id");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "one report per sweep");
+    for (req, report) in &reports {
+        let path = dir.join(format!("serve-smoke-{req}.json"));
+        let persisted = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} missing: {e}", path.display()));
+        assert!(persisted == *report, "{} differs from the report its client read", path.display());
+    }
+}
+
 #[test]
 fn mid_sweep_shutdown_leaves_no_partial_files() {
     let dir = scratch("shutdown-drain");
     let telem_out = dir.join("telem").join("serve-telem.json");
     let cfg = ServerConfig {
         workers: 2,
-        cache: false, // force real execution so the sweep takes time
-        warm: true,
         results_dir: Some(dir.clone()),
         telem_out: Some(telem_out.clone()),
         ..ServerConfig::default()
@@ -35,7 +82,8 @@ fn mid_sweep_shutdown_leaves_no_partial_files() {
     let handle = std::thread::spawn(move || server.serve());
 
     let mut client = Client::connect(&addr).unwrap();
-    client.send(&Request::Sweep { profile: Profile::Smoke, cache: false, verify: false }).unwrap();
+    // Uncached, to force real execution so the sweep takes time.
+    client.send(&Request::Sweep { profile: Profile::Smoke, cache: false }).unwrap();
 
     // Trip the stop token as soon as the first job lands, while the
     // rest of the matrix is still queued or executing.
