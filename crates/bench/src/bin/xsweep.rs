@@ -17,14 +17,11 @@
 //!        [--out PATH]                   report path (default: results/sweep.json)
 //!        [--check PATH]                 gate against a baseline; nonzero exit on drift
 //!        [--bless [PATH]]               (re)write the golden baseline
-//!        [--perf [PATH]]                time the matrix with the simulator's block
-//!                                       cache on vs off, verify the two reports are
-//!                                       identical, and write a throughput report
-//!                                       (default: results/perf.json)
 //!        [--warm]                       run every job cold (snapshotting at the
 //!                                       phase-2 boundary), then again warm-started
 //!                                       from the snapshot; assert the two reports
-//!                                       are byte-identical and record the speedup
+//!                                       are byte-identical and that every job
+//!                                       warm-started
 //!        [--prof]                       run every job plain and then with the
 //!                                       symbolized guest profiler attached; assert
 //!                                       the two reports are byte-identical and
@@ -32,26 +29,24 @@
 //!                                       .folded, .timeline.json) to results/prof/
 //! ```
 //!
-//! `--perf`, `--warm` and `--prof` are one A/B harness
-//! ([`cheri_sweep::ab()`]) with a mode-specific tail. When one of their
+//! `--warm` and `--prof` are one A/B harness ([`cheri_sweep::ab()`])
+//! with a mode-specific tail. When one of their
 //! transparency asserts or the `--check` gate fails, the offending
 //! jobs' final machine+kernel snapshots are written as
 //! `results/divergence-*.json` for offline triage with `snapreplay`.
 
-use beri_sim::MachineConfig;
 use cheri_bench::cli::{self, Cli};
 use cheri_bench::parse_workloads_csv;
 use cheri_sweep::{
     ab, check_reports, comparisons, dump_divergence, profile_matrix, render_drifts, run_jobs,
     AbJob, JobResult, JobSpec, Mode, Profile, Side, SweepReport,
 };
-use cheri_trace::json::{self, Json};
 use cheri_work::Workload;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const USAGE: &str = "xsweep [--profile smoke|full|paper] [--workloads W1,W2,...] [--jobs N] \
-     [--out PATH] [--check BASELINE] [--bless [PATH]] [--perf [PATH]] [--warm] [--prof]";
+     [--out PATH] [--check BASELINE] [--bless [PATH]] [--warm] [--prof]";
 
 struct Args {
     profile: Profile,
@@ -60,7 +55,6 @@ struct Args {
     out: PathBuf,
     check: Option<PathBuf>,
     bless: Option<PathBuf>,
-    perf: Option<PathBuf>,
     warm: bool,
     prof: bool,
 }
@@ -82,7 +76,6 @@ fn parse_args() -> Args {
         out: PathBuf::from("results/sweep.json"),
         check: None,
         bless: None,
-        perf: None,
         warm: false,
         prof: false,
     };
@@ -101,16 +94,10 @@ fn parse_args() -> Args {
             "--jobs" => args.jobs = cli.positive("--jobs"),
             "--out" => args.out = PathBuf::from(cli.value("--out")),
             "--check" => args.check = Some(PathBuf::from(cli.value("--check"))),
-            // --bless and --perf take an optional path operand.
+            // --bless takes an optional path operand.
             "--bless" => {
                 blessed = true;
                 args.bless = cli.opt_value().map(PathBuf::from);
-            }
-            "--perf" => {
-                args.perf = Some(
-                    cli.opt_value()
-                        .map_or_else(|| PathBuf::from("results/perf.json"), PathBuf::from),
-                );
             }
             "--warm" => args.warm = true,
             "--prof" => args.prof = true,
@@ -123,11 +110,8 @@ fn parse_args() -> Args {
     if blessed && args.workloads.is_some() {
         cli.usage_exit("--bless writes the whole matrix; it cannot be combined with --workloads");
     }
-    if args.warm && args.perf.is_some() {
-        cli.usage_exit("--warm and --perf are separate timing modes; pass one at a time");
-    }
-    if args.prof && (args.warm || args.perf.is_some()) {
-        cli.usage_exit("--prof is its own mode; pass it without --perf/--warm");
+    if args.prof && args.warm {
+        cli.usage_exit("--warm and --prof are separate A/B modes; pass one at a time");
     }
     args
 }
@@ -137,9 +121,9 @@ fn write_report(path: &Path, text: &str) {
 }
 
 /// Expands the profile's matrix, restricted to the `--workloads`
-/// selection when one was given. Every mode (default, `--perf`,
-/// `--warm`, `--prof`) draws its specs from here, so the filter means
-/// the same thing everywhere.
+/// selection when one was given. Every mode (default, `--warm`,
+/// `--prof`) draws its specs from here, so the filter means the same
+/// thing everywhere.
 fn selected_matrix(args: &Args) -> Vec<JobSpec> {
     let specs = profile_matrix(args.profile);
     match &args.workloads {
@@ -167,7 +151,7 @@ fn report_dump(dump: &Result<PathBuf, String>) {
     }
 }
 
-/// The A/B half every timing mode shares: runs the selected matrix
+/// The A/B half every transparency mode shares: runs the selected matrix
 /// under sides `a` and `b` ([`cheri_sweep::ab()`]), and on any divergence
 /// reports the snapshots written under `results/` and fails with
 /// `what` and the first diverging job. Returns each job's two runs.
@@ -183,120 +167,20 @@ fn run_ab(args: &Args, mode: &str, sides: &str, a: &Side, b: &Side, what: &str) 
     })
 }
 
-/// Side A's sweep report (the report every timing mode writes or sums).
+/// Side A's sweep report (the report `--warm` and `--prof` write).
 fn side_a_report(args: &Args, jobs: &[AbJob]) -> SweepReport {
     let results: Vec<JobResult> =
         jobs.iter().map(|j| j.a.result.clone().expect("A/B runs complete")).collect();
     SweepReport::from_results(args.profile.name(), &results)
 }
 
-/// Total guest instructions retired across a report's jobs.
-fn guest_instructions(report: &SweepReport) -> u64 {
-    report.jobs.iter().filter_map(|j| j.counters.get("sim.instructions")).sum()
-}
-
-/// Host time summed over jobs, in ms.
-fn total_ms(ns: impl Iterator<Item = u64>) -> u64 {
-    ns.sum::<u64>() / 1_000_000
-}
-
-/// The timing sections of `results/perf.json` and their fields, in file
-/// order. `--perf` owns the first two, `--warm` the last.
-const PERF_SECTIONS: [(&str, &[&str]); 3] = [
-    ("block_cache", &["wall_ms", "instr_per_sec"]),
-    ("interpreter", &["wall_ms", "instr_per_sec"]),
-    ("warm", &["cold_job_ms", "warm_job_ms", "speedup_x100", "snapshots"]),
-];
-
-/// Rewrites the perf report with the `updates` sections, keeping the
-/// other sections' numbers from the existing file if its profile
-/// matches (timings from a different matrix would be incomparable).
-/// Integer-only JSON, matching the sweep report's convention: wall
-/// times are host-dependent measurements, so this file is NOT a
-/// regression-gate baseline — it is the recorded evidence for the
-/// speedup claims in EXPERIMENTS.md.
-fn write_perf(path: &Path, args: &Args, report: &SweepReport, updates: &[(&str, &[u64])]) {
-    let profile = args.profile.name();
-    let (jobs, instructions) = (report.jobs.len(), guest_instructions(report));
-    let old = std::fs::read_to_string(path).ok().and_then(|text| json::parse(&text).ok());
-    let old = old
-        .as_ref()
-        .and_then(Json::as_obj)
-        .filter(|o| o.get("profile").and_then(Json::as_str) == Some(profile));
-    let mut text = format!(
-        "{{\n  \"schema\": \"cheri-perf/v1\",\n  \"profile\": \"{profile}\",\n  \
-         \"jobs\": {jobs},\n  \"threads\": {},\n  \"guest_instructions\": {instructions}",
-        args.jobs
-    );
-    for (name, fields) in PERF_SECTIONS {
-        let values = match updates.iter().find(|(n, _)| *n == name) {
-            Some((_, values)) => Some(values.to_vec()),
-            None => old.and_then(|o| {
-                let sec = o.get(name)?.as_obj()?;
-                fields.iter().map(|f| sec.get(*f)?.as_u64()).collect::<Option<Vec<u64>>>()
-            }),
-        };
-        if let Some(values) = values {
-            let body: Vec<String> =
-                fields.iter().zip(values).map(|(f, v)| format!("\n    \"{f}\": {v}")).collect();
-            text.push_str(&format!(",\n  \"{name}\": {{{}\n  }}", body.join(",")));
-        }
-    }
-    text.push_str("\n}\n");
-    write_report(path, &text);
-    println!("perf report: {}", path.display());
-}
-
-/// `--perf`: times the matrix with the predecoded block cache on and
-/// off (each job runs both ways back to back; each side's time is its
-/// jobs' host time summed, the wall time at `--jobs 1`), insists the
-/// two reports are byte-identical (the cache is architecturally
-/// transparent, so any divergence is a simulator bug), and writes an
-/// integer-only throughput report. On divergence the first offending
-/// job's final snapshots under both settings land in `results/` for
-/// `snapreplay`.
-fn run_perf(args: &Args, path: &Path) {
-    let on = |s: &JobSpec| MachineConfig { block_cache: true, ..s.machine_config() };
-    let off = |s: &JobSpec| MachineConfig { block_cache: false, ..s.machine_config() };
-    let jobs = run_ab(
-        args,
-        " --perf",
-        ", block cache on vs off",
-        &Side { cfg: &on, mode: |_| Some(Mode::Plain), dump: Some("-bc-on") },
-        &Side { cfg: &off, mode: |_| Some(Mode::Plain), dump: Some("-bc-off") },
-        "block cache changed architectural results",
-    );
-    let wall_on_ms = total_ms(jobs.iter().map(|j| j.a_ns));
-    let wall_off_ms = total_ms(jobs.iter().map(|j| j.b_ns));
-    println!("block cache on:  {:.2}s", wall_on_ms as f64 / 1e3);
-    println!("block cache off: {:.2}s", wall_off_ms as f64 / 1e3);
-    println!("reports identical: yes (block cache is architecturally transparent)");
-
-    let report = side_a_report(args, &jobs);
-    let guest_instructions = guest_instructions(&report);
-    let ips = |wall_ms: u64| guest_instructions.saturating_mul(1000) / wall_ms.max(1);
-    let speedup_x100 = wall_off_ms.saturating_mul(100) / wall_on_ms.max(1);
-    println!(
-        "\n{guest_instructions} guest instructions; {:.1} M instr/s with the block cache, \
-         {:.1} M instr/s without ({}.{:02}x)",
-        ips(wall_on_ms) as f64 / 1e6,
-        ips(wall_off_ms) as f64 / 1e6,
-        speedup_x100 / 100,
-        speedup_x100 % 100,
-    );
-
-    let sections: [(&str, &[u64]); 2] = [
-        ("block_cache", &[wall_on_ms, ips(wall_on_ms)]),
-        ("interpreter", &[wall_off_ms, ips(wall_off_ms)]),
-    ];
-    write_perf(path, args, &report, &sections);
-}
-
 /// `--warm`: runs every job cold (snapshotting once at the allocation →
 /// computation boundary), then warm-started from its snapshot, asserts
-/// the two reports are byte-identical in-process, and records the
-/// aggregate warm-start speedup in the perf report. On divergence the
-/// first offending job's final cold state lands in `results/`.
+/// the two reports are byte-identical in-process, and writes the cold
+/// report to `--out`. A job with no snapshot is not re-run (side A's
+/// result stands for it, so its agreement proves nothing), and any such
+/// job fails the mode. On divergence the first offending job's final
+/// cold state lands in `results/`.
 fn run_warm(args: &Args) {
     let jobs = run_ab(
         args,
@@ -306,28 +190,20 @@ fn run_warm(args: &Args) {
         &Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume), dump: None },
         "warm-started results diverged from cold",
     );
+    let warm = jobs.iter().filter(|j| j.b_ran).count();
+    println!("{warm}/{} jobs warm-started", jobs.len());
+    if let Some(cold) = jobs.iter().find(|j| !j.b_ran) {
+        fail(&format!(
+            "{} job(s) did not resume from a snapshot (first: {}), so warm == cold was not \
+             tested for them",
+            jobs.len() - warm,
+            cold.a.result.as_ref().expect("A/B runs complete").spec.key()
+        ));
+    }
     println!("reports identical: yes (warm-started runs reproduce the cold runs byte-for-byte)");
 
-    let snapshots = jobs.iter().filter(|j| j.b_ns != 0).count() as u64;
-    let cold_job_ms = total_ms(jobs.iter().map(|j| j.a_ns));
-    let warm_job_ms = total_ms(jobs.iter().map(|j| j.b_ns));
-    let speedup_x100 = cold_job_ms.saturating_mul(100) / warm_job_ms.max(1);
-    let cold_report = side_a_report(args, &jobs);
-    println!(
-        "\n{snapshots}/{} jobs warm-started; {:.2}s aggregate cold job time vs {:.2}s warm \
-         ({}.{:02}x warm-start speedup)",
-        jobs.len(),
-        cold_job_ms as f64 / 1e3,
-        warm_job_ms as f64 / 1e3,
-        speedup_x100 / 100,
-        speedup_x100 % 100,
-    );
-
-    write_report(&args.out, &cold_report.to_json());
+    write_report(&args.out, &side_a_report(args, &jobs).to_json());
     println!("report: {}", args.out.display());
-
-    let warm: &[u64] = &[cold_job_ms, warm_job_ms, speedup_x100, snapshots];
-    write_perf(Path::new("results/perf.json"), args, &cold_report, &[("warm", warm)]);
 }
 
 /// `--prof`: runs every job plain and then with a symbolized guest
@@ -373,9 +249,6 @@ fn run_prof(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if let Some(path) = &args.perf {
-        return run_perf(&args, path);
-    }
     if args.warm {
         return run_warm(&args);
     }
@@ -400,7 +273,8 @@ fn main() {
             bp("tag.cache.hit_rate_bp"),
         );
     }
-    let total_instr = guest_instructions(&report);
+    let total_instr: u64 =
+        report.jobs.iter().filter_map(|j| j.counters.get("sim.instructions")).sum();
     println!(
         "\n{} jobs, {total_instr} guest instructions in {:.2}s wall ({:.1} M instr/s aggregate)",
         report.jobs.len(),

@@ -1,5 +1,4 @@
-//! Latency percentile helpers shared by the load generator and the
-//! dashboard.
+//! The latency percentile `cheribench` reports.
 //!
 //! One definition, stated explicitly: the **nearest-rank** percentile.
 //! For a sorted sample of `N` values, the p-th percentile is the value

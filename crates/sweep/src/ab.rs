@@ -1,18 +1,16 @@
-//! The A/B transparency harness behind `xsweep --perf`, `--warm` and
-//! `--prof`.
+//! The A/B transparency harness behind `xsweep --warm` and `--prof`,
+//! and the sweep tests' block-cache comparison.
 //!
-//! Each of those modes runs the same matrix two ways that must not
-//! change any architectural result — block cache on vs off, cold vs
-//! warm-started, plain vs profiled — times both sides, and demands the
-//! two serialized reports be byte-identical. [`ab`] is that pattern
-//! once: jobs run side A then side B in the same worker (so side B can
-//! resume from side A's snapshot, and each side's time is measured
-//! under the same load), and on a mismatch the first diverging job's
+//! Each of those runs the same matrix two ways that must not change any
+//! architectural result — cold vs warm-started, plain vs profiled,
+//! block cache on vs off — and demands the two serialized reports be
+//! byte-identical. [`ab`] is that pattern once: jobs run
+//! side A then side B in the same worker (so side B can resume from
+//! side A's snapshot), and on a mismatch the first diverging job's
 //! final state is re-run and written as `divergence-<key><suffix>.json`
 //! by [`dump_divergence`], the writer the `--check` gate shares.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use beri_sim::MachineConfig;
 use cheri_snap::Snapshot;
@@ -44,10 +42,10 @@ pub struct AbJob {
     pub a: JobRun,
     /// Side B's run.
     pub b: JobRun,
-    /// Host time of side A's run.
-    pub a_ns: u64,
-    /// Host time of side B's run; 0 when side B reused side A's result.
-    pub b_ns: u64,
+    /// Whether side B ran; `false` when its `mode` declined and side A's
+    /// result stands for both sides, so the job's agreement proves
+    /// nothing about side B.
+    pub b_ran: bool,
 }
 
 /// An [`ab`] run whose sides disagreed.
@@ -85,19 +83,17 @@ pub fn ab(
     let jobs = run_indexed(specs.len(), threads, |i| {
         let spec = &specs[i];
         let side_run = |side: &Side<'_>, mode: Mode<'_>| {
-            let t0 = Instant::now();
-            let run = run_job(spec, (side.cfg)(spec), mode, None, &mut |_, _| {})
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.key()));
-            (run, t0.elapsed().as_nanos() as u64)
+            run_job(spec, (side.cfg)(spec), mode, None, &mut |_, _| {})
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
         };
         let a_mode = (a.mode)(None).expect("side A always runs");
-        let (mut a_run, a_ns) = side_run(a, a_mode);
+        let mut a_run = side_run(a, a_mode);
         let snap = a_run.snapshot.take();
-        let (b_run, b_ns) = match (b.mode)(snap.as_ref()) {
-            Some(mode) => side_run(b, mode),
-            None => (JobRun { result: a_run.result.clone(), snapshot: None, profile: None }, 0),
+        let (b_run, b_ran) = match (b.mode)(snap.as_ref()) {
+            Some(mode) => (side_run(b, mode), true),
+            None => (JobRun { result: a_run.result.clone(), snapshot: None, profile: None }, false),
         };
-        AbJob { a: a_run, b: b_run, a_ns, b_ns }
+        AbJob { a: a_run, b: b_run, b_ran }
     });
     let record = |run: &JobRun| {
         JobRecord::from_result(run.result.as_ref().expect("A/B modes run to completion")).to_json()

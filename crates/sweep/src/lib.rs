@@ -12,9 +12,9 @@
 //!   parallel, so every harness iterates the same lists in the same
 //!   order and every run — batch, warm, profiled, traced or served —
 //!   executes the same code;
-//! * [`mod@ab`] — the A/B transparency harness (`xsweep --perf`/`--warm`/
-//!   `--prof`): one matrix under two sides, timed, byte-compared, with
-//!   divergence snapshots on a mismatch;
+//! * [`mod@ab`] — the A/B transparency harness (`xsweep --warm`/`--prof`):
+//!   one matrix under two sides, byte-compared, with divergence
+//!   snapshots on a mismatch;
 //! * [`engine`] — a deterministic work-stealing executor: each job owns
 //!   its own `Machine`, workers steal indices from an atomic cursor,
 //!   and results are reassembled in index order, so output is

@@ -155,8 +155,8 @@ impl JobSpec {
 
     /// Resolves a spec from its named parts — the one constructor every
     /// by-name surface (`profbin` flags, the `cheri-serve` wire
-    /// protocol, `serveload --job`) goes through, so a job spelled the
-    /// same way always means the same experiment. Returns `None` if the
+    /// protocol) goes through, so a job spelled the same way always
+    /// means the same experiment. Returns `None` if the
     /// workload or strategy name is unknown.
     #[must_use]
     pub fn from_parts(

@@ -4,9 +4,10 @@
 //!    thread count (each job owns its machine; results are reassembled
 //!    in spec order).
 //! 2. **The gate bites** — a seeded counter drift fails the check with
-//!    the drifting metric named; an unchanged report passes; and the
-//!    A/B harness names the first job a result-changing side diverges
-//!    on and writes its divergence snapshots.
+//!    the drifting metric named; an unchanged report passes; the A/B
+//!    harness names the first job a result-changing side diverges on
+//!    and writes its divergence snapshots; and it reports which jobs
+//!    side B really ran, so a vacuous warm == cold agreement shows.
 
 use beri_sim::MachineConfig;
 use cheri_snap::Snapshot;
@@ -65,8 +66,9 @@ fn self_check_passes_and_seeded_drift_fails() {
 fn block_cache_is_architecturally_transparent_in_the_sweep() {
     // The simulator's predecoded block cache is a host-side
     // optimisation: forcing it on or off must leave every reported
-    // counter of a real matrix job byte-identical. (`xsweep --perf`
-    // asserts the same over the whole matrix; this is the tier-1 form.)
+    // counter of a real matrix job byte-identical. (CI asserts the same
+    // over the smoke matrix by running the `xsweep --check` gate with
+    // and without `CHERI_SIM_NO_BLOCK_CACHE=1`; this is the tier-1 form.)
     let on = |s: &JobSpec| MachineConfig { block_cache: true, ..s.machine_config() };
     let off = |s: &JobSpec| MachineConfig { block_cache: false, ..s.machine_config() };
     let dir = scratch_dir("bc");
@@ -117,6 +119,24 @@ fn ab_names_the_first_diverging_job_and_dumps_it() {
         .collect();
     assert_ne!(snaps[0].state_hash(), snaps[1].state_hash(), "the two sides' final states differ");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn ab_reports_whether_side_b_warm_started() {
+    // Side B resumes only from a snapshot side A captured; otherwise
+    // side A's result stands for both sides and their agreement is
+    // vacuous. Split → Resume warm-starts every job; Plain → Resume
+    // warm-starts none, the run `xsweep --warm` refuses.
+    let split = Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Split), dump: None };
+    let plain = Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain), dump: None };
+    let resume =
+        Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume), dump: None };
+    for (a, warm) in [(&split, true), (&plain, false)] {
+        let jobs = ab(&treeadd_specs(), 2, a, &resume, &scratch_dir("warm"))
+            .expect("resuming never changes a result");
+        assert_eq!(jobs.len(), 5);
+        assert!(jobs.iter().all(|j| j.b_ran == warm), "every job's b_ran must be {warm}");
+    }
 }
 
 #[test]
