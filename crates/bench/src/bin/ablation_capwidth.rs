@@ -9,19 +9,21 @@
 //! The strategy triple is the canonical [`CAPWIDTH_STRATEGIES`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::{overhead_pct, params_for, parse_jobs, parse_scale};
+use cheri_bench::{overhead_pct, params_for, Exhibit};
 use cheri_sweep::{run_jobs, JobSpec, CAPWIDTH_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let params = params_for(parse_scale());
+    let Exhibit { scale, jobs, .. } =
+        Exhibit::from_args("ablation_capwidth", "ablation_capwidth [--scaled|--paper] [--jobs N]");
+    let params = params_for(scale);
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {
             CAPWIDTH_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_jobs(&specs, parse_jobs(), None);
+    let results = run_jobs(&specs, jobs, None);
 
     println!("== Capability width ablation: 256-bit vs 128-bit CHERI (execution) ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "cheri-256", "cheri-128", "recovered");

@@ -7,19 +7,21 @@
 //! The strategy triple is the canonical [`ELISION_STRATEGIES`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::{overhead_pct, params_for, parse_jobs, parse_scale};
+use cheri_bench::{overhead_pct, params_for, Exhibit};
 use cheri_sweep::{run_jobs, JobSpec, ELISION_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let params = params_for(parse_scale());
+    let Exhibit { scale, jobs, .. } =
+        Exhibit::from_args("ablation_elision", "ablation_elision [--scaled|--paper] [--jobs N]");
+    let params = params_for(scale);
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {
             ELISION_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_jobs(&specs, parse_jobs(), None);
+    let results = run_jobs(&specs, jobs, None);
 
     println!("== Software bounds-check elision ablation ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "checked", "eliding", "saved");

@@ -6,12 +6,14 @@
 //! The size axis is the canonical [`TAG_ABLATION_KB`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::parse_jobs;
+use cheri_bench::Exhibit;
 use cheri_olden::OldenParams;
 use cheri_sweep::{run_jobs, JobSpec, StrategyKind, TAG_ABLATION_KB};
 use cheri_work::Workload;
 
 fn main() {
+    let Exhibit { jobs, .. } =
+        Exhibit::from_args("ablation_tag_cache", "ablation_tag_cache [--jobs N]");
     let params = OldenParams::scaled().with_treeadd_depth(15);
     let specs: Vec<JobSpec> = TAG_ABLATION_KB
         .into_iter()
@@ -20,7 +22,7 @@ fn main() {
             ..JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, params)
         })
         .collect();
-    let results = run_jobs(&specs, parse_jobs(), None);
+    let results = run_jobs(&specs, jobs, None);
 
     println!("== Tag-cache size ablation (treeadd depth 15, CHERI mode) ==\n");
     println!(

@@ -9,8 +9,11 @@ fn main() {
     println!("  base   (64 bits)");
     println!("  length (64 bits)\n");
 
+    // The base fits the 128-bit format's 40-bit addresses
+    // (`cheri_core::compress::VADDR_BITS`), so the compressed form
+    // printed below exists.
     let cap = Capability::new(
-        0x0000_1234_5678_9000,
+        0x0000_0034_5678_9000,
         0x1000,
         Perms::LOAD | Perms::STORE | Perms::LOAD_CAP,
     )

@@ -7,19 +7,20 @@
 //! optimistic and pessimistic instructions) normalised to the
 //! unprotected baseline.
 
-use cheri_bench::{params_for, parse_jobs, parse_scale};
+use cheri_bench::{params_for, Exhibit};
 use cheri_limit::run_study;
 use cheri_sweep::run_indexed;
 use cheri_work::native::WORKLOADS;
 
 fn main() {
-    let scale = parse_scale();
+    let Exhibit { scale, jobs, .. } =
+        Exhibit::from_args("fig3_limit_study", "fig3_limit_study [--scaled|--paper] [--jobs N]");
     let params = params_for(scale);
     eprintln!("recording traces ({scale:?} parameters)...");
     // Record the native workload traces in parallel on the sweep
     // engine; `run_indexed` returns them in workload order, so the
     // study's inputs are identical at any `--jobs` count.
-    let traces = run_indexed(WORKLOADS.len(), parse_jobs(), |i| WORKLOADS[i].1(&params).trace);
+    let traces = run_indexed(WORKLOADS.len(), jobs, |i| WORKLOADS[i].1(&params).trace);
     for t in &traces {
         eprintln!("  {:<10} {:>9} events, {:>7} objects", t.name, t.events.len(), t.objects.len());
     }

@@ -8,25 +8,26 @@
 //! sweep engine (`--jobs N`; with `--trace-out` the jobs run serially
 //! so the event stream stays one ordered file).
 
-use cheri_bench::{bar, overhead_pct, params_for, parse_jobs, parse_scale, parse_trace_out};
+use cheri_bench::{bar, overhead_pct, params_for, Exhibit};
 use cheri_olden::dsl::BenchRun;
 use cheri_sweep::{run_jobs, JobSpec, FIGURE4_STRATEGIES};
-use cheri_trace::Sink;
 use cheri_work::Workload;
 
 fn main() {
-    let scale = parse_scale();
-    let params = params_for(scale);
     // `--trace-out <path>`: stream every event of every run as JSON
     // lines, with a marker line delimiting each benchmark/mode pair.
-    let sink = parse_trace_out();
+    let Exhibit { scale, jobs, sink } = Exhibit::from_args(
+        "fig4_overheads",
+        "fig4_overheads [--scaled|--paper] [--jobs N] [--trace-out PATH]",
+    );
+    let params = params_for(scale);
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {
             FIGURE4_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_jobs(&specs, parse_jobs(), sink.as_ref());
+    let results = run_jobs(&specs, jobs, sink.as_ref());
 
     println!("== Figure 4: execution-time overhead vs unsafe MIPS ({scale:?} sizes) ==\n");
     println!(

@@ -7,16 +7,16 @@
 //! sweep engine (`--jobs N`; `--trace-out` forces the serial traced
 //! path).
 
-use cheri_bench::{bar, overhead_pct, parse_jobs, parse_trace_out};
+use cheri_bench::{bar, overhead_pct, Exhibit};
 use cheri_sweep::{heapsize_sweep, run_jobs, JobSpec, HEAPSIZE_STRATEGIES};
-use cheri_trace::Sink;
 use cheri_work::Workload;
 
 fn main() {
+    // `--trace-out <path>`: stream every event of every sweep point.
+    let Exhibit { jobs, sink, .. } =
+        Exhibit::from_args("fig5_heapsize", "fig5_heapsize [--jobs N] [--trace-out PATH]");
     println!("== Figure 5: CHERI slowdown at different heap sizes ==");
     println!("(cache geometry: 16KB L1 / 64KB L2 / TLB covering 1MB)\n");
-    // `--trace-out <path>`: stream every event of every sweep point.
-    let sink = parse_trace_out();
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {
@@ -27,7 +27,7 @@ fn main() {
             })
         })
         .collect();
-    let results = run_jobs(&specs, parse_jobs(), sink.as_ref());
+    let results = run_jobs(&specs, jobs, sink.as_ref());
 
     let mut rows = results.chunks(HEAPSIZE_STRATEGIES.len());
     for bench in Workload::ALL {

@@ -15,9 +15,10 @@
 //! per-counter deltas between two saved runs.
 
 use cheri_bench::cli::Cli;
-use cheri_bench::{params_for, parse_bench_name, parse_scale};
+use cheri_bench::{params_for, Scale};
 use cheri_sweep::{run_spec_with_config, JobSpec, StrategyKind};
-use cheri_trace::{marker, shared, AnySink, JsonlSink, Sink, Snapshot};
+use cheri_trace::{marker, shared, JsonlSink, Snapshot};
+use cheri_work::Workload;
 
 const USAGE: &str = "trace_report <workload> [--strategy <name>]\n\
      \u{20}                   [--scaled|--paper] [--jsonl <path>] [--out <path>]\n\
@@ -34,6 +35,7 @@ fn load_snapshot(cli: &Cli, path: &str) -> Snapshot {
 fn main() {
     let mut cli = Cli::new("trace_report", USAGE);
     let mut strategy_name = String::from("cheri");
+    let mut scale = Scale::Medium;
     let mut jsonl_path = None;
     let mut out_path = None;
     let mut diff_mode = false;
@@ -44,9 +46,8 @@ fn main() {
             "--jsonl" => jsonl_path = Some(cli.value("--jsonl")),
             "--out" => out_path = Some(cli.value("--out")),
             "--diff" => diff_mode = true,
-            // The scale flags are read by parse_scale (shared across
-            // the harnesses); accept them here so they aren't unknown.
-            "--scaled" | "--paper" => {}
+            "--scaled" => scale = Scale::Scaled,
+            "--paper" => scale = Scale::Paper,
             flag if flag.starts_with("--") => cli.unknown(flag),
             operand => positional.push(operand.to_string()),
         }
@@ -65,18 +66,18 @@ fn main() {
         return;
     }
 
-    let Some(bench) = positional.first().and_then(|n| parse_bench_name(n)) else {
+    let Some(bench) = positional.first().and_then(|n| Workload::parse(n)) else {
         cli.usage_exit("a benchmark name is required");
     };
     let Some(strategy) = StrategyKind::parse(&strategy_name) else {
         cli.usage_exit(&format!("unknown strategy {strategy_name:?}"));
     };
-    let params = params_for(parse_scale());
+    let params = params_for(scale);
 
     let sink = jsonl_path.map(|path| {
         let jsonl = JsonlSink::create(std::path::Path::new(&path))
             .unwrap_or_else(|e| cli.usage_exit(&format!("cannot create {path}: {e}")));
-        shared(AnySink::Jsonl(jsonl))
+        shared(jsonl)
     });
 
     let spec = JobSpec::new(bench, strategy, params);

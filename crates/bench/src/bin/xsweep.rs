@@ -307,7 +307,7 @@ fn main() {
         let drifts = check_reports(&baseline, &report);
         if drifts.is_empty() {
             println!(
-                "check: OK — {} comparisons against {} within tolerance",
+                "check: OK — {} exact comparisons against {}",
                 comparisons(&baseline),
                 path.display()
             );

@@ -13,10 +13,14 @@
 //! | `fig5_heapsize` | Figure 5 — CHERI slowdown vs heap size |
 //! | `fig6_area` | Figure 6 + §9 — area and frequency |
 //! | `ablation_tag_cache` | §4.2 tag-cache size ablation |
+//! | `ablation_capwidth` | §8 256- vs 128-bit capability ablation |
 //! | `ablation_elision` | §8 check-elision ablation |
 //!
-//! All accept `--scaled` (CI-sized), default to medium sizes, and accept
-//! `--paper` for the paper's full parameters (minutes of host time).
+//! The matrix exhibits read their flags through [`Exhibit::from_args`]:
+//! `--scaled` (CI-sized) or `--paper` (the paper's full parameters,
+//! minutes of host time) where the exhibit has sizes, otherwise medium
+//! sizes; `--jobs N`; and `--trace-out PATH` where it traces. Any other
+//! argument exits 2.
 //!
 //! This library holds the small amount of shared harness plumbing,
 //! including the common command-line scanner ([`cli::Cli`]).
@@ -27,7 +31,7 @@ pub mod specfuzz;
 pub mod triage;
 
 use cheri_olden::OldenParams;
-use cheri_trace::{shared, AnySink, JsonlSink, SharedSink};
+use cheri_trace::{shared, JsonlSink, SharedSink};
 use cheri_work::Workload;
 
 /// Which problem-size preset a harness should use.
@@ -41,19 +45,6 @@ pub enum Scale {
     Paper,
 }
 
-/// Parses the common `--scaled` / `--paper` flags.
-#[must_use]
-pub fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--paper") {
-        Scale::Paper
-    } else if args.iter().any(|a| a == "--scaled") {
-        Scale::Scaled
-    } else {
-        Scale::Medium
-    }
-}
-
 /// The parameter preset for a scale.
 #[must_use]
 pub fn params_for(scale: Scale) -> OldenParams {
@@ -62,13 +53,6 @@ pub fn params_for(scale: Scale) -> OldenParams {
         Scale::Medium => OldenParams::medium(),
         Scale::Paper => OldenParams::paper(),
     }
-}
-
-/// Resolves a workload by its canonical name (`bisort`, `mst`,
-/// `treeadd`, `perimeter`, `vmloop`, `allocstress`).
-#[must_use]
-pub fn parse_bench_name(name: &str) -> Option<Workload> {
-    Workload::parse(name)
 }
 
 /// Parses a `--workloads` CSV operand into workloads: canonical names,
@@ -94,48 +78,49 @@ pub fn parse_workloads_csv(cli: &cli::Cli, csv: &str) -> Vec<Workload> {
     ws
 }
 
-/// Parses the `--jobs N` flag shared by the matrix harnesses; defaults
-/// to the host's available parallelism.
-///
-/// # Panics
-///
-/// Exits with a message if the argument is missing or not a positive
-/// integer.
-#[must_use]
-pub fn parse_jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--jobs") {
-        None => cheri_sweep::default_threads(),
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => {
-                eprintln!("--jobs requires a positive integer");
-                std::process::exit(2);
-            }
-        },
-    }
+/// The flags of a matrix exhibit.
+pub struct Exhibit {
+    /// `--scaled` / `--paper`; [`Scale::Medium`] without either.
+    pub scale: Scale,
+    /// `--jobs N`; the host's available parallelism without it.
+    pub jobs: usize,
+    /// `--trace-out PATH`: a JSONL sink streaming to that path, which
+    /// the harness threads through every run (one marker line per run).
+    pub sink: Option<SharedSink>,
 }
 
-/// Parses the `--trace-out <path>` flag shared by the figure harnesses:
-/// when present, returns a JSONL sink streaming to that path which the
-/// harness threads through every run (with one marker line per run).
-///
-/// # Panics
-///
-/// Exits with a message if the path cannot be created.
-#[must_use]
-pub fn parse_trace_out() -> Option<SharedSink> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--trace-out")?;
-    let path = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("--trace-out requires a path argument");
-        std::process::exit(2);
-    });
-    let jsonl = JsonlSink::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot create trace file {path}: {e}");
-        std::process::exit(2);
-    });
-    Some(shared(AnySink::Jsonl(jsonl)))
+impl Exhibit {
+    /// Reads the process arguments through [`cli::Cli`]. `usage` is both
+    /// the synopsis printed on misuse and the list of flags the exhibit
+    /// takes, out of `--scaled`, `--paper`, `--jobs N` and `--trace-out
+    /// PATH`. Any other argument, a missing or non-positive `--jobs`
+    /// operand, or a trace file that cannot be created exits 2.
+    #[must_use]
+    pub fn from_args(tool: &'static str, usage: &'static str) -> Exhibit {
+        let offered = |flag: &str| {
+            usage.split(|c: char| c.is_whitespace() || "[]|".contains(c)).any(|t| t == flag)
+        };
+        let mut cli = cli::Cli::new(tool, usage);
+        let mut ex =
+            Exhibit { scale: Scale::Medium, jobs: cheri_sweep::default_threads(), sink: None };
+        while let Some(arg) = cli.next_arg() {
+            match arg.as_str() {
+                "--scaled" if offered("--scaled") => ex.scale = Scale::Scaled,
+                "--paper" if offered("--paper") => ex.scale = Scale::Paper,
+                "--jobs" if offered("--jobs") => ex.jobs = cli.positive("--jobs"),
+                "--trace-out" if offered("--trace-out") => {
+                    let path = cli.value("--trace-out");
+                    let jsonl =
+                        JsonlSink::create(std::path::Path::new(&path)).unwrap_or_else(|e| {
+                            cli.usage_exit(&format!("cannot create trace file {path}: {e}"))
+                        });
+                    ex.sink = Some(shared(jsonl));
+                }
+                _ => cli.unknown(&arg),
+            }
+        }
+        ex
+    }
 }
 
 /// Percentage overhead of `x` over `base`.

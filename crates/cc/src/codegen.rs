@@ -32,13 +32,6 @@ use crate::strategy::{emit_trap_stub, Emit, PtrLoc, PtrStrategy, CAP_ARG_BASE};
 /// Integer expression scratch registers, indexed by depth.
 const INT_POOL: [u8; 6] = [reg::T0, reg::T1, reg::T2, reg::T3, reg::T8, reg::T9];
 
-/// Compilation options.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CompileOpts {
-    /// Process layout (text base, heap-pointer cell) to target.
-    pub layout: ProcessLayout,
-}
-
 /// Where an argument travels.
 #[derive(Clone, Copy, Debug)]
 enum ArgLoc {
@@ -60,18 +53,16 @@ pub struct FuncSym {
     pub end: u64,
 }
 
-/// Compiles `module` under `strategy` into a loadable [`Program`].
+/// Compiles `module` under `strategy` into a loadable [`Program`] for
+/// the default process layout ([`ProcessLayout::default`]: its text base
+/// and heap-pointer cell).
 ///
 /// # Errors
 ///
 /// Validation errors from [`crate::check`], plus resource errors
 /// (argument or offset overflow) detected during generation.
-pub fn compile(
-    module: &Module,
-    strategy: &dyn PtrStrategy,
-    opts: CompileOpts,
-) -> Result<Program, CompileError> {
-    compile_with_symbols(module, strategy, opts).map(|(program, _)| program)
+pub fn compile(module: &Module, strategy: &dyn PtrStrategy) -> Result<Program, CompileError> {
+    compile_with_symbols(module, strategy).map(|(program, _)| program)
 }
 
 /// Like [`compile`], but also returns the function symbol map. Symbols
@@ -84,8 +75,8 @@ pub fn compile(
 pub fn compile_with_symbols(
     module: &Module,
     strategy: &dyn PtrStrategy,
-    opts: CompileOpts,
 ) -> Result<(Program, Vec<FuncSym>), CompileError> {
+    let layout = ProcessLayout::default();
     check(module, Limits { max_int: INT_POOL.len(), max_ptr: strategy.num_scratch() })?;
     let layouts: Vec<StructLayout> =
         module.structs.iter().map(|s| StructLayout::compute(&s.fields, strategy)).collect();
@@ -95,7 +86,7 @@ pub fn compile_with_symbols(
         }
     }
 
-    let mut asm = Asm::new(opts.layout.text_base);
+    let mut asm = Asm::new(layout.text_base);
     let trap = asm.new_label();
     let func_labels: Vec<Label> = module.funcs.iter().map(|_| asm.new_label()).collect();
 
@@ -113,7 +104,7 @@ pub fn compile_with_symbols(
         trap,
         func_labels,
         layouts,
-        heap_cell: opts.layout.heap_ptr_cell(),
+        heap_cell: layout.heap_ptr_cell(),
     };
     for (id, f) in module.funcs.iter().enumerate() {
         cg.compile_func(id, f)?;
@@ -122,7 +113,7 @@ pub fn compile_with_symbols(
     // Functions are emitted contiguously in id order, so each one ends
     // where the next begins (the last at the current emission point).
     let mut starts: Vec<(&'static str, u64)> = Vec::with_capacity(module.funcs.len() + 1);
-    starts.push(("_start", opts.layout.text_base));
+    starts.push(("_start", layout.text_base));
     for (id, f) in module.funcs.iter().enumerate() {
         if let Some(addr) = cg.asm.label_addr(cg.func_labels[id]) {
             starts.push((f.name, addr));
@@ -749,7 +740,7 @@ mod tests {
     }
 
     fn run(module: &Module, strategy: &dyn PtrStrategy) -> cheri_os::RunOutcome {
-        let prog = compile(module, strategy, CompileOpts::default())
+        let prog = compile(module, strategy)
             .unwrap_or_else(|e| panic!("[{}] compile failed: {e}", strategy.name()));
         let mut k = boot(KernelConfig {
             machine: beri_sim::MachineConfig { mem_bytes: 16 << 20, ..Default::default() },

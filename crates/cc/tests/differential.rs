@@ -159,7 +159,7 @@ proptest! {
             [&LegacyPtr, &SoftFatPtr::checked(), &SoftFatPtr::eliding(), &CapPtr::c256()];
         let mut results = Vec::new();
         for s in strategies {
-            let program = cheri_cc::compile(&module, s, Default::default())
+            let program = cheri_cc::compile(&module, s)
                 .unwrap_or_else(|e| panic!("[{}] compile: {e}\n{module:#?}", s.name()));
             let mut kernel = boot(KernelConfig::default());
             let out = kernel.exec_and_run(&program).expect("run");

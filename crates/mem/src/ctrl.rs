@@ -12,9 +12,6 @@
 //! counts the DRAM traffic the table generates — the quantity the paper's
 //! claim (and our tag-cache ablation bench) is about.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use crate::tags::TagTable;
 use crate::{DEFAULT_TAG_CACHE_BYTES, TAG_GRANULE, TAG_LINE_BYTES};
 use cheri_trace::{emit, SharedSink, TraceEvent};
@@ -86,9 +83,6 @@ pub struct TagController {
     // controller shares the sink handle, which is what snapshot-style
     // clones want).
     sink: Option<SharedSink>,
-    // Host-side miss tick shared with a profiler: bumped once per
-    // tag-cache miss, never serialized, never guest-visible.
-    miss_probe: Option<Rc<Cell<u64>>>,
 }
 
 impl TagController {
@@ -119,7 +113,6 @@ impl TagController {
             line_shift: bytes_per_line.trailing_zeros(),
             stats: TagCacheStats::default(),
             sink: None,
-            miss_probe: None,
         }
     }
 
@@ -129,15 +122,6 @@ impl TagController {
     /// so counting the events reproduces those statistics exactly.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
-    }
-
-    /// Attaches (or with `None`, detaches) a host-side miss probe: a
-    /// shared counter bumped once per tag-cache miss. Profilers read it
-    /// to attribute tag misses to guest PCs by delta sampling. The
-    /// probe is pure observation — it never affects statistics, guest
-    /// state, or snapshots.
-    pub fn set_miss_probe(&mut self, probe: Option<Rc<Cell<u64>>>) {
-        self.miss_probe = probe;
     }
 
     /// Physical bytes of memory covered by one tag-cache line.
@@ -190,9 +174,6 @@ impl TagController {
     fn touch_line(&mut self, paddr: u64, make_dirty: bool) {
         if self.lines.is_empty() {
             self.stats.misses += 1;
-            if let Some(p) = &self.miss_probe {
-                p.set(p.get() + 1);
-            }
             if make_dirty {
                 self.stats.writebacks += 1; // write-through when uncached
             }
@@ -207,9 +188,6 @@ impl TagController {
             emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
         } else {
             self.stats.misses += 1;
-            if let Some(p) = &self.miss_probe {
-                p.set(p.get() + 1);
-            }
             let writeback = line.valid && line.dirty;
             if writeback {
                 self.stats.writebacks += 1;

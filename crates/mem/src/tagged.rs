@@ -135,12 +135,6 @@ impl TaggedMem {
         self.tags.set_trace_sink(sink);
     }
 
-    /// Attaches (or detaches, with `None`) a profiler miss probe on the
-    /// tag controller; see [`TagController::set_miss_probe`].
-    pub fn set_tag_miss_probe(&mut self, probe: Option<std::rc::Rc<std::cell::Cell<u64>>>) {
-        self.tags.set_miss_probe(probe);
-    }
-
     /// The underlying tag controller (for inspection, e.g. the GC sketch).
     #[must_use]
     pub fn tag_controller(&self) -> &TagController {

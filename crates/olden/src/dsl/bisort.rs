@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn sorts_and_preserves_values() {
-        let prog = cheri_cc::compile(&module(6), &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&module(6), &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         assert_eq!(out.exit_value(), Some(0), "violations must be zero");

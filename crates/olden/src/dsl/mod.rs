@@ -152,7 +152,7 @@ pub fn compile_bench(
     params: &OldenParams,
     strategy: &dyn PtrStrategy,
 ) -> Result<Program, CompileError> {
-    compile(&bench.module(params), strategy, cheri_cc::codegen::CompileOpts::default())
+    compile(&bench.module(params), strategy)
 }
 
 /// Compiles an arbitrary IR module under `strategy` and converts its
@@ -166,11 +166,7 @@ pub fn compile_module_with_symbols(
     module: &Module,
     strategy: &dyn PtrStrategy,
 ) -> Result<(Program, cheri_prof::SymbolTable), CompileError> {
-    let (program, syms) = cheri_cc::compile_with_symbols(
-        module,
-        strategy,
-        cheri_cc::codegen::CompileOpts::default(),
-    )?;
+    let (program, syms) = cheri_cc::compile_with_symbols(module, strategy)?;
     let defs = syms
         .iter()
         .map(|s| cheri_prof::SymbolDef { name: s.name.to_string(), start: s.start, end: s.end })
@@ -270,12 +266,7 @@ impl BenchSession {
             user_top,
             ..cheri_os::ProcessLayout::default()
         };
-        let mut kernel = boot(KernelConfig {
-            machine,
-            layout,
-            max_instructions: RUNAWAY_BUDGET,
-            ..KernelConfig::default()
-        });
+        let mut kernel = boot(KernelConfig { machine, layout, max_instructions: RUNAWAY_BUDGET });
         kernel.set_trace_sink(sink);
         if profiled {
             let mut prof = Box::new(cheri_prof::Profiler::new());

@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn mst_cost_is_positive_and_bounded() {
-        let prog = cheri_cc::compile(&module(24, 4), &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&module(24, 4), &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         let cost = out.exit_value().expect("clean exit");

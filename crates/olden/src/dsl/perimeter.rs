@@ -347,7 +347,7 @@ mod tests {
     }
 
     fn run(levels: u32) -> u64 {
-        let prog = cheri_cc::compile(&module(levels), &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&module(levels), &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         k.exec_and_run(&prog).unwrap().exit_value().expect("clean exit")
     }

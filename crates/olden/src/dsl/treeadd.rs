@@ -102,7 +102,7 @@ mod tests {
     fn sum_is_node_count() {
         use cheri_cc::strategy::LegacyPtr;
         let m = module(6);
-        let prog = cheri_cc::compile(&m, &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         assert_eq!(out.exit_value(), Some(63)); // 2^6 - 1 nodes of value 1

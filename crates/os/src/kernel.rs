@@ -14,18 +14,21 @@ use cheri_trace::{emit, names, SharedSink, Snapshot, SpanKind, TraceEvent};
 use crate::abi;
 use crate::layout::ProcessLayout;
 
-/// Kernel configuration.
+/// Cycles charged for the software TLB-refill handler (a hand-tuned
+/// MIPS refill handler runs in a few tens of cycles).
+pub const TLB_REFILL_CYCLES: u64 = 30;
+
+/// Cycles charged per syscall (kernel entry + service + exit).
+pub const SYSCALL_CYCLES: u64 = 120;
+
+/// Kernel configuration. The handler tariffs are constants
+/// ([`TLB_REFILL_CYCLES`], [`SYSCALL_CYCLES`]).
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
     /// Machine configuration used by [`crate::boot`].
     pub machine: MachineConfig,
     /// User address-space layout.
     pub layout: ProcessLayout,
-    /// Cycles charged for the software TLB-refill handler (a hand-tuned
-    /// MIPS refill handler runs in a few tens of cycles).
-    pub tlb_refill_cycles: u64,
-    /// Cycles charged per syscall (kernel entry + service + exit).
-    pub syscall_cycles: u64,
     /// Abort a run after this many instructions (runaway guard).
     pub max_instructions: u64,
 }
@@ -35,8 +38,6 @@ impl Default for KernelConfig {
         KernelConfig {
             machine: MachineConfig::default(),
             layout: ProcessLayout::default(),
-            tlb_refill_cycles: 30,
-            syscall_cycles: 120,
             max_instructions: 4_000_000_000,
         }
     }
@@ -218,7 +219,6 @@ impl Kernel {
     /// hierarchy, and the tag controller all share the handle, so one
     /// call instruments every layer.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        let sink = cheri_trace::active(sink);
         self.machine.set_trace_sink(sink.clone());
         self.sink = sink;
     }
@@ -352,24 +352,23 @@ impl Kernel {
             })));
         }
         self.map_page(vaddr, TlbFlags::rw())?;
-        self.machine.charge_cycles(self.cfg.tlb_refill_cycles);
+        self.machine.charge_cycles(TLB_REFILL_CYCLES);
         Ok(None)
     }
 
     fn handle_syscall(&mut self) -> Option<ExitReason> {
-        self.machine.charge_cycles(self.cfg.syscall_cycles);
+        self.machine.charge_cycles(SYSCALL_CYCLES);
         let num = self.machine.cpu.gpr[usize::from(beri_sim::reg::V0)];
         let a0 = self.machine.cpu.gpr[usize::from(beri_sim::reg::A0)];
-        let tariff = self.cfg.syscall_cycles;
         // Timeline entries place the syscall at its pre-charge cycle
         // count with the tariff as its duration. (The tariff is charged
         // *before* dispatch because SYS_GETCOUNT's return value
         // includes it — that ordering is guest-visible and must not
         // change.)
-        let ts = self.machine.stats.cycles - tariff;
-        emit(&self.sink, || TraceEvent::Syscall { nr: num, cycles: tariff });
+        let ts = self.machine.stats.cycles - SYSCALL_CYCLES;
+        emit(&self.sink, || TraceEvent::Syscall { nr: num, cycles: SYSCALL_CYCLES });
         if let Some(p) = self.machine.profiler_mut() {
-            p.on_syscall(num, ts, tariff);
+            p.on_syscall(num, ts, SYSCALL_CYCLES);
         }
         let result = match num {
             abi::SYS_EXIT => return Some(ExitReason::Exit(a0)),
@@ -544,8 +543,10 @@ impl Kernel {
                         // handler but are not counted as refills by
                         // `Stats::tlb_refills`, and the event stream
                         // must aggregate to the same totals.
-                        let tariff = self.cfg.tlb_refill_cycles;
-                        emit(&self.sink, || TraceEvent::TlbRefill { vaddr, cycles: tariff });
+                        emit(&self.sink, || TraceEvent::TlbRefill {
+                            vaddr,
+                            cycles: TLB_REFILL_CYCLES,
+                        });
                         if let Some(reason) = self.handle_refill(vaddr)? {
                             break reason;
                         }
@@ -582,7 +583,7 @@ impl Kernel {
         // it; its tariff is already charged.
         let mut ts = self.machine.stats.cycles;
         if matches!(exit, ExitReason::Exit(_)) {
-            ts -= self.cfg.syscall_cycles;
+            ts -= SYSCALL_CYCLES;
         }
         while self.span_end(ts).is_some() {}
         Ok(Some(RunOutcome {

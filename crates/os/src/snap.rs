@@ -90,8 +90,6 @@ impl Kernel {
         page_table.sort_unstable();
         KernelState {
             layout: layout_array(&self.cfg.layout),
-            tlb_refill_cycles: self.cfg.tlb_refill_cycles,
-            syscall_cycles: self.cfg.syscall_cycles,
             page_table,
             next_frame: self.next_frame,
             brk: self.brk,
@@ -119,18 +117,6 @@ impl Kernel {
                 s.layout
             )));
         }
-        if self.cfg.tlb_refill_cycles != s.tlb_refill_cycles
-            || self.cfg.syscall_cycles != s.syscall_cycles
-        {
-            return Err(SnapError(format!(
-                "kernel cycle tariffs mismatch: running refill={}/syscall={}, \
-                 snapshot refill={}/syscall={}",
-                self.cfg.tlb_refill_cycles,
-                self.cfg.syscall_cycles,
-                s.tlb_refill_cycles,
-                s.syscall_cycles
-            )));
-        }
         self.page_table = s.page_table.iter().copied().collect::<HashMap<u64, u64>>();
         self.next_frame = s.next_frame;
         self.brk = s.brk;
@@ -156,7 +142,7 @@ impl Kernel {
     }
 
     /// Restores a [`Kernel::snapshot`] onto this kernel. The machine
-    /// identity and the kernel's layout / cycle tariffs must match; the
+    /// identity and the kernel's layout must match; the
     /// attached trace sink and the runaway budget are left as they are
     /// (they are harness knobs, not process state).
     ///
@@ -205,8 +191,6 @@ impl Kernel {
                 stack_top: ks.layout[3],
                 user_top: ks.layout[4],
             },
-            tlb_refill_cycles: ks.tlb_refill_cycles,
-            syscall_cycles: ks.syscall_cycles,
             max_instructions,
         };
         let mut kernel = Kernel::new(machine, cfg);

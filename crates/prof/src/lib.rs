@@ -66,9 +66,7 @@ pub struct CounterSample {
     pub l1d_misses: u64,
     /// `hierarchy.l2.misses`.
     pub l2_misses: u64,
-    /// The host-side tag-miss tick (see `TagController::set_miss_probe`)
-    /// — monotone for the lifetime of the probe, unaffected by snapshot
-    /// restores.
+    /// The tag controller's `TagCacheStats::misses`.
     pub tag_misses: u64,
 }
 

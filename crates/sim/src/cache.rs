@@ -1,6 +1,6 @@
 //! The cache hierarchy and its latency model.
 //!
-//! Geometry defaults follow the FPGA platform of the paper (Section 8 /
+//! The geometry follows the FPGA platform of the paper (Section 8 /
 //! Figure 5): 32-byte lines ("Unsafe nodes are 24-bytes, which fit more
 //! efficiently in our 32-byte cache lines"), a 16 KB L1 data cache, a
 //! 16 KB L1 instruction cache, and a 64 KB L2. Caches are physically
@@ -9,6 +9,10 @@
 //! The hierarchy charges *penalty cycles* on top of the 1-instruction
 //! base CPI and counts DRAM traffic, which together drive the Figure 4
 //! execution-time decomposition and the Figure 5 heap-size steps.
+//!
+//! The platform is one set of constants, not a parameter space: both
+//! L1s are [`CacheParams::l1`], the L2 is [`CacheParams::l2`], and the
+//! penalties are [`L2_LATENCY`] and [`DRAM_LATENCY`].
 
 use cheri_trace::{emit, CacheLevel, SharedSink, TraceEvent};
 
@@ -75,13 +79,11 @@ pub struct Cache {
     pub misses: u64,
     /// Dirty evictions.
     pub writebacks: u64,
-    // Precomputed index arithmetic: line size is always a power of two
-    // (asserted in `new`), and when the set count is too, indexing is a
-    // mask/shift instead of a division. The set count itself is cached
-    // so `locate` does not re-derive it (a division) per access.
+    // Precomputed index arithmetic: line size and set count are powers
+    // of two (asserted in `new`), so indexing is a mask and a shift.
     line_shift: u32,
-    set_shift: Option<u32>,
-    sets: usize,
+    set_shift: u32,
+    set_mask: u64,
     // Most-recently-touched line. Only accesses through this cache can
     // evict from it, so an access to the same line as the previous one
     // is a guaranteed hit and skips the set scan; the bookkeeping it
@@ -96,12 +98,13 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets/ways or
-    /// non-power-of-two line size).
+    /// Panics if the geometry is degenerate (zero sets/ways) or the line
+    /// size or set count is not a power of two.
     #[must_use]
     pub fn new(params: CacheParams) -> Cache {
         assert!(params.ways > 0 && params.sets() > 0, "degenerate cache geometry");
         assert!(params.line.is_power_of_two(), "line size must be a power of two");
+        assert!(params.sets().is_power_of_two(), "set count must be a power of two");
         Cache {
             params,
             lines: vec![Line::default(); params.sets() * params.ways],
@@ -110,12 +113,8 @@ impl Cache {
             misses: 0,
             writebacks: 0,
             line_shift: params.line.trailing_zeros(),
-            set_shift: if params.sets().is_power_of_two() {
-                Some(params.sets().trailing_zeros())
-            } else {
-                None
-            },
-            sets: params.sets(),
+            set_shift: params.sets().trailing_zeros(),
+            set_mask: params.sets() as u64 - 1,
             mru_block: u64::MAX,
             mru_index: 0,
         }
@@ -125,18 +124,7 @@ impl Cache {
     #[inline]
     fn locate(&self, paddr: u64) -> (usize, u64) {
         let block = paddr >> self.line_shift;
-        let sets = self.sets as u64;
-        let (set, tag) = match self.set_shift {
-            Some(s) => (block & (sets - 1), block >> s),
-            None => (block % sets, block / sets),
-        };
-        (set as usize * self.params.ways, tag)
-    }
-
-    /// The cache geometry.
-    #[must_use]
-    pub fn params(&self) -> CacheParams {
-        self.params
+        ((block & self.set_mask) as usize * self.params.ways, block >> self.set_shift)
     }
 
     /// Looks up (and on miss, fills) the line containing `paddr`,
@@ -276,33 +264,17 @@ impl Cache {
     }
 }
 
-/// Latency parameters (penalty cycles beyond the base CPI).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HierarchyParams {
-    /// L1 geometries (instruction and data are identical).
-    pub l1: CacheParams,
-    /// L2 geometry.
-    pub l2: CacheParams,
-    /// Extra cycles for an L1 miss that hits in L2.
-    pub l2_latency: u64,
-    /// Extra cycles for an access that goes to DRAM.
-    pub dram_latency: u64,
-}
+/// Penalty cycles for an L1 miss that hits in L2.
+///
+/// The latencies are calibrated to the paper's platform: a 100 MHz FPGA
+/// soft core, where an on-chip L2 is ~2 cycles and DRAM only ~6 core
+/// cycles away (60 ns at 100 MHz), unlike a multi-GHz part. These
+/// values reproduce the magnitude of the Figure 4/5 overheads.
+pub const L2_LATENCY: u64 = 2;
 
-impl Default for HierarchyParams {
-    /// Latencies are calibrated to the paper's platform: a 100 MHz FPGA
-    /// soft core, where an on-chip L2 is ~2 cycles and DRAM only ~6 core
-    /// cycles away (60 ns at 100 MHz), unlike a multi-GHz part. These
-    /// values reproduce the magnitude of the Figure 4/5 overheads.
-    fn default() -> HierarchyParams {
-        HierarchyParams {
-            l1: CacheParams::l1(),
-            l2: CacheParams::l2(),
-            l2_latency: 2,
-            dram_latency: 6,
-        }
-    }
-}
+/// Penalty cycles for an access that goes to DRAM (an L2 miss, or a
+/// tag-cache miss's tag-table read).
+pub const DRAM_LATENCY: u64 = 6;
 
 /// The full hierarchy: split L1 I/D over a unified L2 over DRAM.
 #[derive(Clone, Debug)]
@@ -313,9 +285,6 @@ pub struct Hierarchy {
     pub l1d: Cache,
     /// Unified L2.
     pub l2: Cache,
-    params: HierarchyParams,
-    // log2 of the L1 line size (line sizes are asserted powers of two).
-    line_shift: u32,
     /// Bytes moved between L2 and DRAM (line fills + writebacks) — the
     /// "Memory I/O (bytes)" quantity of Figure 3.
     pub dram_bytes: u64,
@@ -326,16 +295,21 @@ pub struct Hierarchy {
     sink: Option<SharedSink>,
 }
 
+impl Default for Hierarchy {
+    fn default() -> Hierarchy {
+        Hierarchy::new()
+    }
+}
+
 impl Hierarchy {
-    /// Builds the hierarchy.
+    /// Builds the paper's hierarchy: two [`CacheParams::l1`] caches over
+    /// a [`CacheParams::l2`].
     #[must_use]
-    pub fn new(params: HierarchyParams) -> Hierarchy {
+    pub fn new() -> Hierarchy {
         Hierarchy {
-            l1i: Cache::new(params.l1),
-            l1d: Cache::new(params.l1),
-            l2: Cache::new(params.l2),
-            params,
-            line_shift: params.l1.line.trailing_zeros(),
+            l1i: Cache::new(CacheParams::l1()),
+            l1d: Cache::new(CacheParams::l1()),
+            l2: Cache::new(CacheParams::l2()),
             dram_bytes: 0,
             dram_accesses: 0,
             sink: None,
@@ -351,25 +325,19 @@ impl Hierarchy {
         self.sink = sink;
     }
 
-    /// The latency/geometry parameters.
-    #[must_use]
-    pub fn params(&self) -> HierarchyParams {
-        self.params
-    }
-
     fn through_l2(&mut self, paddr: u64, write_into_l2: bool) -> u64 {
         let lookup = self.l2.access(paddr, write_into_l2);
         self.emit_access(CacheLevel::L2, write_into_l2, lookup);
         match lookup {
-            Lookup::Hit => self.params.l2_latency,
+            Lookup::Hit => L2_LATENCY,
             Lookup::Miss { writeback } => {
                 self.dram_accesses += 1;
-                self.dram_bytes += self.params.l2.line as u64;
+                self.dram_bytes += CacheParams::l2().line as u64;
                 if writeback {
                     self.dram_accesses += 1;
-                    self.dram_bytes += self.params.l2.line as u64;
+                    self.dram_bytes += CacheParams::l2().line as u64;
                 }
-                self.params.dram_latency
+                DRAM_LATENCY
             }
         }
     }
@@ -412,15 +380,16 @@ impl Hierarchy {
     /// cycles. Accesses crossing a line boundary touch both lines (as the
     /// hardware would take two cache cycles).
     pub fn data(&mut self, paddr: u64, size: u64, write: bool) -> u64 {
-        let first = paddr >> self.line_shift;
-        let last = if size == 0 { first } else { (paddr + size - 1) >> self.line_shift };
+        const LINE_SHIFT: u32 = CacheParams::l1().line.trailing_zeros();
+        let first = paddr >> LINE_SHIFT;
+        let last = if size == 0 { first } else { (paddr + size - 1) >> LINE_SHIFT };
         if first == last {
             // The overwhelmingly common case: the access fits one line.
-            return self.data_line(first << self.line_shift, write);
+            return self.data_line(first << LINE_SHIFT, write);
         }
         let mut penalty = 0;
         for blk in first..=last {
-            penalty += self.data_line(blk << self.line_shift, write);
+            penalty += self.data_line(blk << LINE_SHIFT, write);
         }
         penalty
     }
@@ -485,11 +454,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn geometry_defaults_match_paper() {
-        let p = HierarchyParams::default();
-        assert_eq!(p.l1.size, 16 * 1024);
-        assert_eq!(p.l2.size, 64 * 1024);
-        assert_eq!(p.l1.line, 32);
+    fn geometry_matches_paper() {
+        assert_eq!(CacheParams::l1().size, 16 * 1024);
+        assert_eq!(CacheParams::l2().size, 64 * 1024);
+        assert_eq!(CacheParams::l1().line, 32);
+        assert_eq!((CacheParams::l1().sets(), CacheParams::l2().sets()), (128, 256));
     }
 
     #[test]
@@ -528,7 +497,7 @@ mod tests {
 
     #[test]
     fn working_set_fits_l1_no_dram_traffic_after_warmup() {
-        let mut h = Hierarchy::new(HierarchyParams::default());
+        let mut h = Hierarchy::new();
         // 8 KB working set < 16 KB L1.
         for _ in 0..3 {
             for addr in (0..8192u64).step_by(32) {
@@ -544,7 +513,7 @@ mod tests {
 
     #[test]
     fn working_set_over_l2_streams_from_dram() {
-        let mut h = Hierarchy::new(HierarchyParams::default());
+        let mut h = Hierarchy::new();
         // 256 KB > 64 KB L2: every revisit misses all levels.
         for _ in 0..2 {
             for addr in (0..256 * 1024u64).step_by(32) {
@@ -557,41 +526,47 @@ mod tests {
 
     #[test]
     fn latency_ordering_l1_l2_dram() {
-        let mut h = Hierarchy::new(HierarchyParams::default());
+        let mut h = Hierarchy::new();
         let p_dram = h.data(0x1000, 8, false);
         let p_l1 = h.data(0x1000, 8, false);
         assert_eq!(p_l1, 0);
-        assert_eq!(p_dram, h.params().dram_latency);
+        assert_eq!(p_dram, DRAM_LATENCY);
         // Evict from L1 but not L2, then re-access: L2 latency.
-        let mut h2 = Hierarchy::new(HierarchyParams::default());
+        let mut h2 = Hierarchy::new();
         h2.data(0, 8, false);
         // Touch 16 KB + of distinct lines mapping over all L1 sets.
         for addr in (32..64 * 1024u64).step_by(32) {
             h2.data(addr, 8, false);
         }
         let p = h2.data(0, 8, false);
-        assert_eq!(p, h2.params().l2_latency);
+        assert_eq!(p, L2_LATENCY);
     }
 
     #[test]
     fn fetch_uses_icache_separately() {
-        let mut h = Hierarchy::new(HierarchyParams::default());
+        let mut h = Hierarchy::new();
         assert!(h.fetch(0x1000) > 0);
         assert_eq!(h.fetch(0x1000), 0);
         // A data access to the same line does not hit in L1I but does in L2.
-        assert_eq!(h.data(0x1000, 4, false), h.params().l2_latency);
+        assert_eq!(h.data(0x1000, 4, false), L2_LATENCY);
     }
 
     #[test]
     fn straddling_access_touches_two_lines() {
-        let mut h = Hierarchy::new(HierarchyParams::default());
+        let mut h = Hierarchy::new();
         let p = h.data(28, 8, false); // crosses 0..32 and 32..64
-        assert_eq!(p, 2 * h.params().dram_latency);
+        assert_eq!(p, 2 * DRAM_LATENCY);
     }
 
     #[test]
     #[should_panic(expected = "degenerate")]
     fn zero_way_cache_rejected() {
         let _ = Cache::new(CacheParams { size: 64, line: 32, ways: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_rejected() {
+        let _ = Cache::new(CacheParams { size: 96, line: 32, ways: 1 });
     }
 }

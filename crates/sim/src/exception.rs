@@ -59,9 +59,6 @@ pub enum TrapKind {
     },
     /// A CHERI capability violation (CP2 exception).
     CapViolation(CapCause),
-    /// COP2 instruction executed while the capability coprocessor is
-    /// disabled (pure-BERI configuration).
-    CoprocessorUnusable,
 }
 
 impl fmt::Display for TrapKind {
@@ -84,7 +81,6 @@ impl fmt::Display for TrapKind {
                 write!(f, "reserved instruction {word:#010x}")
             }
             TrapKind::CapViolation(cause) => write!(f, "capability violation: {cause}"),
-            TrapKind::CoprocessorUnusable => write!(f, "coprocessor 2 unusable"),
         }
     }
 }

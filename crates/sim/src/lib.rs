@@ -61,7 +61,7 @@ pub mod pipeline;
 pub mod stats;
 pub mod tlb;
 
-pub use cache::{Cache, CacheParams, Hierarchy, HierarchyParams};
+pub use cache::{Cache, CacheParams, Hierarchy};
 pub use cpu::{Cp0, Cpu};
 pub use exception::{Exception, TrapKind};
 pub use inst::{reg, Inst};

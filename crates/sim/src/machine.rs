@@ -8,10 +8,14 @@
 //! hardware would; the faulting instruction is not retired, so fixing the
 //! cause (e.g. installing a TLB entry) and calling `step` again retries
 //! it.
+//!
+//! The machine models one platform, the paper's: its cache geometry,
+//! latencies, TLB size, branch-history table and multiply/divide
+//! penalties are constants, and [`MachineConfig`] holds only what varies
+//! between jobs (memory size, tag-cache size, capability format) plus
+//! two harness switches.
 
-use std::cell::Cell;
 use std::ops::ControlFlow;
-use std::rc::Rc;
 
 use cheri_core::{CapCause, CapExcCode, Capability, Compressed128, Perms};
 use cheri_mem::{MemError, TaggedMem};
@@ -22,12 +26,15 @@ use crate::block::{
     pinst_flags, Block, BlockCache, PInst, F_CAP, F_STORE, F_TERMINAL, F_TLBW, F_UNCOND_JUMP,
     MAX_BLOCK_INSTS,
 };
-use crate::cache::{Hierarchy, HierarchyParams};
+use crate::cache::{CacheParams, Hierarchy, DRAM_LATENCY};
 use crate::cpu::Cpu;
 use crate::decode::decode;
 use crate::exception::{Exception, TrapKind};
 use crate::inst::{reg, AluImmOp, AluOp, BranchCond, CheriInst, Inst, MulDivOp, ShiftOp, Width};
-use crate::pipeline::{BranchPredictor, INDIRECT_JUMP_PENALTY, MISPREDICT_PENALTY};
+use crate::pipeline::{
+    BranchPredictor, BHT_ENTRIES, DIV_PENALTY, INDIRECT_JUMP_PENALTY, MISPREDICT_PENALTY,
+    MUL_PENALTY,
+};
 use crate::stats::Stats;
 use crate::tlb::{Tlb, TlbFlags, PAGE_SHIFT};
 
@@ -60,29 +67,24 @@ impl CapFormat {
     }
 }
 
-/// Configuration of a [`Machine`].
+/// Configuration of a [`Machine`]: what varies between jobs.
+///
+/// Everything else about the paper's platform is a constant in the code
+/// that uses it: the cache geometry and latencies
+/// ([`CacheParams::l1`], [`CacheParams::l2`], [`crate::cache::L2_LATENCY`],
+/// [`DRAM_LATENCY`]), the 128-entry TLB ([`crate::tlb::DEFAULT_ENTRIES`]),
+/// the branch-history table ([`BHT_ENTRIES`]) and the multiply/divide
+/// penalties ([`MUL_PENALTY`], [`DIV_PENALTY`]). The capability
+/// coprocessor is always fitted.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Physical memory size in bytes.
     pub mem_bytes: usize,
-    /// Number of paired TLB entries (128 ⇒ 1 MB coverage, Figure 5).
-    pub tlb_entries: usize,
-    /// Cache geometry and latencies.
-    pub hierarchy: HierarchyParams,
-    /// Whether the capability coprocessor is fitted (false ⇒ pure BERI;
-    /// COP2 raises Coprocessor Unusable).
-    pub cheri_enabled: bool,
     /// Tag-cache capacity in bytes (Section 4.2 default: 8 KB).
     pub tag_cache_bytes: usize,
     /// In-memory capability format (256-bit research / 128-bit
     /// production).
     pub cap_format: CapFormat,
-    /// Branch-history-table entries.
-    pub bht_entries: usize,
-    /// Extra cycles for a multiply.
-    pub mul_penalty: u64,
-    /// Extra cycles for a divide.
-    pub div_penalty: u64,
     /// Enables the predecoded basic-block fast path in
     /// [`Machine::run`] (see the `block` module). Architecturally
     /// transparent — every counter and all architectural state are
@@ -113,14 +115,8 @@ impl Default for MachineConfig {
     fn default() -> MachineConfig {
         MachineConfig {
             mem_bytes: 64 << 20,
-            tlb_entries: crate::tlb::DEFAULT_ENTRIES,
-            hierarchy: HierarchyParams::default(),
-            cheri_enabled: true,
             tag_cache_bytes: cheri_mem::DEFAULT_TAG_CACHE_BYTES,
             cap_format: CapFormat::default(),
-            bht_entries: 512,
-            mul_penalty: 3,
-            div_penalty: 16,
             block_cache: std::env::var_os("CHERI_SIM_NO_BLOCK_CACHE").is_none(),
             fault: None,
         }
@@ -201,9 +197,6 @@ pub struct Machine {
     // predecoded fast path: both execution paths call the same retire
     // hook, and the profiler never feeds back into architectural state.
     prof: Option<Box<Profiler>>,
-    // Host-side tag-miss tick shared with the tag controller while a
-    // profiler is attached (see `TagController::set_miss_probe`).
-    tag_tick: Rc<Cell<u64>>,
 }
 
 impl Machine {
@@ -216,10 +209,10 @@ impl Machine {
         Machine {
             cpu: Cpu::new(),
             mem: TaggedMem::with_config(cfg.mem_bytes, cfg.tag_cache_bytes, cfg.cap_format.size()),
-            hierarchy: Hierarchy::new(cfg.hierarchy),
-            predictor: BranchPredictor::new(cfg.bht_entries),
+            hierarchy: Hierarchy::new(),
+            predictor: BranchPredictor::new(BHT_ENTRIES),
             stats: Stats::default(),
-            tlb: Tlb::new(cfg.tlb_entries),
+            tlb: Tlb::new(crate::tlb::DEFAULT_ENTRIES),
             cfg: cfg.clone(),
             bare: true,
             utlb_fetch: None,
@@ -228,7 +221,6 @@ impl Machine {
             blocks: BlockCache::new(cfg.mem_bytes),
             sink: None,
             prof: None,
-            tag_tick: Rc::new(Cell::new(0)),
         }
     }
 
@@ -238,9 +230,6 @@ impl Machine {
     /// observational only: attaching any sink never changes
     /// architectural state or cycle accounting.
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        // A disabled sink (NullSink) is stored as `None`, so "tracing
-        // off" runs the exact un-instrumented code path.
-        let sink = cheri_trace::active(sink);
         self.hierarchy.set_trace_sink(sink.clone());
         self.mem.set_trace_sink(sink.clone());
         self.sink = sink;
@@ -263,17 +252,10 @@ impl Machine {
     /// global counters, so only events from this point on are
     /// attributed.
     pub fn set_profiler(&mut self, prof: Option<Box<Profiler>>) {
-        match prof {
-            Some(mut p) => {
-                self.mem.set_tag_miss_probe(Some(self.tag_tick.clone()));
-                p.seed(self.prof_sample());
-                self.prof = Some(p);
-            }
-            None => {
-                self.mem.set_tag_miss_probe(None);
-                self.prof = None;
-            }
-        }
+        self.prof = prof.map(|mut p| {
+            p.seed(self.prof_sample());
+            p
+        });
     }
 
     /// The attached profiler, if any.
@@ -302,7 +284,6 @@ impl Machine {
     /// [`Machine::sync_profiler`] so its attribution is complete.
     pub fn take_profiler(&mut self) -> Option<Box<Profiler>> {
         self.sync_profiler();
-        self.mem.set_tag_miss_probe(None);
         self.prof.take()
     }
 
@@ -313,7 +294,7 @@ impl Machine {
             l1i_misses: self.hierarchy.l1i.misses,
             l1d_misses: self.hierarchy.l1d.misses,
             l2_misses: self.hierarchy.l2.misses,
-            tag_misses: self.tag_tick.get(),
+            tag_misses: self.mem.tag_stats().misses,
         }
     }
 
@@ -478,7 +459,6 @@ impl Machine {
             TrapKind::Syscall { .. } => 8,
             TrapKind::Break { .. } => 9,
             TrapKind::ReservedInstruction { .. } => 10,
-            TrapKind::CoprocessorUnusable => 11,
             TrapKind::IntegerOverflow => 12,
             TrapKind::CapViolation(_) => 18, // C2E, the CP2 exception code
         };
@@ -737,7 +717,7 @@ impl Machine {
         let page = (ppc >> PAGE_SHIFT) as usize;
         let len = insts.len();
         let start_pc = self.cpu.pc;
-        let line_mask = !(self.cfg.hierarchy.l1.line as u64 - 1);
+        let line_mask = !(CacheParams::l1().line as u64 - 1);
         // Same-line fetch-hit batching: after `fetch(addr)` fills a
         // line, further fetches to that line are guaranteed hits (only
         // fetches touch L1I), so they are recorded in one batched
@@ -1105,7 +1085,7 @@ impl Machine {
             Inst::MulDiv { op, rs, rt } => {
                 let a = self.cpu.get_gpr(rs);
                 let b = self.cpu.get_gpr(rt);
-                let (hi, lo, cyc) = muldiv(op, a, b, self.cfg.mul_penalty, self.cfg.div_penalty);
+                let (hi, lo, cyc) = muldiv(op, a, b);
                 self.cpu.hi = hi;
                 self.cpu.lo = lo;
                 self.stats.cycles += cyc;
@@ -1268,15 +1248,7 @@ impl Machine {
                 let pcc = *self.cpu.caps.pcc();
                 Outcome::CapJump { target: epc, pcc }
             }
-            Inst::Cheri(c) => {
-                if !self.cfg.cheri_enabled {
-                    return Ok(Outcome::Trap {
-                        kind: TrapKind::CoprocessorUnusable,
-                        badvaddr: None,
-                    });
-                }
-                self.execute_cheri(&c)?
-            }
+            Inst::Cheri(c) => self.execute_cheri(&c)?,
             Inst::Reserved { word } => {
                 Outcome::Trap { kind: TrapKind::ReservedInstruction { word }, badvaddr: None }
             }
@@ -1573,7 +1545,7 @@ impl Machine {
 
     fn charge_tag_misses(&mut self, misses_before: u64) {
         let delta = self.mem.tag_stats().misses - misses_before;
-        self.stats.cycles += delta * self.cfg.hierarchy.dram_latency;
+        self.stats.cycles += delta * DRAM_LATENCY;
     }
 
     /// Exports every counter — [`Stats`], the per-cache hit/miss
@@ -1629,20 +1601,10 @@ impl Machine {
     /// bit-identically onto a machine running with it off (the
     /// transparency tests rely on this).
     fn export_config(&self) -> cheri_snap::ConfigState {
-        let h = &self.cfg.hierarchy;
         cheri_snap::ConfigState {
             mem_bytes: self.cfg.mem_bytes as u64,
-            tlb_entries: self.cfg.tlb_entries as u64,
-            l1: [h.l1.size as u64, h.l1.line as u64, h.l1.ways as u64],
-            l2: [h.l2.size as u64, h.l2.line as u64, h.l2.ways as u64],
-            l2_latency: h.l2_latency,
-            dram_latency: h.dram_latency,
-            cheri_enabled: self.cfg.cheri_enabled,
             tag_cache_bytes: self.cfg.tag_cache_bytes as u64,
             cap_size: self.cfg.cap_format.size(),
-            bht_entries: self.cfg.bht_entries as u64,
-            mul_penalty: self.cfg.mul_penalty,
-            div_penalty: self.cfg.div_penalty,
         }
     }
 
@@ -1669,27 +1631,8 @@ impl Machine {
         };
         Ok(MachineConfig {
             mem_bytes: s.mem_bytes as usize,
-            tlb_entries: s.tlb_entries as usize,
-            hierarchy: HierarchyParams {
-                l1: crate::cache::CacheParams {
-                    size: s.l1[0] as usize,
-                    line: s.l1[1] as usize,
-                    ways: s.l1[2] as usize,
-                },
-                l2: crate::cache::CacheParams {
-                    size: s.l2[0] as usize,
-                    line: s.l2[1] as usize,
-                    ways: s.l2[2] as usize,
-                },
-                l2_latency: s.l2_latency,
-                dram_latency: s.dram_latency,
-            },
-            cheri_enabled: s.cheri_enabled,
             tag_cache_bytes: s.tag_cache_bytes as usize,
             cap_format,
-            bht_entries: s.bht_entries as usize,
-            mul_penalty: s.mul_penalty,
-            div_penalty: s.div_penalty,
             block_cache,
             fault: None,
         })
@@ -1810,8 +1753,7 @@ impl Machine {
         self.blocks.invalidate_all();
         // Profile state is host-side only and never serialized: a
         // restored machine starts a fresh observation window, with the
-        // delta baseline reseeded from the restored counters (the tag
-        // tick is host-monotone and deliberately not reset).
+        // delta baseline reseeded from the restored counters.
         if self.prof.is_some() {
             let seed = self.prof_sample();
             if let Some(p) = self.prof.as_mut() {
@@ -1894,53 +1836,53 @@ fn shift(op: ShiftOp, v: u64, s: u32) -> u64 {
     }
 }
 
-fn muldiv(op: MulDivOp, a: u64, b: u64, mul_penalty: u64, div_penalty: u64) -> (u64, u64, u64) {
+fn muldiv(op: MulDivOp, a: u64, b: u64) -> (u64, u64, u64) {
     match op {
         MulDivOp::Mult => {
             let p = i64::from(a as u32 as i32) * i64::from(b as u32 as i32);
-            (sext32((p >> 32) as u32), sext32(p as u32), mul_penalty)
+            (sext32((p >> 32) as u32), sext32(p as u32), MUL_PENALTY)
         }
         MulDivOp::Multu => {
             let p = u64::from(a as u32) * u64::from(b as u32);
-            (sext32((p >> 32) as u32), sext32(p as u32), mul_penalty)
+            (sext32((p >> 32) as u32), sext32(p as u32), MUL_PENALTY)
         }
         MulDivOp::Dmult => {
             let p = i128::from(a as i64) * i128::from(b as i64);
-            ((p >> 64) as u64, p as u64, mul_penalty)
+            ((p >> 64) as u64, p as u64, MUL_PENALTY)
         }
         MulDivOp::Dmultu => {
             let p = u128::from(a) * u128::from(b);
-            ((p >> 64) as u64, p as u64, mul_penalty)
+            ((p >> 64) as u64, p as u64, MUL_PENALTY)
         }
         MulDivOp::Div => {
             let (x, y) = (a as u32 as i32, b as u32 as i32);
             if y == 0 {
-                (0, 0, div_penalty)
+                (0, 0, DIV_PENALTY)
             } else {
-                (sext32(x.wrapping_rem(y) as u32), sext32(x.wrapping_div(y) as u32), div_penalty)
+                (sext32(x.wrapping_rem(y) as u32), sext32(x.wrapping_div(y) as u32), DIV_PENALTY)
             }
         }
         MulDivOp::Divu => {
             let (x, y) = (a as u32, b as u32);
             if y == 0 {
-                (0, 0, div_penalty)
+                (0, 0, DIV_PENALTY)
             } else {
-                (sext32(x % y), sext32(x / y), div_penalty)
+                (sext32(x % y), sext32(x / y), DIV_PENALTY)
             }
         }
         MulDivOp::Ddiv => {
             let (x, y) = (a as i64, b as i64);
             if y == 0 {
-                (0, 0, div_penalty)
+                (0, 0, DIV_PENALTY)
             } else {
-                (x.wrapping_rem(y) as u64, x.wrapping_div(y) as u64, div_penalty)
+                (x.wrapping_rem(y) as u64, x.wrapping_div(y) as u64, DIV_PENALTY)
             }
         }
         MulDivOp::Ddivu => {
             if b == 0 {
-                (0, 0, div_penalty)
+                (0, 0, DIV_PENALTY)
             } else {
-                (a % b, a / b, div_penalty)
+                (a % b, a / b, DIV_PENALTY)
             }
         }
     }
@@ -2177,21 +2119,6 @@ mod tests {
         m.advance_past_trap();
         step_n(&mut m, 1);
         assert_eq!(m.cpu.gpr[8], 1);
-    }
-
-    #[test]
-    fn cheri_disabled_raises_cp_unusable() {
-        let mut m = Machine::new(MachineConfig {
-            mem_bytes: 1 << 20,
-            cheri_enabled: false,
-            ..MachineConfig::default()
-        });
-        m.cpu.jump_to(0x1000);
-        load(&mut m, &[Inst::Cheri(CheriInst::CGetBase { rd: 8, cb: 0 })]);
-        match m.step().unwrap() {
-            StepResult::Trap(e) => assert_eq!(e.kind, TrapKind::CoprocessorUnusable),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

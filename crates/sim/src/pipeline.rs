@@ -76,6 +76,15 @@ pub const MISPREDICT_PENALTY: u64 = 2;
 /// modelled, so the target is available at Execute.
 pub const INDIRECT_JUMP_PENALTY: u64 = 1;
 
+/// Extra cycles for a multiply (`MULT`, `DMULT`, ...).
+pub const MUL_PENALTY: u64 = 3;
+
+/// Extra cycles for a divide (`DIV`, `DDIV`, ...).
+pub const DIV_PENALTY: u64 = 16;
+
+/// Two-bit counters in the machine's branch-history table.
+pub const BHT_ENTRIES: usize = 512;
+
 /// A gshare-free, per-PC 2-bit saturating-counter branch predictor.
 ///
 /// # Example

@@ -17,7 +17,9 @@ use crate::exception::TrapKind;
 pub const PAGE_SIZE: u64 = 4096;
 /// log2 of the page size.
 pub const PAGE_SHIFT: u32 = 12;
-/// Default number of paired entries: 128 pairs × 2 × 4 KB = 1 MB coverage.
+/// The machine's TLB size in paired entries: 128 pairs × 2 × 4 KB = 1 MB
+/// coverage (Figure 5). [`Tlb::new`] takes a size so tests can build
+/// smaller ones.
 pub const DEFAULT_ENTRIES: usize = 128;
 
 /// Per-page flags held in `EntryLo`.

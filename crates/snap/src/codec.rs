@@ -57,17 +57,8 @@ fn caps_list(caps: &[CapState]) -> String {
 fn config_json(c: &ConfigState) -> String {
     let mut w = JsonWriter::object();
     w.u64_field("mem_bytes", c.mem_bytes);
-    w.u64_field("tlb_entries", c.tlb_entries);
-    w.raw_field("l1", &u64_list(c.l1));
-    w.raw_field("l2", &u64_list(c.l2));
-    w.u64_field("l2_latency", c.l2_latency);
-    w.u64_field("dram_latency", c.dram_latency);
-    w.bool_field("cheri_enabled", c.cheri_enabled);
     w.u64_field("tag_cache_bytes", c.tag_cache_bytes);
     w.u64_field("cap_size", c.cap_size);
-    w.u64_field("bht_entries", c.bht_entries);
-    w.u64_field("mul_penalty", c.mul_penalty);
-    w.u64_field("div_penalty", c.div_penalty);
     w.close()
 }
 
@@ -192,8 +183,6 @@ fn domain_json(d: &DomainState) -> String {
 fn kernel_json(k: &KernelState) -> String {
     let mut w = JsonWriter::object();
     w.raw_field("layout", &u64_list(k.layout));
-    w.u64_field("tlb_refill_cycles", k.tlb_refill_cycles);
-    w.u64_field("syscall_cycles", k.syscall_cycles);
     w.raw_field("page_table", &pairs_list(&k.page_table));
     w.u64_field("next_frame", k.next_frame);
     w.u64_field("brk", k.brk);
@@ -313,17 +302,8 @@ fn config_from(j: &Json, path: &str) -> Result<ConfigState, SnapError> {
     let o = as_obj(j, path)?;
     Ok(ConfigState {
         mem_bytes: num(o, "mem_bytes", path)?,
-        tlb_entries: num(o, "tlb_entries", path)?,
-        l1: fixed(o, "l1", path)?,
-        l2: fixed(o, "l2", path)?,
-        l2_latency: num(o, "l2_latency", path)?,
-        dram_latency: num(o, "dram_latency", path)?,
-        cheri_enabled: flag(o, "cheri_enabled", path)?,
         tag_cache_bytes: num(o, "tag_cache_bytes", path)?,
         cap_size: num(o, "cap_size", path)?,
-        bht_entries: num(o, "bht_entries", path)?,
-        mul_penalty: num(o, "mul_penalty", path)?,
-        div_penalty: num(o, "div_penalty", path)?,
     })
 }
 
@@ -494,8 +474,6 @@ fn kernel_from(j: &Json, path: &str) -> Result<KernelState, SnapError> {
         .collect::<Result<Vec<_>, _>>()?;
     Ok(KernelState {
         layout: fixed(o, "layout", path)?,
-        tlb_refill_cycles: num(o, "tlb_refill_cycles", path)?,
-        syscall_cycles: num(o, "syscall_cycles", path)?,
         page_table: pair_vec(o, "page_table", path)?,
         next_frame: num(o, "next_frame", path)?,
         brk: num(o, "brk", path)?,
@@ -613,20 +591,7 @@ mod tests {
             mru_index: 1,
         };
         MachineState {
-            config: ConfigState {
-                mem_bytes: 1 << 20,
-                tlb_entries: 4,
-                l1: [16384, 32, 4],
-                l2: [65536, 32, 8],
-                l2_latency: 2,
-                dram_latency: 6,
-                cheri_enabled: true,
-                tag_cache_bytes: 8192,
-                cap_size: 32,
-                bht_entries: 512,
-                mul_penalty: 3,
-                div_penalty: 16,
-            },
+            config: ConfigState { mem_bytes: 1 << 20, tag_cache_bytes: 8192, cap_size: 32 },
             cpu: CpuState {
                 gpr: std::array::from_fn(|i| i as u64 * 0x1111),
                 hi: 5,
@@ -679,8 +644,6 @@ mod tests {
     fn sample_kernel() -> KernelState {
         KernelState {
             layout: [0x1_0000, 0x2_0000, 0x4_0000, 0xff_f000, 0x100_0000],
-            tlb_refill_cycles: 30,
-            syscall_cycles: 120,
             page_table: vec![(0x10, 16), (0x20, 17)],
             next_frame: 18,
             brk: 0x4_1000,
@@ -760,10 +723,12 @@ mod tests {
     fn rejects_wrong_schema_and_version() {
         let snap = Snapshot { machine: sample_machine(), kernel: None };
         let text = snap.to_json();
-        let bad_schema = text.replace("cheri-snap/v1", "cheri-snap/v9");
+        let bad_schema = text.replace("cheri-snap/v2", "cheri-snap/v9");
         assert!(Snapshot::from_json(&bad_schema).unwrap_err().0.contains("unsupported schema"));
-        let bad_version = text.replace("\"version\":1", "\"version\":2");
-        assert!(Snapshot::from_json(&bad_version).unwrap_err().0.contains("unsupported version"));
+        // A file of the first version, which recorded the whole platform
+        // in its identity, is refused rather than half-read.
+        let v1 = text.replace("\"version\":2", "\"version\":1");
+        assert!(Snapshot::from_json(&v1).unwrap_err().0.contains("unsupported version"));
         assert!(Snapshot::from_json("{}").is_err());
         assert!(Snapshot::from_json("not json").is_err());
     }

@@ -16,7 +16,7 @@
 //! 1. **Deterministic**: a given machine state has exactly one
 //!    serialization. Maps are emitted sorted, fields in a fixed order,
 //!    numbers as unsigned decimals. Equal states produce equal bytes.
-//! 2. **Versioned**: every snapshot carries `schema: "cheri-snap/v1"`
+//! 2. **Versioned**: every snapshot carries `schema: "cheri-snap/v2"`
 //!    and an integer `version`; the decoder rejects anything else
 //!    rather than guessing.
 //! 3. **Complete for resumption, silent on harness knobs**: everything
@@ -42,10 +42,10 @@ pub use state::{
 };
 
 /// Schema identifier written into (and required from) every snapshot.
-pub const SCHEMA: &str = "cheri-snap/v1";
+pub const SCHEMA: &str = "cheri-snap/v2";
 
 /// Format version written into (and required from) every snapshot.
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 /// An error from decoding a snapshot or restoring one into a machine
 /// whose configuration does not match.

@@ -168,38 +168,23 @@ pub struct MemState {
     pub tag_stats: [u64; 5],
 }
 
-/// The machine configuration identity a snapshot was taken under.
-/// Restore refuses a mismatched target: almost every field changes
-/// either the shape of the state vectors or future timing. The
-/// block-cache enable flag and trace sinks are *not* recorded — both
-/// are architecturally transparent harness knobs.
+/// The machine configuration identity a snapshot was taken under: the
+/// three values that vary between jobs. Restore refuses a mismatched
+/// target, since each changes the shape of the state vectors or future
+/// timing. The rest of the platform (cache geometry, latencies, TLB and
+/// branch-table sizes) is constant in the simulator, so it is not
+/// recorded. The block-cache enable flag and trace sinks are *not*
+/// recorded either — both are architecturally transparent harness
+/// knobs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConfigState {
     /// Physical memory size in bytes.
     pub mem_bytes: u64,
-    /// Number of TLB entry pairs.
-    pub tlb_entries: u64,
-    /// L1 geometry: size, line, ways (both L1s share it).
-    pub l1: [u64; 3],
-    /// L2 geometry: size, line, ways.
-    pub l2: [u64; 3],
-    /// L2 hit latency in cycles.
-    pub l2_latency: u64,
-    /// DRAM access latency in cycles.
-    pub dram_latency: u64,
-    /// Whether the capability coprocessor is fitted.
-    pub cheri_enabled: bool,
     /// Tag-cache capacity in bytes.
     pub tag_cache_bytes: u64,
     /// In-memory capability size in bytes: 32 (256-bit) or 16
     /// (128-bit).
     pub cap_size: u64,
-    /// Branch-history-table entries.
-    pub bht_entries: u64,
-    /// Multiply penalty in cycles.
-    pub mul_penalty: u64,
-    /// Divide penalty in cycles.
-    pub div_penalty: u64,
 }
 
 /// Complete simulator state: configuration identity, CPU, TLB, cache
@@ -443,18 +428,14 @@ pub struct DomainState {
     pub stack_top: u64,
 }
 
-/// `cheri-os` kernel state: process layout identity, handler costs,
-/// the page table (sorted), allocation cursors, phase records, console
-/// output, and the domain machinery.
+/// `cheri-os` kernel state: process layout identity, the page table
+/// (sorted), allocation cursors, phase records, console output, and the
+/// domain machinery.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelState {
     /// Process layout in fixed order: text_base, globals_base,
     /// heap_base, stack_top, user_top.
     pub layout: [u64; 5],
-    /// Cycles charged per software TLB refill.
-    pub tlb_refill_cycles: u64,
-    /// Cycles charged per syscall.
-    pub syscall_cycles: u64,
     /// Page table as `(virtual_page, physical_frame)` pairs sorted by
     /// virtual page — the live kernel uses a hash map, which has no
     /// deterministic order.

@@ -85,8 +85,6 @@ pub mod mips {
     pub const BREAK: u64 = 9;
     /// Reserved (unallocated) instruction.
     pub const RESERVED: u64 = 10;
-    /// Coprocessor unusable (CHERI disabled).
-    pub const COP_UNUSABLE: u64 = 11;
     /// Integer overflow from a trapping add/subtract.
     pub const OVERFLOW: u64 = 12;
     /// Capability violation (C2E).

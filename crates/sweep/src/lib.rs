@@ -22,8 +22,8 @@
 //! * [`report`] — the integer-only JSON sweep report
 //!   (`results/sweep.json`), every reproduced number as a named,
 //!   versioned datum;
-//! * [`check`] — the CI regression gate: report-vs-baseline diffing
-//!   under a per-metric absolute/relative tolerance policy.
+//! * [`check`] — the CI regression gate: report-vs-baseline diffing,
+//!   every counter compared exactly.
 //!
 //! The `xsweep` binary in `cheri-bench` is the command-line front end;
 //! the figure/ablation harnesses are thin text views over the same job
@@ -36,7 +36,7 @@ pub mod matrix;
 pub mod report;
 
 pub use ab::{ab, dump_divergence, AbJob, Divergence, Side};
-pub use check::{check_reports, comparisons, render_drifts, tolerance_for, Drift, Tolerance};
+pub use check::{check_reports, comparisons, render_drifts, Drift};
 pub use engine::{default_threads, run_indexed};
 pub use matrix::{
     heapsize_sweep, profile_matrix, run_job, run_jobs, run_spec_with_config, JobResult, JobRun,

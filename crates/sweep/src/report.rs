@@ -69,7 +69,7 @@ pub struct JobRecord {
     pub tag_cache_kb: u64,
     /// The workload's printed checksums (exact-match gated).
     pub checksums: Vec<u64>,
-    /// Architectural counters, each gated per the tolerance policy.
+    /// Architectural counters, each gated exactly.
     pub counters: BTreeMap<String, u64>,
 }
 

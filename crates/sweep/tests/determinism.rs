@@ -87,11 +87,12 @@ fn block_cache_is_architecturally_transparent_in_the_sweep() {
 #[test]
 fn ab_names_the_first_diverging_job_and_dumps_it() {
     // `MachineConfig::fault`'s one seeded bug changes no smoke job's
-    // result, so side B seeds a result-changing branch-predictor size
-    // on the CHERI jobs only: the MIPS jobs agree, the CHERI ones don't.
+    // result, so side B seeds a result-changing configuration on the
+    // CHERI jobs only — no tag cache, so every tag access misses: the
+    // MIPS jobs agree, the CHERI ones don't.
     let seeded = |s: &JobSpec| match s.strategy {
         StrategyKind::Cheri256 | StrategyKind::Cheri128 => {
-            MachineConfig { bht_entries: 2, ..s.machine_config() }
+            MachineConfig { tag_cache_bytes: 0, ..s.machine_config() }
         }
         _ => s.machine_config(),
     };

@@ -1,8 +1,8 @@
 //! The architectural event vocabulary.
 //!
 //! Events are small `Copy` values: emission sites construct them inside
-//! an `FnOnce` (see [`crate::emit`]) so a disabled sink never pays for
-//! the construction, and an enabled sink never allocates per event.
+//! an `FnOnce` (see [`crate::emit`]) so a run with no sink attached
+//! never pays for the construction.
 
 use crate::json::JsonWriter;
 

@@ -7,20 +7,19 @@
 //! counts: `Kernel::metrics` reads them into a [`Snapshot`] under the
 //! canonical [`names`], with mechanical [`Snapshot::diff`] between runs.
 //! This crate gives the events behind them one vocabulary
-//! ([`TraceEvent`]) and one delivery mechanism (the [`Sink`] trait and
-//! the statically dispatched [`AnySink`]) for per-event consumers — a
-//! JSONL stream or a ring buffer — plus the one Chrome trace-event
-//! writer ([`chrome`]) every timeline in the workspace renders through.
+//! ([`TraceEvent`]) and one sink for per-event consumers, the JSONL
+//! stream [`JsonlSink`] shared as a [`SharedSink`] — plus the one Chrome
+//! trace-event writer ([`chrome`]) every timeline in the workspace
+//! renders through.
 //!
 //! ## Design constraints
 //!
 //! * **No external dependencies.** JSON lines are written and parsed by
 //!   the hand-rolled [`json`] module; no serde.
-//! * **Near-zero cost when disabled.** Instrumented components cache a
-//!   single `bool` derived from [`Sink::enabled`]; with no sink attached
-//!   (or a [`NullSink`]) the hot path is one predictable branch and the
-//!   event value is never even constructed — emission sites take an
-//!   `FnOnce() -> TraceEvent` via [`emit`].
+//! * **Near-zero cost when disabled.** Instrumented components hold an
+//!   `Option<SharedSink>`; with no sink attached the hot path is one
+//!   predictable branch and the event value is never even constructed —
+//!   emission sites take an `FnOnce() -> TraceEvent` via [`emit`].
 //! * **Observational transparency.** Sinks only observe; nothing in
 //!   this crate feeds back into architectural state. An integration
 //!   test in `cheri-bench` asserts that a traced run and an
@@ -34,16 +33,13 @@
 //! ## Quick use
 //!
 //! ```
-//! use cheri_trace::{shared, AnySink, emit, RingBufferSink, TraceEvent};
+//! use cheri_trace::{emit, marker, shared, JsonlSink, TraceEvent};
 //!
-//! let sink = shared(AnySink::Ring(RingBufferSink::new(16)));
+//! let sink = shared(JsonlSink::new(Box::new(Vec::new())));
 //! let attached = Some(sink.clone());
+//! marker(&attached, "run start: treeadd/cheri");
 //! emit(&attached, || TraceEvent::Syscall { nr: 4, cycles: 120 });
-//! let kept = match &*sink.borrow() {
-//!     AnySink::Ring(r) => r.events().len(),
-//!     _ => unreachable!(),
-//! };
-//! assert_eq!(kept, 1);
+//! assert_eq!(sink.borrow().written(), 1); // markers are not events
 //! ```
 
 // Library paths must report errors, not abort: every fallible path
@@ -60,9 +56,7 @@ mod sink;
 
 pub use event::{CacheLevel, SpanKind, TraceEvent};
 pub use metrics::{Snapshot, SnapshotDiff};
-pub use sink::{
-    active, emit, marker, shared, AnySink, JsonlSink, NullSink, RingBufferSink, SharedSink, Sink,
-};
+pub use sink::{emit, marker, shared, JsonlSink, SharedSink};
 
 /// Canonical counter names: the keys `beri_sim::Machine::metrics` and
 /// `Kernel::metrics` export the simulator's counters under.
@@ -109,35 +103,6 @@ pub mod names {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_reports_disabled_and_skips_event_construction() {
-        let sink = shared(AnySink::Null(NullSink));
-        let attached = Some(sink);
-        let mut built = false;
-        emit(&attached, || {
-            built = true;
-            TraceEvent::TlbRefill { vaddr: 0, cycles: 30 }
-        });
-        assert!(!built, "NullSink must not force event construction");
-    }
-
-    #[test]
-    fn ring_buffer_keeps_last_n() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..8u64 {
-            ring.on_event(&TraceEvent::Retire { pc: i, cap: false });
-        }
-        let pcs: Vec<u64> = ring
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Retire { pc, .. } => *pc,
-                _ => panic!("unexpected event"),
-            })
-            .collect();
-        assert_eq!(pcs, vec![5, 6, 7]);
-    }
 
     #[test]
     fn snapshot_roundtrip_and_diff() {

@@ -343,7 +343,7 @@ mod tests {
     fn churn_balances_and_stays_live() {
         let p = OldenParams::scaled();
         let m = module(&p);
-        let prog = cheri_cc::compile(&m, &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         // prints: [allocs, frees, acc, live]
@@ -366,7 +366,7 @@ mod tests {
         // exists to produce.
         let p = OldenParams::scaled();
         let m = module(&p);
-        let prog = cheri_cc::compile(&m, &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         assert!(

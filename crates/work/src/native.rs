@@ -300,7 +300,7 @@ mod tests {
 
     fn dsl_prints(w: crate::Workload, p: &OldenParams) -> Vec<u64> {
         let m = w.module(p);
-        let prog = cheri_cc::compile(&m, &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         k.exec_and_run(&prog).unwrap().prints
     }

@@ -721,7 +721,7 @@ mod tests {
     fn fib_checksum_matches_host_arithmetic() {
         let p = OldenParams::scaled();
         let m = module(&p);
-        let prog = cheri_cc::compile(&m, &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         let mut acc = 0i64;
@@ -737,7 +737,7 @@ mod tests {
     fn sort_checksum_matches_host_sort() {
         let p = OldenParams::scaled();
         let m = module(&p);
-        let prog = cheri_cc::compile(&m, &LegacyPtr, Default::default()).unwrap();
+        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
         let mut k = cheri_os::boot(Default::default());
         let out = k.exec_and_run(&prog).unwrap();
         let sm = p.vm_sort.max(2) as i64;

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = buggy_module();
     let strategies: [&dyn PtrStrategy; 3] = [&LegacyPtr, &SoftFatPtr::checked(), &CapPtr::c256()];
     for strategy in strategies {
-        let program = cheri::cc::compile(&module, strategy, Default::default())?;
+        let program = cheri::cc::compile(&module, strategy)?;
         let mut kernel = boot(KernelConfig::default());
         let outcome = kernel.exec_and_run(&program)?;
         print!("{:<14}", strategy.name());

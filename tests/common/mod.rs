@@ -9,7 +9,7 @@ use std::rc::Rc;
 use cheri::os::{Kernel, RunOutcome};
 use cheri::prof::Profiler;
 use cheri::trace::chrome::Ph;
-use cheri::trace::{json, shared, AnySink, JsonlSink};
+use cheri::trace::{json, shared, JsonlSink};
 
 /// A writer whose bytes stay readable after the sink owning it is gone.
 #[derive(Clone, Default)]
@@ -43,7 +43,7 @@ pub struct Observed {
 /// a JSONL sink attached, then detaches both.
 pub fn run_observed(kernel: &mut Kernel) -> Observed {
     let buf = Buffer::default();
-    kernel.set_trace_sink(Some(shared(AnySink::Jsonl(JsonlSink::new(Box::new(buf.clone()))))));
+    kernel.set_trace_sink(Some(shared(JsonlSink::new(Box::new(buf.clone())))));
     kernel.machine_mut().set_profiler(Some(Box::new(Profiler::new())));
     let outcome = kernel.run().unwrap();
     let report = kernel.machine_mut().take_profiler().unwrap().into_report();

@@ -11,7 +11,7 @@ use cheri::os::{boot, ExitReason, KernelConfig};
 use cheri::sim::MachineConfig;
 
 fn run_module(module: &Module, strategy: &dyn PtrStrategy) -> cheri::os::RunOutcome {
-    let program = cheri::cc::compile(module, strategy, Default::default())
+    let program = cheri::cc::compile(module, strategy)
         .unwrap_or_else(|e| panic!("[{}] {e}", strategy.name()));
     let mut kernel = boot(KernelConfig::default());
     kernel.exec_and_run(&program).expect("kernel run")

@@ -172,9 +172,7 @@ fn malloc_without_system_calls() {
         }],
         entry: 0,
     };
-    let program =
-        cheri::cc::compile(&module, &cheri::cc::strategy::CapPtr::c256(), Default::default())
-            .unwrap();
+    let program = cheri::cc::compile(&module, &cheri::cc::strategy::CapPtr::c256()).unwrap();
     let mut kernel = boot(KernelConfig::default());
     let out = kernel.exec_and_run(&program).unwrap();
     assert_eq!(out.exit_value(), Some(999));
