@@ -3,12 +3,12 @@
 //! 64 KB L2, and the 1 MB TLB coverage overflow.
 //!
 //! A thin text view over the canonical `cheri-sweep` matrix: the sweep
-//! points come from [`heapsize_sweep`] and execute on the parallel
-//! sweep engine (`--jobs N`; `--trace-out` forces the serial traced
-//! path).
+//! points come from the workload registry ([`Workload::sweep_points`])
+//! and execute on the parallel sweep engine (`--jobs N`; `--trace-out`
+//! forces the serial traced path).
 
 use cheri_bench::{bar, overhead_pct, Exhibit};
-use cheri_sweep::{heapsize_sweep, run_jobs, JobSpec, HEAPSIZE_STRATEGIES};
+use cheri_sweep::{run_jobs, JobSpec, HEAPSIZE_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {
-            heapsize_sweep(bench).into_iter().flat_map(move |(param, p)| {
+            bench.sweep_points().into_iter().flat_map(move |(param, p)| {
                 HEAPSIZE_STRATEGIES
                     .into_iter()
                     .map(move |s| JobSpec { variant: Some(param), ..JobSpec::new(bench, s, p) })
@@ -33,7 +33,7 @@ fn main() {
     for bench in Workload::ALL {
         println!("{}:", bench.name());
         println!("{:>10} {:>12} {:>10}", "param", "heap (KB)", "slowdown");
-        for _ in heapsize_sweep(bench) {
+        for _ in bench.sweep_points() {
             let pair = rows.next().expect("one row per sweep point");
             let (base, cheri) = (&pair[0], &pair[1]);
             let param = base.spec.variant.expect("sweep point labelled");

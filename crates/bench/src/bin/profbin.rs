@@ -7,10 +7,12 @@
 //! guest PC (and thus function) that incurred them.
 //!
 //! ```text
-//! profbin [--workload bisort|mst|treeadd|perimeter]   (default: treeadd)
+//! profbin [--workload bisort|mst|treeadd|perimeter|vmloop|allocstress]
+//!                                                     (default: treeadd)
 //!         [--strategy mips|ccured|ccured-elide|cheri|cheri128]
 //!                                                     (default: cheri)
-//!         [--tag-kb N]           tag-cache capacity in KB (default: 8)
+//!         [--tag-kb N]           tag-cache capacity in KB: 0 or a power
+//!                                of two up to 1024 (default: 8)
 //!         [--top N]              rows in the function table (default: 10)
 //!         [--folded PATH]        write flamegraph collapsed stacks
 //!         [--prof-timeline PATH] write the Chrome trace-event /
@@ -81,12 +83,7 @@ fn main() {
     // job request name exactly the same experiment.
     let spec =
         JobSpec::from_parts(&args.workload, &args.strategy, args.tag_kb, OldenParams::scaled())
-            .unwrap_or_else(|| {
-                cli.usage_exit(&format!(
-                    "unknown workload/strategy '{}/{}'",
-                    args.workload, args.strategy
-                ))
-            });
+            .unwrap_or_else(|e| cli.usage_exit(&e));
     let run = run_job(&spec, spec.machine_config(), Mode::Profiled, None, &mut |_, _| {})
         .unwrap_or_else(|e| fail(&format!("{}: {e}", spec.key())));
     let result = run.result.expect("profiled runs complete");

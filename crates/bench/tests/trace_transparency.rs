@@ -10,11 +10,11 @@
 //! JSONL stream's lines by event kind must reproduce every counter an
 //! event mirrors, exactly.
 
-use cheri_olden::dsl::{compile_bench, machine_config, DslBench};
 use cheri_olden::OldenParams;
 use cheri_os::{boot, KernelConfig, RunOutcome};
-use cheri_sweep::StrategyKind;
+use cheri_sweep::{JobSpec, StrategyKind};
 use cheri_trace::{names, shared, JsonlSink, SharedSink};
+use cheri_work::Workload;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
@@ -157,12 +157,14 @@ struct EndState {
     digest: u64,
 }
 
+/// Boots its own kernel (not `run_job`) because the end-state checks
+/// read registers and memory after the run; the module and machine
+/// configuration are the registry's and the job spec's.
 fn run_treeadd(strategy: StrategyKind, sink: Option<SharedSink>) -> EndState {
-    let bench = DslBench::Treeadd;
-    let params = OldenParams::scaled();
-    let strategy = strategy.strategy();
-    let program = compile_bench(bench, &params, strategy.as_ref()).unwrap();
-    let machine = machine_config(bench, &params, strategy.as_ref());
+    let spec = JobSpec::new(Workload::Treeadd, strategy, OldenParams::scaled());
+    let module = spec.workload.module(&spec.params);
+    let program = cheri_cc::compile(&module, strategy.strategy().as_ref()).unwrap();
+    let machine = spec.machine_config();
     let user_top = (machine.mem_bytes as u64).max(16 << 20) + (16 << 20);
     let layout = cheri_os::ProcessLayout {
         stack_top: user_top - 4096,

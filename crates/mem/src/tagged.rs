@@ -48,12 +48,6 @@ impl TaggedMem {
         TaggedMem { phys: PhysMem::new(size), tags: TagController::new(size as u64) }
     }
 
-    /// As [`TaggedMem::new`] with a custom tag-cache size (ablation).
-    #[must_use]
-    pub fn with_tag_cache(size: usize, tag_cache_bytes: usize) -> TaggedMem {
-        TaggedMem::with_config(size, tag_cache_bytes, TAG_GRANULE)
-    }
-
     /// Full configuration, including the tag granule: 32 bytes for the
     /// architectural 256-bit capability, 16 bytes for the 128-bit
     /// production format.

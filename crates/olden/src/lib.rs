@@ -13,11 +13,14 @@
 //!   the conventional-MIPS, CCured-style, and CHERI binaries of
 //!   Figure 4. Each prints result checksums via `SYS_PRINT` so the
 //!   harness can assert all three binaries computed the same answer, and
-//!   marks its allocation/computation phases via `SYS_PHASE`.
+//!   marks its allocation/computation phases via `SYS_PHASE`. The
+//!   workload registry (`cheri_work::REGISTRY`) is their only list;
+//!   [`dsl::BenchSession`] runs them.
 //! * [`native`] — host-speed implementations running against
 //!   [`cheri_limit::TracedHeap`], producing the pointer-event traces the
 //!   Figure 3 limit study consumes (including the additional `em3d`,
-//!   `health`, and `power` workloads).
+//!   `health`, and `power` workloads); `cheri_work::native::WORKLOADS`
+//!   lists them.
 //!
 //! [`params::OldenParams`] holds the problem sizes; `paper()` matches the
 //! paper's parameters and `scaled()` keeps CI-sized runs fast.
@@ -26,5 +29,4 @@ pub mod dsl;
 pub mod native;
 pub mod params;
 
-pub use dsl::DslBench;
 pub use params::OldenParams;

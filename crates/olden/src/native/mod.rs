@@ -11,7 +11,10 @@
 //!
 //! Every workload returns its trace plus a checksum, and each algorithm
 //! mirrors its `dsl` twin where one exists (same structures, same
-//! constants), so the two methodologies stay comparable.
+//! constants), so the two methodologies stay comparable; the registry
+//! tests of `cheri-sweep` (`tests/workloads.rs`) assert the checksums
+//! agree. `cheri_work::native::WORKLOADS` is the list of these
+//! functions.
 
 use cheri_limit::{TPtr, Trace, TracedHeap};
 
@@ -28,23 +31,6 @@ pub struct NativeRun {
 
 /// A native workload entry point.
 pub type Workload = fn(&OldenParams) -> NativeRun;
-
-/// The native workload set, in limit-study order.
-pub const WORKLOADS: [(&str, Workload); 7] = [
-    ("treeadd", treeadd),
-    ("bisort", bisort),
-    ("perimeter", perimeter),
-    ("mst", mst),
-    ("em3d", em3d),
-    ("health", health),
-    ("power", power),
-];
-
-/// Runs every native workload, returning their traces.
-#[must_use]
-pub fn all_traces(p: &OldenParams) -> Vec<Trace> {
-    WORKLOADS.iter().map(|(_, f)| f(p).trace).collect()
-}
 
 fn scramble(x: i64) -> i64 {
     let mut t = (x.wrapping_add(0x9e37_79b9)).wrapping_mul(0x9E3779B97F4A7C15u64 as i64);
@@ -645,69 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn all_workloads_produce_nonempty_traces() {
-        for (name, f) in WORKLOADS {
-            let run = f(&params());
-            assert!(run.trace.accesses() > 100, "{name} trace too small");
-            assert!(!run.trace.objects.is_empty(), "{name} allocated nothing");
-            assert_eq!(run.trace.name, name);
-        }
-    }
-
-    #[test]
-    fn workloads_are_deterministic() {
-        for (name, f) in WORKLOADS {
-            let a = f(&params());
-            let b = f(&params());
-            assert_eq!(a.checksum, b.checksum, "{name} not deterministic");
-            assert_eq!(a.trace.events.len(), b.trace.events.len());
-        }
-    }
-
-    #[test]
     fn treeadd_checksum_is_node_count() {
         let p = params();
         let run = treeadd(&p);
         assert_eq!(run.checksum, (1 << p.treeadd_depth) - 1);
-    }
-
-    #[test]
-    fn native_matches_dsl_checksums() {
-        // The native and DSL implementations share algorithms and
-        // constants; their results must agree.
-        use cheri_cc::strategy::LegacyPtr;
-        let p = OldenParams::scaled();
-        for (bench, native_sum) in [
-            (crate::dsl::DslBench::Treeadd, treeadd(&p).checksum),
-            (crate::dsl::DslBench::Perimeter, perimeter(&p).checksum),
-            (crate::dsl::DslBench::Mst, mst(&p).checksum),
-        ] {
-            let cfg = beri_sim::MachineConfig {
-                mem_bytes: bench.mem_needed(&p, &LegacyPtr),
-                ..Default::default()
-            };
-            let run = crate::dsl::run_bench(bench, &p, &LegacyPtr, cfg).unwrap();
-            assert_eq!(
-                run.outcome.exit_value(),
-                Some(native_sum),
-                "{} native vs dsl",
-                bench.name()
-            );
-        }
-    }
-
-    #[test]
-    fn bisort_native_matches_dsl_sum() {
-        use cheri_cc::strategy::LegacyPtr;
-        let p = OldenParams::scaled();
-        let native_sum = bisort(&p).checksum;
-        let cfg = beri_sim::MachineConfig {
-            mem_bytes: crate::dsl::DslBench::Bisort.mem_needed(&p, &LegacyPtr),
-            ..Default::default()
-        };
-        let run = crate::dsl::run_bench(crate::dsl::DslBench::Bisort, &p, &LegacyPtr, cfg).unwrap();
-        // prints: [violations, sum_before, sum_after]
-        assert_eq!(run.checksums()[2], native_sum);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Benchmark problem sizes.
 
-use cheri_trace::json::{self, JsonWriter};
+use cheri_trace::json::JsonWriter;
 
 /// Problem sizes for the guest workloads: the four Olden kernels, the
 /// native-only limit-study workloads, and the `cheri-work` runtime
@@ -55,9 +55,9 @@ pub struct OldenParams {
 pub type ParamField = (&'static str, fn(&OldenParams) -> u32);
 
 /// The canonical field order of [`OldenParams::canonical_json`]: every
-/// field, paired with its accessor. One list drives serialization,
-/// parsing, and the exhaustiveness tests, so a new parameter cannot be
-/// added to the struct without joining the canonical form.
+/// field, paired with its accessor. One list drives serialization and
+/// its exhaustiveness test, so a new parameter cannot be added to the
+/// struct without joining the canonical form.
 pub const PARAM_FIELDS: [ParamField; 18] = [
     ("treeadd_depth", |p| p.treeadd_depth),
     ("bisort_log2", |p| p.bisort_log2),
@@ -78,31 +78,6 @@ pub const PARAM_FIELDS: [ParamField; 18] = [
     ("alloc_ops", |p| p.alloc_ops),
     ("alloc_roots", |p| p.alloc_roots),
 ];
-
-fn set_field(p: &mut OldenParams, name: &str, v: u32) -> bool {
-    match name {
-        "treeadd_depth" => p.treeadd_depth = v,
-        "bisort_log2" => p.bisort_log2 = v,
-        "perimeter_levels" => p.perimeter_levels = v,
-        "mst_vertices" => p.mst_vertices = v,
-        "mst_degree" => p.mst_degree = v,
-        "em3d_nodes" => p.em3d_nodes = v,
-        "em3d_degree" => p.em3d_degree = v,
-        "em3d_iters" => p.em3d_iters = v,
-        "health_levels" => p.health_levels = v,
-        "health_steps" => p.health_steps = v,
-        "power_feeders" => p.power_feeders = v,
-        "vm_iters" => p.vm_iters = v,
-        "vm_fib" => p.vm_fib = v,
-        "vm_sort" => p.vm_sort = v,
-        "vm_hash" => p.vm_hash = v,
-        "alloc_slots" => p.alloc_slots = v,
-        "alloc_ops" => p.alloc_ops = v,
-        "alloc_roots" => p.alloc_roots = v,
-        _ => return false,
-    }
-    true
-}
 
 impl OldenParams {
     /// The paper's evaluation parameters (Section 8: "the same
@@ -195,9 +170,10 @@ impl OldenParams {
 
     /// The canonical JSON serialization: every field, in the fixed
     /// [`PARAM_FIELDS`] order, integers only. This is the `params`
-    /// object embedded in `JobSpec::canonical_json` (and therefore half
-    /// of the `cheri-serve` cache key), so two parameter sets are equal
-    /// iff their canonical forms are byte-equal.
+    /// object embedded in `JobSpec::canonical_json` (and therefore in
+    /// the `cheri-serve` result-cache key), so two parameter sets are
+    /// equal iff their canonical forms are byte-equal. Nothing parses
+    /// it back: the wire names a profile, never a params object.
     #[must_use]
     pub fn canonical_json(&self) -> String {
         let mut w = JsonWriter::object();
@@ -205,39 +181,6 @@ impl OldenParams {
             w.u64_field(name, u64::from(get(self)));
         }
         w.close()
-    }
-
-    /// Parses the canonical form back. Strict on the field set: every
-    /// field of [`PARAM_FIELDS`] must be present, and any field this
-    /// version does not know is rejected by name — a params object from
-    /// a newer (or corrupted) writer must not silently drop sizes.
-    ///
-    /// # Errors
-    ///
-    /// Describes the malformed / missing / unknown field.
-    pub fn from_canonical_json(text: &str) -> Result<OldenParams, String> {
-        let doc = json::parse(text).map_err(|e| format!("params: {e}"))?;
-        let obj = doc.as_obj().ok_or("params: not a JSON object")?;
-        let mut p = OldenParams::scaled();
-        let mut seen = 0usize;
-        for (name, value) in obj {
-            let v = value
-                .as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| format!("params: field '{name}' is not a u32"))?;
-            if !set_field(&mut p, name, v) {
-                return Err(format!("params: unknown field '{name}'"));
-            }
-            seen += 1;
-        }
-        if seen != PARAM_FIELDS.len() {
-            for (name, _) in PARAM_FIELDS {
-                if obj.get(name).is_none() {
-                    return Err(format!("params: missing field '{name}'"));
-                }
-            }
-        }
-        Ok(p)
     }
 }
 
@@ -282,13 +225,30 @@ mod tests {
     }
 
     /// A params value with every field set to a distinct number, so a
-    /// codec bug that swaps or drops any one field is caught.
+    /// serializer that swaps or drops any one field is caught. The
+    /// struct literal names every field, so the compiler keeps it
+    /// exhaustive.
     fn distinct_params() -> OldenParams {
-        let mut p = OldenParams::scaled();
-        for (i, (name, _)) in PARAM_FIELDS.iter().enumerate() {
-            assert!(set_field(&mut p, name, 1000 + i as u32), "setter for {name}");
+        OldenParams {
+            treeadd_depth: 1000,
+            bisort_log2: 1001,
+            perimeter_levels: 1002,
+            mst_vertices: 1003,
+            mst_degree: 1004,
+            em3d_nodes: 1005,
+            em3d_degree: 1006,
+            em3d_iters: 1007,
+            health_levels: 1008,
+            health_steps: 1009,
+            power_feeders: 1010,
+            vm_iters: 1011,
+            vm_fib: 1012,
+            vm_sort: 1013,
+            vm_hash: 1014,
+            alloc_slots: 1015,
+            alloc_ops: 1016,
+            alloc_roots: 1017,
         }
-        p
     }
 
     #[test]
@@ -296,65 +256,14 @@ mod tests {
         let p = distinct_params();
         let text = p.canonical_json();
         let mut at = 0usize;
-        for (i, (name, _)) in PARAM_FIELDS.iter().enumerate() {
+        for (i, (name, get)) in PARAM_FIELDS.iter().enumerate() {
+            assert_eq!(get(&p), 1000 + i as u32, "accessor for {name}");
             let needle = format!("\"{name}\":{}", 1000 + i);
             let pos = text[at..].find(&needle).unwrap_or_else(|| {
                 panic!("canonical form must contain {needle:?} after byte {at}: {text}")
             });
             at += pos + needle.len();
         }
-    }
-
-    #[test]
-    fn canonical_json_round_trips_every_field() {
-        let p = distinct_params();
-        let back = OldenParams::from_canonical_json(&p.canonical_json()).unwrap();
-        assert_eq!(back, p);
-        // Idempotent: re-serializing the parse is byte-identical, so the
-        // canonical form is a fixed point (the cache-key property).
-        assert_eq!(back.canonical_json(), p.canonical_json());
-    }
-
-    #[test]
-    fn presets_round_trip() {
-        for p in [OldenParams::scaled(), OldenParams::medium(), OldenParams::paper()] {
-            assert_eq!(OldenParams::from_canonical_json(&p.canonical_json()).unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn unknown_field_is_rejected_by_name() {
-        let text =
-            OldenParams::scaled().canonical_json().replacen("treeadd_depth", "tree_depth", 1);
-        let err = OldenParams::from_canonical_json(&text).unwrap_err();
-        assert!(err.contains("unknown field 'tree_depth'"), "{err}");
-    }
-
-    #[test]
-    fn missing_field_is_rejected_by_name() {
-        let p = OldenParams::scaled();
-        let text = p.canonical_json();
-        let needle = format!(",\"alloc_roots\":{}", p.alloc_roots);
-        let text = text.replace(&needle, "");
-        let err = OldenParams::from_canonical_json(&text).unwrap_err();
-        assert!(err.contains("missing field 'alloc_roots'"), "{err}");
-    }
-
-    #[test]
-    fn non_integer_value_is_rejected_by_name() {
-        let p = OldenParams::scaled();
-        let text = p.canonical_json().replacen(
-            &format!("\"vm_fib\":{}", p.vm_fib),
-            "\"vm_fib\":\"ten\"",
-            1,
-        );
-        let err = OldenParams::from_canonical_json(&text).unwrap_err();
-        assert!(err.contains("field 'vm_fib' is not a u32"), "{err}");
-    }
-
-    #[test]
-    fn non_object_is_rejected() {
-        assert!(OldenParams::from_canonical_json("[1,2]").unwrap_err().contains("not a JSON"));
     }
 
     #[test]

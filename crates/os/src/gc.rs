@@ -36,14 +36,6 @@ pub struct GcReport {
     pub reclaimable_heap_bytes: u64,
 }
 
-impl GcReport {
-    /// Total bytes covered by reachable regions.
-    #[must_use]
-    pub fn reachable_bytes(&self) -> u64 {
-        self.reachable.iter().map(|(b, e)| e - b).sum()
-    }
-}
-
 fn merge(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     spans.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::new();

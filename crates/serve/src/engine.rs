@@ -10,11 +10,12 @@
 //! fresh boot), never *how they are computed* — which is why the
 //! transparency gate can demand byte-identity with the batch report.
 
-use crate::cache::{cache_key_canonical, ResultCache, StoredRecord, NO_SNAPSHOT};
-use crate::pool::{PoolEntry, SnapshotPool};
+use crate::cache::{ResultCache, StoredRecord};
+use crate::pool::SnapshotPool;
 use crate::protocol::Origin;
 use crate::signal;
 use crate::telem::{elapsed_us, JobCtx, PhaseRecorder, ServiceTelem};
+use cheri_snap::Snapshot;
 use cheri_sweep::{
     profile_matrix, run_job, run_matrix, JobRecord, JobSpec, Mode, Profile, SweepReport,
 };
@@ -218,10 +219,11 @@ pub enum Lookup {
 }
 
 /// A job the cached rung missed, with what the lookup already resolved:
-/// its canonical configuration and pooled snapshot, if any.
+/// its canonical configuration (the cache and pool key) and pooled
+/// snapshot, if any.
 pub struct Miss {
     canon: String,
-    entry: Option<Arc<PoolEntry>>,
+    snapshot: Option<Arc<Snapshot>>,
     use_cache: bool,
 }
 
@@ -276,28 +278,28 @@ impl JobEngine {
         }
     }
 
-    /// The cached rung of the ladder: with a pooled snapshot present and
-    /// `use_cache`, looks the job up under (config, snapshot hash). A
-    /// hit is a finished job (counted and recorded as
-    /// [`Origin::Cached`]) whose stored record is shared, not copied.
-    /// Anything else is a [`Miss`] carrying what the lookup resolved.
+    /// The cached rung of the ladder: with `use_cache`, looks the job
+    /// up under its canonical configuration. A hit is a finished job
+    /// (counted and recorded as [`Origin::Cached`]) whose stored record
+    /// is shared, not copied. Anything else is a [`Miss`] carrying the
+    /// configuration and the pooled snapshot, if any.
     ///
     /// It never simulates, so the server calls it on the connection
     /// thread and sends only misses to the worker pool.
-    /// `use_cache = false` (the load generator's hot mode) always
-    /// misses and the result is not stored, forcing real execution.
+    /// `use_cache = false` always misses and the result is not stored,
+    /// forcing real execution.
     #[must_use]
     pub fn lookup(&self, spec: &JobSpec, use_cache: bool) -> Lookup {
         let t0 = Instant::now();
         let canon = spec.canonical_json();
-        let entry = self.pool.get(&canon);
-        if let Some(entry) = entry.as_ref().filter(|_| use_cache) {
-            if let Some(stored) = self.cache.lookup(cache_key_canonical(&canon, entry.hash)) {
+        if use_cache {
+            if let Some(stored) = self.cache.lookup(&canon) {
                 self.telem.job_finished(Origin::Cached, elapsed_us(t0));
                 return Lookup::Hit(stored);
             }
         }
-        Lookup::Miss(Miss { canon, entry, use_cache })
+        let snapshot = self.pool.get(&canon);
+        Lookup::Miss(Miss { canon, snapshot, use_cache })
     }
 
     /// The executing rungs for a job [`JobEngine::lookup`] missed,
@@ -326,41 +328,39 @@ impl JobEngine {
         ctx: JobCtx,
     ) -> Result<(Arc<StoredRecord>, Origin), String> {
         let t0 = Instant::now();
-        let (record, origin, hash) = self.run(spec, &miss.canon, miss.entry.as_deref(), ctx)?;
+        let (record, origin) = self.run(spec, &miss.canon, miss.snapshot.as_deref(), ctx)?;
         self.telem.job_finished(origin, elapsed_us(t0));
         let json = self.telem.serialize_span(ctx, || record.to_json());
         let stored = Arc::new(StoredRecord { record, json });
         if miss.use_cache {
-            self.cache.store(cache_key_canonical(&miss.canon, hash), &stored);
+            self.cache.store(miss.canon, &stored);
         }
         Ok((stored, origin))
     }
 
     /// The executing rungs of the ladder: resumes `from` (warm) or boots
     /// cold, pooling the phase-2 snapshot a cold run captures, with the
-    /// job's phases recorded under its origin. Returns the record, the
-    /// origin, and the hash of the state the result is keyed by.
+    /// job's phases recorded under its origin.
     fn run(
         &self,
         spec: &JobSpec,
         canon: &str,
-        from: Option<&PoolEntry>,
+        from: Option<&Snapshot>,
         ctx: JobCtx,
-    ) -> Result<(JobRecord, Origin, cheri_snap::StateHash), String> {
+    ) -> Result<(JobRecord, Origin), String> {
         let (origin, mode) = match from {
-            Some(entry) => (Origin::Warm, Mode::Resume(&entry.snapshot)),
+            Some(snap) => (Origin::Warm, Mode::Resume(snap)),
             None => (Origin::Cold, Mode::Split),
         };
         let mut phases = PhaseRecorder::new(&self.telem, ctx, origin.name());
         let run = run_job(spec, spec.machine_config(), mode, None, &mut |n, b| phases.note(n, b))?;
         let rec =
             JobRecord::from_result(run.result.as_ref().expect("split and resumed runs complete"));
-        let hash = match (from, run.snapshot) {
-            (Some(entry), _) => entry.hash,
-            (None, Some(snap)) => self.pool.insert(canon.to_string(), snap).hash,
-            (None, None) => NO_SNAPSHOT,
-        };
-        Ok((rec, origin, hash))
+        // Only a cold (split) run captures a snapshot.
+        if let Some(snap) = run.snapshot {
+            self.pool.insert(canon.to_string(), snap);
+        }
+        Ok((rec, origin))
     }
 
     /// Fills the pool with phase-2 pre-boots for every job of `profile`

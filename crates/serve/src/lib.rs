@@ -7,10 +7,9 @@
 //! line-delimited JSON ([`protocol`], `cheri-serve/v2`) shards incoming
 //! sweep and job requests across a persistent [`WorkerPool`],
 //! executes them warm from a pool of pre-booted phase-2 snapshots
-//! ([`SnapshotPool`]), and dedups identical work through a
-//! content-hashed result cache ([`ResultCache`]) keyed on the job's
-//! canonical configuration plus the [`cheri_snap::StateHash`] of the
-//! snapshot it would run from.
+//! ([`SnapshotPool`]), and dedups identical work through a result
+//! cache ([`ResultCache`]). Cache and pool share one key: the job's
+//! canonical configuration, stored and compared whole.
 //!
 //! The service's contract is **transparency**: a served report must be
 //! byte-identical to what the cold batch path (`xsweep`) writes for the
@@ -36,13 +35,13 @@ pub mod server;
 pub mod signal;
 pub mod telem;
 
-pub use cache::{cache_key, cache_key_canonical, ResultCache, StoredRecord, NO_SNAPSHOT};
+pub use cache::{ResultCache, StoredRecord};
 pub use client::Client;
 pub use engine::{run_profile, transparency_gate, JobEngine, Stop, WorkerPool};
-pub use pool::{PoolEntry, SnapshotPool};
+pub use pool::SnapshotPool;
 pub use protocol::{
     decode_event, decode_request, encode_event, encode_request, Event, HealthSnapshot, JobParts,
-    Origin, Request, MAX_TAG_KB, SCHEMA,
+    Origin, Request, SCHEMA,
 };
 pub use server::{Server, ServerConfig, MAX_LINE_BYTES};
 pub use telem::{JobCtx, PhaseRecorder, ServiceTelem, HIST_COUNTER_PAIRS};

@@ -6,9 +6,8 @@
 //! allocation already paid for ([`cheri_sweep::WARM_SNAPSHOT_PHASE`];
 //! [`cheri_sweep::Mode::BootOnly`] boots to it). The pool maps a job's
 //! canonical configuration
-//! ([`cheri_sweep::JobSpec::canonical_json`]) to that snapshot plus
-//! its [`StateHash`]; the hash feeds the result-cache key,
-//! binding every cached result to the exact state it was computed from.
+//! ([`cheri_sweep::JobSpec::canonical_json`]) to that snapshot — the
+//! same key the result cache ([`crate::cache`]) uses.
 //!
 //! Entries are immutable once inserted (`Arc`-shared, read-only), so any
 //! number of workers can resume from the same snapshot concurrently.
@@ -17,25 +16,15 @@
 //! keeps the first entry and drops duplicates, making racing inserts
 //! harmless.
 
-use cheri_snap::{Snapshot, StateHash};
+use cheri_snap::Snapshot;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// One pooled pre-boot: the phase-2 snapshot and its canonical hash.
-pub struct PoolEntry {
-    /// The machine+kernel state at the allocation → computation
-    /// boundary.
-    pub snapshot: Snapshot,
-    /// [`StateHash`] of the snapshot's canonical serialization,
-    /// computed once at insertion.
-    pub hash: StateHash,
-}
-
 /// A thread-safe map from canonical job configuration to pooled
-/// snapshot.
+/// phase-2 snapshot.
 #[derive(Default)]
 pub struct SnapshotPool {
-    map: Mutex<HashMap<String, Arc<PoolEntry>>>,
+    map: Mutex<HashMap<String, Arc<Snapshot>>>,
 }
 
 impl SnapshotPool {
@@ -45,22 +34,18 @@ impl SnapshotPool {
         SnapshotPool::default()
     }
 
-    /// Looks up the entry for a canonical configuration.
+    /// Looks up the snapshot for a canonical configuration.
     #[must_use]
-    pub fn get(&self, canonical_config: &str) -> Option<Arc<PoolEntry>> {
+    pub fn get(&self, canonical_config: &str) -> Option<Arc<Snapshot>> {
         self.map.lock().map_or(None, |m| m.get(canonical_config).cloned())
     }
 
-    /// Inserts a snapshot (hashing it once) and returns the resident
-    /// entry. If another worker won the race, the existing entry is
-    /// returned and the duplicate dropped — deterministic execution
-    /// makes the two byte-identical anyway.
-    pub fn insert(&self, canonical_config: String, snapshot: Snapshot) -> Arc<PoolEntry> {
-        let hash = snapshot.state_hash();
-        let entry = Arc::new(PoolEntry { snapshot, hash });
-        match self.map.lock() {
-            Ok(mut m) => m.entry(canonical_config).or_insert(entry).clone(),
-            Err(_) => entry,
+    /// Inserts a snapshot unless the configuration already has one. If
+    /// another worker won the race, the duplicate is dropped —
+    /// deterministic execution makes the two byte-identical anyway.
+    pub fn insert(&self, canonical_config: String, snapshot: Snapshot) {
+        if let Ok(mut m) = self.map.lock() {
+            m.entry(canonical_config).or_insert_with(|| Arc::new(snapshot));
         }
     }
 
@@ -91,11 +76,12 @@ mod tests {
         let snap = run.unwrap().snapshot.expect("treeadd reaches phase 2");
         let pool = SnapshotPool::new();
         let canon = spec.canonical_json();
-        let first = pool.insert(canon.clone(), snap.clone());
-        let second = pool.insert(canon.clone(), snap);
-        assert!(Arc::ptr_eq(&first, &second), "duplicate insert must return the resident entry");
+        pool.insert(canon.clone(), snap.clone());
+        let first = pool.get(&canon).unwrap();
+        pool.insert(canon.clone(), snap);
+        let second = pool.get(&canon).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "a duplicate insert must keep the resident entry");
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool.get(&canon).unwrap().hash, first.hash);
         assert!(pool.get("other").is_none());
     }
 }

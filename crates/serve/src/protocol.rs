@@ -27,17 +27,10 @@ use std::collections::BTreeMap;
 /// Schema identifier exchanged in `ping`/`pong`.
 pub const SCHEMA: &str = "cheri-serve/v2";
 
-/// The largest tag-cache size a request may name, in KB: 16× the
-/// largest point of the tag-cache ablation axis
-/// ([`cheri_sweep::TAG_ABLATION_KB`]). Every size the experiments use is
-/// accepted; a hostile size is refused before it reaches the machine
-/// constructor.
-pub const MAX_TAG_KB: usize = 1024;
-
 /// How a served job result was obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Origin {
-    /// Returned from the content-hashed result cache; nothing executed.
+    /// Returned from the result cache; nothing executed.
     Cached,
     /// Executed warm: restored from the pooled phase-2 snapshot and run
     /// from the allocation → computation boundary.
@@ -88,12 +81,10 @@ impl JobParts {
     ///
     /// # Errors
     ///
-    /// Names the unknown workload/strategy.
+    /// As [`JobSpec::from_parts`]: names the unknown workload or
+    /// strategy, or the refused `tag_kb`.
     pub fn spec(&self) -> Result<JobSpec, String> {
         JobSpec::from_parts(&self.workload, &self.strategy, self.tag_kb, self.profile.params())
-            .ok_or_else(|| {
-                format!("unknown workload/strategy '{}/{}'", self.workload, self.strategy)
-            })
     }
 }
 
@@ -272,17 +263,12 @@ fn get_parts(obj: &BTreeMap<String, Json>) -> Result<JobParts, String> {
     let parts = JobParts {
         workload: get_str(obj, "workload")?,
         strategy: get_str(obj, "strategy")?,
-        tag_kb: {
-            let kb = get_u64(obj, "tag_kb")?;
-            usize::try_from(kb)
-                .ok()
-                .filter(|&kb| kb <= MAX_TAG_KB)
-                .ok_or_else(|| format!("field 'tag_kb' must be at most {MAX_TAG_KB}, got {kb}"))?
-        },
+        // A size beyond `usize` saturates; `from_parts` refuses it.
+        tag_kb: usize::try_from(get_u64(obj, "tag_kb")?).unwrap_or(usize::MAX),
         profile: get_profile(obj, Profile::Smoke)?,
     };
-    // Validate names at the protocol boundary so a bad request is
-    // rejected before any work is scheduled.
+    // Validate names and the tag-cache size at the protocol boundary
+    // so a bad request is rejected before any work is scheduled.
     parts.spec()?;
     Ok(parts)
 }
@@ -418,6 +404,7 @@ pub fn decode_event(line: &str) -> Result<Event, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cheri_sweep::MAX_TAG_KB;
 
     #[test]
     fn request_roundtrip() {
@@ -533,14 +520,17 @@ mod tests {
                 "{{\"type\":\"job\",\"workload\":\"treeadd\",\"strategy\":\"cheri\",\"tag_kb\":{kb}}}"
             ))
         };
-        // The whole ablation axis, and the bound itself, are accepted.
-        for kb in cheri_sweep::TAG_ABLATION_KB.into_iter().chain([MAX_TAG_KB]) {
+        // The whole ablation axis, the full profile's axis, and the
+        // bound itself are accepted.
+        let axes = cheri_sweep::TAG_ABLATION_KB.iter().chain(Profile::Full.tag_cache_axis());
+        for &kb in axes.chain(&[MAX_TAG_KB]) {
             assert!(job(kb as u64).is_ok(), "tag_kb {kb} must be accepted");
         }
-        // Anything above is refused, naming the field.
-        for kb in [MAX_TAG_KB as u64 + 1, 1 << 40, u64::MAX] {
+        // Anything above, or not a power of two, is refused, naming the
+        // field.
+        for kb in [3, 12, 1000, MAX_TAG_KB as u64 + 1, 1 << 40, u64::MAX] {
             let err = job(kb).unwrap_err();
-            assert!(err.contains("'tag_kb'"), "{err}");
+            assert!(err.contains("'tag_kb'"), "{kb}: {err}");
         }
         assert_eq!(MAX_TAG_KB, 16 * cheri_sweep::TAG_ABLATION_KB.iter().max().unwrap());
     }

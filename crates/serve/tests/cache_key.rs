@@ -1,17 +1,17 @@
-//! Result-cache key stability: the cache key must be a function of the
-//! job's *configuration* and the *state* it runs from — never of wire
-//! formatting — and must change whenever either input changes.
+//! Result-cache key stability: the cache and the snapshot pool are keyed
+//! by the job's canonical configuration, which must be a function of
+//! the configuration only — never of wire formatting — and must change
+//! whenever any field of it changes.
 
 use cheri_olden::OldenParams;
-use cheri_serve::cache::{cache_key, NO_SNAPSHOT};
 use cheri_serve::protocol::decode_request;
 use cheri_serve::Request;
-use cheri_snap::{Snapshot, StateHash};
+use cheri_snap::Snapshot;
 use cheri_sweep::{run_job, JobSpec, Mode};
 
 /// The same job spelled with different field order and whitespace must
-/// decode to the same spec and therefore the same cache key — identity
-/// is decided by the canonical serialization, not the request bytes.
+/// decode to the same spec and therefore the same key — identity is
+/// decided by the canonical serialization, not the request bytes.
 #[test]
 fn wire_layout_does_not_change_the_key() {
     let a = "{\"type\":\"job\",\"workload\":\"treeadd\",\"strategy\":\"cheri\",\"tag_kb\":8}";
@@ -23,10 +23,7 @@ fn wire_layout_does_not_change_the_key() {
             other => panic!("expected a job request, got {other:?}"),
         }
     };
-    let (sa, sb) = (spec_of(a), spec_of(b));
-    assert_eq!(sa.canonical_json(), sb.canonical_json());
-    let snap = StateHash(0xdead_beef);
-    assert_eq!(cache_key(&sa, snap), cache_key(&sb, snap));
+    assert_eq!(spec_of(a).canonical_json(), spec_of(b).canonical_json());
 }
 
 /// Aliases resolve to the same strategy, hence the same key.
@@ -35,16 +32,16 @@ fn strategy_aliases_share_a_key() {
     let params = OldenParams::scaled();
     let a = JobSpec::from_parts("treeadd", "cheri", 8, params).unwrap();
     let b = JobSpec::from_parts("treeadd", "cap", 8, params).unwrap();
-    assert_eq!(cache_key(&a, NO_SNAPSHOT), cache_key(&b, NO_SNAPSHOT));
+    assert_eq!(a.canonical_json(), b.canonical_json());
 }
 
 /// Any single configuration change must produce a different key: a
-/// collision here would serve one experiment's numbers as another's.
+/// shared key would serve one experiment's numbers as another's.
 #[test]
 fn every_config_field_changes_the_key() {
     let params = OldenParams::scaled();
     let base = JobSpec::from_parts("treeadd", "cheri", 8, params).unwrap();
-    let base_key = cache_key(&base, NO_SNAPSHOT);
+    let base_key = base.canonical_json();
 
     let variants = [
         JobSpec::from_parts("mst", "cheri", 8, params).unwrap(),
@@ -54,32 +51,18 @@ fn every_config_field_changes_the_key() {
         JobSpec::from_parts("treeadd", "cheri", 8, OldenParams::medium()).unwrap(),
     ];
     for v in &variants {
-        assert_ne!(
-            cache_key(v, NO_SNAPSHOT),
-            base_key,
-            "distinct config must give a distinct key: {}",
-            v.canonical_json()
-        );
+        assert_ne!(v.canonical_json(), base_key, "distinct config must give a distinct key");
     }
-
-    // The starting state is part of the key too: the same config warm
-    // vs from a different snapshot must not collide.
-    assert_ne!(cache_key(&base, StateHash(1)), base_key);
-    assert_ne!(cache_key(&base, StateHash(1)), cache_key(&base, StateHash(2)));
 }
 
 /// A snapshot must hash identically after a serialization round-trip:
-/// the pool hashes at insertion, and `snapreplay` hashes what it loads —
-/// if the two disagreed, every cache key would dangle.
+/// `snapreplay` compares the hashes of states it loads and re-runs.
 #[test]
 fn restored_snapshot_hashes_like_the_original() {
     let params = OldenParams::scaled();
     let spec = JobSpec::from_parts("treeadd", "mips", 8, params).unwrap();
     let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
     let snap = run.unwrap().snapshot.expect("treeadd reaches the phase-2 boundary");
-    let original = snap.state_hash();
     let restored = Snapshot::from_json(&snap.to_json()).unwrap();
-    assert_eq!(restored.state_hash(), original);
-    // And the hash feeds a different key than the no-snapshot case.
-    assert_ne!(cache_key(&spec, original), cache_key(&spec, NO_SNAPSHOT));
+    assert_eq!(restored.state_hash(), snap.state_hash());
 }

@@ -52,13 +52,6 @@ impl Stats {
         }
     }
 
-    /// Total memory references (the Figure 3 "Memory references (count)"
-    /// metric).
-    #[must_use]
-    pub fn memory_references(&self) -> u64 {
-        self.loads + self.stores
-    }
-
     /// Total bytes moved by the program (the Figure 3 "Memory I/O
     /// (bytes)" metric at the reference level).
     #[must_use]

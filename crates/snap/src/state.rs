@@ -214,177 +214,6 @@ pub struct MachineState {
     pub mem: MemState,
 }
 
-impl MachineState {
-    /// Locates the first architectural difference between two machine
-    /// states, in a fixed field order, and describes it as a path-like
-    /// string (e.g. `cpu.gpr[7]: 3 != 4` or `mem.words[0x1f40]`). Used
-    /// by differential harnesses to turn "states differ" into an
-    /// actionable pointer. Returns `None` when the states are equal.
-    ///
-    /// Timing-only state (caches, predictor, statistics, tag cache) is
-    /// compared *after* every architectural field, so the reported
-    /// difference is always the most meaningful one.
-    #[must_use]
-    #[allow(clippy::too_many_lines)]
-    pub fn first_difference(&self, other: &MachineState) -> Option<String> {
-        const CP0_NAMES: [&str; 10] = [
-            "index", "entrylo0", "entrylo1", "badvaddr", "count", "entryhi", "status", "cause",
-            "epc", "capcause",
-        ];
-        const STAT_NAMES: [&str; 15] = [
-            "instructions",
-            "cycles",
-            "loads",
-            "stores",
-            "bytes_loaded",
-            "bytes_stored",
-            "branches",
-            "mispredicts",
-            "cap_instructions",
-            "cap_loads",
-            "cap_stores",
-            "syscalls",
-            "exceptions",
-            "tlb_refills",
-            "cap_violations",
-        ];
-        if self.config != other.config {
-            return Some("config".to_string());
-        }
-        for (i, (a, b)) in self.cpu.gpr.iter().zip(&other.cpu.gpr).enumerate() {
-            if a != b {
-                return Some(format!("cpu.gpr[{i}]: {a:#x} != {b:#x}"));
-            }
-        }
-        for (name, a, b) in [
-            ("hi", self.cpu.hi, other.cpu.hi),
-            ("lo", self.cpu.lo, other.cpu.lo),
-            ("pc", self.cpu.pc, other.cpu.pc),
-            ("next_pc", self.cpu.next_pc, other.cpu.next_pc),
-        ] {
-            if a != b {
-                return Some(format!("cpu.{name}: {a:#x} != {b:#x}"));
-            }
-        }
-        for (i, (a, b)) in self.cpu.cp0.iter().zip(&other.cpu.cp0).enumerate() {
-            if a != b {
-                return Some(format!("cpu.cp0.{}: {a:#x} != {b:#x}", CP0_NAMES[i]));
-            }
-        }
-        for (i, (a, b)) in self.cpu.caps.iter().zip(&other.cpu.caps).enumerate() {
-            if a != b {
-                let name = if i == 32 { "pcc".to_string() } else { format!("c{i}") };
-                return Some(format!(
-                    "cpu.caps.{name}: tag {}/{} words {:x?} != {:x?}",
-                    a.tag, b.tag, a.words, b.words
-                ));
-            }
-        }
-        if self.cpu.ll_reservation != other.cpu.ll_reservation {
-            return Some(format!(
-                "cpu.ll_reservation: {:?} != {:?}",
-                self.cpu.ll_reservation, other.cpu.ll_reservation
-            ));
-        }
-        for (i, (a, b)) in self.tlb.entries.iter().zip(&other.tlb.entries).enumerate() {
-            if a != b {
-                return Some(format!("tlb.entries[{i}]"));
-            }
-        }
-        if self.tlb.next_random != other.tlb.next_random {
-            return Some(format!(
-                "tlb.next_random: {} != {}",
-                self.tlb.next_random, other.tlb.next_random
-            ));
-        }
-        if self.bare != other.bare {
-            return Some(format!("bare: {} != {}", self.bare, other.bare));
-        }
-        if let Some((word, a, b)) = first_rle_difference(&self.mem.words, &other.mem.words) {
-            return Some(format!(
-                "mem.words[{word:#x}] (byte offset {:#x}): {a:#018x} != {b:#018x}",
-                word * 8
-            ));
-        }
-        if let Some((word, a, b)) = first_rle_difference(&self.mem.tags, &other.mem.tags) {
-            return Some(format!(
-                "mem.tags[{word:#x}] (granules {}..): {a:#018x} != {b:#018x}",
-                word * 64
-            ));
-        }
-        // Timing-only state last.
-        if self.tlb.misses != other.tlb.misses {
-            return Some(format!("tlb.misses: {} != {}", self.tlb.misses, other.tlb.misses));
-        }
-        if self.hierarchy != other.hierarchy {
-            return Some("hierarchy".to_string());
-        }
-        if self.predictor != other.predictor {
-            return Some("predictor".to_string());
-        }
-        for (i, (a, b)) in self.stats.iter().zip(&other.stats).enumerate() {
-            if a != b {
-                return Some(format!("stats.{}: {a} != {b}", STAT_NAMES[i]));
-            }
-        }
-        if self.mem.tag_cache != other.mem.tag_cache {
-            return Some("mem.tag_cache".to_string());
-        }
-        if self.mem.tag_stats != other.mem.tag_stats {
-            return Some(format!(
-                "mem.tag_stats: {:?} != {:?}",
-                self.mem.tag_stats, other.mem.tag_stats
-            ));
-        }
-        if self == other {
-            None
-        } else {
-            Some("states differ (unlocated)".to_string())
-        }
-    }
-}
-
-/// Walks two `(count, value)` run-length encodings in parallel and
-/// returns the first index (in decoded elements) where they disagree,
-/// with both values. Unequal total lengths report the first index past
-/// the shorter encoding.
-fn first_rle_difference(a: &[(u64, u64)], b: &[(u64, u64)]) -> Option<(u64, u64, u64)> {
-    let (mut ai, mut bi) = (0usize, 0usize);
-    let (mut a_left, mut b_left) = (0u64, 0u64);
-    let mut index = 0u64;
-    loop {
-        if a_left == 0 {
-            if ai == a.len() {
-                break;
-            }
-            a_left = a[ai].0;
-            ai += 1;
-        }
-        if b_left == 0 {
-            if bi == b.len() {
-                break;
-            }
-            b_left = b[bi].0;
-            bi += 1;
-        }
-        let (av, bv) = (a[ai - 1].1, b[bi - 1].1);
-        if av != bv {
-            return Some((index, av, bv));
-        }
-        let run = a_left.min(b_left);
-        a_left -= run;
-        b_left -= run;
-        index += run;
-    }
-    if a_left > 0 || ai < a.len() {
-        return Some((index, a[ai.min(a.len() - 1)].1, 0));
-    }
-    if b_left > 0 || bi < b.len() {
-        return Some((index, 0, b[bi.min(b.len() - 1)].1));
-    }
-    None
-}
-
 /// A saved execution context (domain-crossing stack frame).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContextState {

@@ -5,7 +5,10 @@
 //! matrix end to end:
 //!
 //! * [`matrix`] — the canonical axes ([`StrategyKind`], the per-figure
-//!   strategy lists, [`heapsize_sweep`], [`profile_matrix`]) and the
+//!   strategy lists, [`profile_matrix`]; the workloads and their
+//!   Figure 5 sweep points come from the `cheri-work` registry), the
+//!   job spec with its one by-name constructor
+//!   ([`JobSpec::from_parts`]) and machine configuration, and the
 //!   one way to run a job: [`run_job`] in a closed set of [`Mode`]s
 //!   (plain, profiled, split at the warm-start boundary, boot-only,
 //!   resumed, final-snapshot), with [`run_jobs`] running many in
@@ -39,10 +42,9 @@ pub use ab::{ab, dump_divergence, AbJob, Divergence, Side};
 pub use check::{check_reports, comparisons, render_drifts, Drift};
 pub use engine::{default_threads, run_indexed};
 pub use matrix::{
-    heapsize_sweep, profile_matrix, run_job, run_jobs, run_spec_with_config, JobResult, JobRun,
-    JobSpec, Mode, Profile, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB,
-    ELISION_STRATEGIES, FIGURE4_STRATEGIES, HEAPSIZE_STRATEGIES, TAG_ABLATION_KB,
-    WARM_SNAPSHOT_PHASE,
+    profile_matrix, run_job, run_jobs, run_spec_with_config, JobResult, JobRun, JobSpec, Mode,
+    Profile, StrategyKind, CAPWIDTH_STRATEGIES, DEFAULT_TAG_CACHE_KB, ELISION_STRATEGIES,
+    FIGURE4_STRATEGIES, HEAPSIZE_STRATEGIES, MAX_TAG_KB, TAG_ABLATION_KB, WARM_SNAPSHOT_PHASE,
 };
 pub use report::{hit_rate_bp, JobRecord, SweepReport, ARCH_COUNTERS, SCHEMA_VERSION};
 

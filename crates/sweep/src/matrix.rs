@@ -2,21 +2,35 @@
 //!
 //! Every harness that iterates workloads × pointer strategies — the
 //! Figure 4/5 reproductions, the three ablations, and the `xsweep`
-//! runner — draws its axes from this module, so the workload lists,
-//! strategy lists, and iteration orders cannot drift apart between
-//! binaries (they used to be duplicated inline in fig4 and fig5).
+//! runner — draws its axes from this module, so the strategy lists and
+//! iteration orders cannot drift apart between binaries. The workload
+//! axis is the `cheri-work` registry ([`Workload::ALL`], with its
+//! Figure 5 points in [`Workload::sweep_points`]).
+//!
+//! A job is a [`JobSpec`]; [`JobSpec::from_parts`] is the one by-name
+//! constructor and checks the tag-cache size, and
+//! [`JobSpec::machine_config`] the one machine configuration.
+//! [`run_job`] is the one way to run a job to completion.
 
+use beri_sim::machine::CapFormat;
 use beri_sim::MachineConfig;
 use cheri_cc::strategy::{CapPtr, LegacyPtr, PtrStrategy, SoftFatPtr};
 use cheri_olden::dsl::{BenchRun, BenchSession};
 use cheri_olden::OldenParams;
 use cheri_trace::{marker, SharedSink};
-use cheri_work::{machine_config, Workload};
+use cheri_work::Workload;
 
 use crate::engine;
 
 /// The default tag-cache capacity in KB (Section 4.2's 8 KB).
 pub const DEFAULT_TAG_CACHE_KB: usize = 8;
+
+/// The largest tag-cache size a job may name, in KB: 16× the largest
+/// point of the tag-cache ablation axis ([`TAG_ABLATION_KB`]).
+/// [`JobSpec::from_parts`] accepts 0 (no tag cache) or a power of two
+/// up to this bound, so every size the experiments use passes and a
+/// hostile size is refused before it reaches the machine constructor.
+pub const MAX_TAG_KB: usize = 1024;
 
 /// One point on the pointer-strategy axis. The capability width
 /// (256-bit research / 128-bit production format) is part of the
@@ -120,15 +134,6 @@ pub const ELISION_STRATEGIES: [StrategyKind; 3] =
 /// The §4.2 tag-cache size ablation axis, in KB (0 = no tag cache).
 pub const TAG_ABLATION_KB: [usize; 7] = [0, 1, 2, 4, 8, 16, 64];
 
-/// Figure 5's sweep points for one workload: the parameter values
-/// whose *baseline* heaps span roughly 4 KB .. 1024 KB. The points live
-/// in the workload registry ([`cheri_work::WorkloadInfo::sweep_points`]);
-/// this re-export keeps the historical call-site spelling.
-#[must_use]
-pub fn heapsize_sweep(workload: Workload) -> Vec<(u32, OldenParams)> {
-    workload.sweep_points()
-}
-
 /// One fully specified experiment: a workload at a problem size, a
 /// pointer strategy, and a machine tag-cache configuration.
 #[derive(Clone, Copy, Debug)]
@@ -156,18 +161,31 @@ impl JobSpec {
     /// Resolves a spec from its named parts — the one constructor every
     /// by-name surface (`profbin` flags, the `cheri-serve` wire
     /// protocol) goes through, so a job spelled the same way always
-    /// means the same experiment. Returns `None` if the
-    /// workload or strategy name is unknown.
-    #[must_use]
+    /// means the same experiment, and one place checks what a caller
+    /// may ask for.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown workload or strategy, or the field `tag_kb`
+    /// when the size is neither 0 nor a power of two up to
+    /// [`MAX_TAG_KB`] (the tag controller indexes a power-of-two
+    /// geometry).
     pub fn from_parts(
         workload: &str,
         strategy: &str,
         tag_cache_kb: usize,
         params: OldenParams,
-    ) -> Option<JobSpec> {
-        let workload = Workload::parse(workload)?;
-        let strategy = StrategyKind::parse(strategy)?;
-        Some(JobSpec { workload, strategy, tag_cache_kb, params, variant: None })
+    ) -> Result<JobSpec, String> {
+        let workload =
+            Workload::parse(workload).ok_or_else(|| format!("unknown workload '{workload}'"))?;
+        let strategy = StrategyKind::parse(strategy)
+            .ok_or_else(|| format!("unknown strategy '{strategy}'"))?;
+        if tag_cache_kb != 0 && !(tag_cache_kb.is_power_of_two() && tag_cache_kb <= MAX_TAG_KB) {
+            return Err(format!(
+                "field 'tag_kb' must be 0 or a power of two up to {MAX_TAG_KB}, got {tag_cache_kb}"
+            ));
+        }
+        Ok(JobSpec { workload, strategy, tag_cache_kb, params, variant: None })
     }
 
     /// The canonical serialization of this job's *complete*
@@ -175,8 +193,8 @@ impl JobSpec {
     /// strategy, tag-cache size, variant label, and all problem-size
     /// parameters) in a fixed order with fixed formatting. Two specs
     /// describe the same experiment iff their canonical forms are
-    /// byte-equal — this is the config half of the `cheri-serve`
-    /// result-cache key, so requests that spell the same job with
+    /// byte-equal — this is the `cheri-serve` result-cache and
+    /// snapshot-pool key, so requests that spell the same job with
     /// different JSON field order or whitespace dedup onto one entry.
     #[must_use]
     pub fn canonical_json(&self) -> String {
@@ -215,14 +233,21 @@ impl JobSpec {
         }
     }
 
-    /// The machine configuration for this job: sized for the workload,
-    /// capability format matching the strategy, tag cache as specified.
+    /// The machine configuration for this job: memory sized for the
+    /// workload ([`Workload::mem_needed`]), the capability format of the
+    /// strategy (the 128-bit strategy needs a 16-byte-granule machine),
+    /// and the tag cache as specified.
     #[must_use]
     pub fn machine_config(&self) -> MachineConfig {
-        let strategy = self.strategy.strategy();
+        let cap_format = match self.strategy {
+            StrategyKind::Cheri128 => CapFormat::C128,
+            _ => CapFormat::C256,
+        };
         MachineConfig {
+            mem_bytes: self.workload.mem_needed(&self.params, self.strategy.strategy().as_ref()),
             tag_cache_bytes: self.tag_cache_kb * 1024,
-            ..machine_config(self.workload, &self.params, strategy.as_ref())
+            cap_format,
+            ..MachineConfig::default()
         }
     }
 }
@@ -550,8 +575,14 @@ mod tests {
         assert_eq!(vm.key(), "vmloop/cheri128/tag8");
         let al = JobSpec::from_parts("allocstress", "mips", 8, p).unwrap();
         assert_eq!(al.key(), "allocstress/mips/tag8");
-        assert!(JobSpec::from_parts("nosuch", "cheri", 8, p).is_none());
-        assert!(JobSpec::from_parts("treeadd", "nosuch", 8, p).is_none());
+        assert_eq!(
+            JobSpec::from_parts("nosuch", "cheri", 8, p).unwrap_err(),
+            "unknown workload 'nosuch'"
+        );
+        assert_eq!(
+            JobSpec::from_parts("treeadd", "nosuch", 8, p).unwrap_err(),
+            "unknown strategy 'nosuch'"
+        );
     }
 
     #[test]
@@ -598,13 +629,5 @@ mod tests {
         assert_eq!(FIGURE4_STRATEGIES[0], StrategyKind::Mips);
         assert_eq!(FIGURE4_STRATEGIES[1], StrategyKind::Ccured);
         assert_eq!(FIGURE4_STRATEGIES[2], StrategyKind::Cheri256);
-    }
-
-    #[test]
-    fn heapsize_sweep_covers_all_workloads() {
-        for workload in Workload::ALL {
-            let points = heapsize_sweep(workload);
-            assert!(points.len() >= 6, "{}: too few sweep points", workload.name());
-        }
     }
 }

@@ -45,12 +45,6 @@ impl JsonWriter {
         let _ = write!(self.buf, "{value}");
     }
 
-    /// Appends `"name":-123`.
-    pub fn i64_field(&mut self, name: &str, value: i64) {
-        self.key(name);
-        let _ = write!(self.buf, "{value}");
-    }
-
     /// Appends `"name":"0x1f"` — addresses read better in hex, and the
     /// string form keeps the parser integer-only.
     pub fn hex_field(&mut self, name: &str, value: u64) {

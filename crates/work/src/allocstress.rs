@@ -314,17 +314,16 @@ pub fn module(p: &OldenParams) -> Module {
     }
 }
 
-/// Physical memory needed: the arena plus the root table, with
-/// worst-case per-slot rounding under fat/capability strategies.
+/// Heap bytes: the arena plus the root table, with worst-case
+/// per-slot rounding under fat/capability strategies.
 #[must_use]
-pub fn mem_needed(p: &OldenParams, strategy: &dyn PtrStrategy) -> usize {
+pub fn heap_bytes(p: &OldenParams, strategy: &dyn PtrStrategy) -> u64 {
     let ptr = strategy.ptr_size();
     let slot = (16 + 2 * ptr).div_ceil(32) * 32;
     let root = (8 + ptr).div_ceil(32) * 32;
-    let heap = u64::from(p.alloc_slots.max(16)) * slot
+    u64::from(p.alloc_slots.max(16)) * slot
         + u64::from(p.alloc_roots.max(1)) * root
-        + (24 + 2 * ptr).div_ceil(32) * 32;
-    usize::try_from(heap.div_ceil(1 << 20) + 8).expect("sane size") << 20
+        + (24 + 2 * ptr).div_ceil(32) * 32
 }
 
 #[cfg(test)]

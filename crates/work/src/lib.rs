@@ -12,16 +12,19 @@
 //! pool, and `cheri-serve` all iterate [`Workload::ALL`] and index
 //! [`REGISTRY`], so adding a workload is one entry here, not N match
 //! arms scattered across binaries.
+//!
+//! The Olden rows call the module builders of `cheri_olden::dsl`
+//! directly; each row gives its heap bytes, and
+//! [`Workload::mem_needed`] turns heap into machine memory by one rule.
+//! [`native::WORKLOADS`] is the one list of native kernels.
 
 pub mod allocstress;
 pub mod native;
 pub mod vmloop;
 
-use beri_sim::machine::CapFormat;
-use beri_sim::MachineConfig;
 use cheri_cc::ir::Module;
 use cheri_cc::strategy::PtrStrategy;
-use cheri_olden::dsl::DslBench;
+use cheri_olden::dsl::{bisort, mst, perimeter, treeadd};
 use cheri_olden::OldenParams;
 
 /// One guest workload: the four Olden kernels plus the two
@@ -49,8 +52,10 @@ pub struct WorkloadInfo {
     pub name: &'static str,
     /// Builds the IR module at the given problem size.
     pub module: fn(&OldenParams) -> Module,
-    /// Rough physical-memory requirement under the strategy.
-    pub mem_needed: fn(&OldenParams, &dyn PtrStrategy) -> usize,
+    /// Heap bytes the workload allocates under the strategy's pointer
+    /// size, with worst-case per-object rounding ([`Workload::mem_needed`]
+    /// adds the headroom).
+    pub heap_bytes: fn(&OldenParams, &dyn PtrStrategy) -> u64,
     /// The Figure-5-style heap-size sweep points: (x-axis label,
     /// params) pairs whose baseline heaps span small → large.
     pub sweep_points: fn() -> Vec<(u32, OldenParams)>,
@@ -61,8 +66,8 @@ pub struct WorkloadInfo {
 pub const REGISTRY: [WorkloadInfo; 6] = [
     WorkloadInfo {
         name: "bisort",
-        module: |p| DslBench::Bisort.module(p),
-        mem_needed: |p, s| DslBench::Bisort.mem_needed(p, s),
+        module: |p| bisort::module(p.bisort_log2),
+        heap_bytes: |p, s| (1u64 << (p.bisort_log2 + 1)) * tree_node(s),
         sweep_points: || {
             let base = OldenParams::scaled();
             (7..=14).map(|d| (d, OldenParams { bisort_log2: d, ..base })).collect()
@@ -70,8 +75,14 @@ pub const REGISTRY: [WorkloadInfo; 6] = [
     },
     WorkloadInfo {
         name: "mst",
-        module: |p| DslBench::Mst.module(p),
-        mem_needed: |p, s| DslBench::Mst.mem_needed(p, s),
+        module: |p| mst::module(p.mst_vertices, p.mst_degree),
+        heap_bytes: |p, s| {
+            let ptr = s.ptr_size();
+            let per_vertex = 16 + 3 * ptr // vertex
+                + 16 * ptr // buckets
+                + u64::from(2 * (p.mst_degree + 1)) * (16 + 2 * ptr).div_ceil(32) * 32;
+            u64::from(p.mst_vertices) * per_vertex * 2
+        },
         sweep_points: || {
             let base = OldenParams::scaled();
             [16u32, 32, 64, 128, 256, 512, 1024]
@@ -82,8 +93,8 @@ pub const REGISTRY: [WorkloadInfo; 6] = [
     },
     WorkloadInfo {
         name: "treeadd",
-        module: |p| DslBench::Treeadd.module(p),
-        mem_needed: |p, s| DslBench::Treeadd.mem_needed(p, s),
+        module: |p| treeadd::module(p.treeadd_depth),
+        heap_bytes: |p, s| (1u64 << (p.treeadd_depth + 1)) * tree_node(s),
         sweep_points: || {
             let base = OldenParams::scaled();
             (8..=16).map(|d| (d, base.with_treeadd_depth(d))).collect()
@@ -91,8 +102,9 @@ pub const REGISTRY: [WorkloadInfo; 6] = [
     },
     WorkloadInfo {
         name: "perimeter",
-        module: |p| DslBench::Perimeter.module(p),
-        mem_needed: |p, s| DslBench::Perimeter.mem_needed(p, s),
+        module: |p| perimeter::module(p.perimeter_levels),
+        // Nodes scale with the image perimeter, ~O(2^levels · levels).
+        heap_bytes: |p, s| (1u64 << p.perimeter_levels) * 64 * (8 + 4 * s.ptr_size()),
         sweep_points: || {
             let base = OldenParams::scaled();
             (7..=12).map(|d| (d, OldenParams { perimeter_levels: d, ..base })).collect()
@@ -101,7 +113,7 @@ pub const REGISTRY: [WorkloadInfo; 6] = [
     WorkloadInfo {
         name: "vmloop",
         module: vmloop::module,
-        mem_needed: vmloop::mem_needed,
+        heap_bytes: vmloop::heap_bytes,
         sweep_points: || {
             let base = OldenParams::scaled();
             [16u32, 32, 64, 128, 256, 512]
@@ -113,7 +125,7 @@ pub const REGISTRY: [WorkloadInfo; 6] = [
     WorkloadInfo {
         name: "allocstress",
         module: allocstress::module,
-        mem_needed: allocstress::mem_needed,
+        heap_bytes: allocstress::heap_bytes,
         sweep_points: || {
             let base = OldenParams::scaled();
             [128u32, 256, 512, 1024, 2048, 4096]
@@ -123,6 +135,13 @@ pub const REGISTRY: [WorkloadInfo; 6] = [
         },
     },
 ];
+
+/// A binary-tree node (a value and two pointers) with worst-case
+/// rounding to a 32-byte allocation granule: `bisort`'s and
+/// `treeadd`'s heap unit.
+fn tree_node(strategy: &dyn PtrStrategy) -> u64 {
+    (8 + 2 * strategy.ptr_size()).div_ceil(32) * 32
+}
 
 impl Workload {
     /// Every workload, in canonical report order (Olden four first, in
@@ -160,11 +179,13 @@ impl Workload {
         (self.info().module)(p)
     }
 
-    /// A rough physical-memory requirement for the workload under the
-    /// given strategy (heap + headroom), used to size the machine.
+    /// The physical memory to give the workload under the given
+    /// strategy, used to size the machine: its heap rounded up to whole
+    /// megabytes, plus 8 MB of headroom.
     #[must_use]
     pub fn mem_needed(self, p: &OldenParams, strategy: &dyn PtrStrategy) -> usize {
-        (self.info().mem_needed)(p, strategy)
+        let heap = (self.info().heap_bytes)(p, strategy);
+        usize::try_from(heap.div_ceil(1 << 20) + 8).expect("sane size") << 20
     }
 
     /// The heap-size sweep points (Figure 5 x-axis label, params).
@@ -174,26 +195,9 @@ impl Workload {
     }
 }
 
-/// Builds a machine configuration sized for the workload with the
-/// capability format matching the strategy — the registry analogue of
-/// `cheri_olden::dsl::machine_config`.
-#[must_use]
-pub fn machine_config(
-    workload: Workload,
-    params: &OldenParams,
-    strategy: &dyn PtrStrategy,
-) -> MachineConfig {
-    MachineConfig {
-        mem_bytes: workload.mem_needed(params, strategy),
-        cap_format: if strategy.ptr_size() == 16 { CapFormat::C128 } else { CapFormat::C256 },
-        ..MachineConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheri_cc::strategy::{CapPtr, LegacyPtr};
 
     #[test]
     fn registry_order_matches_discriminants() {
@@ -205,36 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn olden_rows_delegate_to_dsl_bench() {
-        let p = OldenParams::scaled();
-        for (w, b) in [
-            (Workload::Bisort, DslBench::Bisort),
-            (Workload::Mst, DslBench::Mst),
-            (Workload::Treeadd, DslBench::Treeadd),
-            (Workload::Perimeter, DslBench::Perimeter),
-        ] {
-            assert_eq!(w.name(), b.name());
-            assert_eq!(w.mem_needed(&p, &LegacyPtr), b.mem_needed(&p, &LegacyPtr));
-            assert_eq!(w.module(&p).funcs.len(), b.module(&p).funcs.len());
-        }
-    }
-
-    #[test]
     fn every_workload_has_enough_sweep_points() {
         for w in Workload::ALL {
             let points = w.sweep_points();
             assert!(points.len() >= 6, "{}: too few sweep points", w.name());
         }
-    }
-
-    #[test]
-    fn machine_config_tracks_strategy_format() {
-        use beri_sim::machine::CapFormat;
-        let p = OldenParams::scaled();
-        let cfg = machine_config(Workload::Vmloop, &p, &CapPtr::c128());
-        assert_eq!(cfg.cap_format, CapFormat::C128);
-        let cfg = machine_config(Workload::Vmloop, &p, &CapPtr::c256());
-        assert_eq!(cfg.cap_format, CapFormat::C256);
-        assert!(cfg.mem_bytes >= 8 << 20);
     }
 }

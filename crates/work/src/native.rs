@@ -1,19 +1,21 @@
 //! Native (host-speed) twins of the `cheri-work` workloads against the
-//! [`TracedHeap`], plus the combined nine-workload native set the
-//! Figure 3 limit study consumes (the seven Olden-suite natives from
-//! `cheri_olden::native` and the two runtime-system workloads here).
+//! [`TracedHeap`], plus [`WORKLOADS`], the one list of native kernels:
+//! the nine the Figure 3 limit study consumes (the seven Olden-suite
+//! natives from `cheri_olden::native` and the two runtime-system
+//! workloads here).
 //!
 //! Each twin mirrors its IR sibling operation-for-operation — same
 //! mixer constants, same decision logic, same wrapping arithmetic — so
 //! the checksums the DSL binaries print must equal what the native
-//! twin computes; `native_matches_dsl_prints` asserts exactly that.
+//! twin computes; the registry tests of `cheri-sweep`
+//! (`tests/workloads.rs`) assert exactly that for all six workloads.
 //! The `allocstress` twin performs a real `malloc`/`free` per churn op
 //! (the limit models see genuine reuse traffic), with a host-side
 //! free-list of slot ids standing in for the guest's in-arena list.
 
 use std::collections::HashMap;
 
-use cheri_limit::{TPtr, Trace, TracedHeap};
+use cheri_limit::{TPtr, TracedHeap};
 use cheri_olden::native::NativeRun;
 use cheri_olden::OldenParams;
 
@@ -36,12 +38,6 @@ pub const WORKLOADS: [(&str, cheri_olden::native::Workload); 9] = [
     ("vmloop", vmloop),
     ("allocstress", allocstress),
 ];
-
-/// Runs every native workload, returning their traces.
-#[must_use]
-pub fn all_traces(p: &OldenParams) -> Vec<Trace> {
-    WORKLOADS.iter().map(|(_, f)| f(p).trace).collect()
-}
 
 // --- vmloop -------------------------------------------------------------
 
@@ -295,24 +291,7 @@ pub fn allocstress(p: &OldenParams) -> NativeRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cheri_cc::strategy::LegacyPtr;
     use cheri_limit::Event;
-
-    fn dsl_prints(w: crate::Workload, p: &OldenParams) -> Vec<u64> {
-        let m = w.module(p);
-        let prog = cheri_cc::compile(&m, &LegacyPtr).unwrap();
-        let mut k = cheri_os::boot(Default::default());
-        k.exec_and_run(&prog).unwrap().prints
-    }
-
-    #[test]
-    fn native_matches_dsl_prints() {
-        let p = OldenParams::scaled();
-        let (_, vm) = vmloop_full(&p);
-        assert_eq!(dsl_prints(crate::Workload::Vmloop, &p), vm.to_vec(), "vmloop");
-        let (_, al) = allocstress_full(&p);
-        assert_eq!(dsl_prints(crate::Workload::Allocstress, &p), al.to_vec(), "allocstress");
-    }
 
     #[test]
     fn combined_set_produces_nonempty_traces() {
@@ -323,17 +302,16 @@ mod tests {
             assert!(!run.trace.objects.is_empty(), "{name} allocated nothing");
             assert_eq!(run.trace.name, name);
         }
-        assert_eq!(all_traces(&p).len(), WORKLOADS.len());
     }
 
     #[test]
-    fn new_workloads_are_deterministic() {
+    fn workloads_are_deterministic() {
         let p = OldenParams::scaled();
-        for f in [vmloop, allocstress] {
+        for (name, f) in WORKLOADS {
             let a = f(&p);
             let b = f(&p);
-            assert_eq!(a.checksum, b.checksum);
-            assert_eq!(a.trace.events.len(), b.trace.events.len());
+            assert_eq!(a.checksum, b.checksum, "{name} not deterministic");
+            assert_eq!(a.trace.events.len(), b.trace.events.len(), "{name}");
         }
     }
 

@@ -675,14 +675,13 @@ pub fn module(p: &OldenParams) -> Module {
     }
 }
 
-/// Physical memory needed: the six fixed allocations plus headroom,
-/// with worst-case per-slot rounding under fat/capability strategies.
+/// Heap bytes: the six fixed allocations, with worst-case per-slot
+/// rounding under fat/capability strategies.
 #[must_use]
-pub fn mem_needed(p: &OldenParams, strategy: &dyn PtrStrategy) -> usize {
+pub fn heap_bytes(p: &OldenParams, strategy: &dyn PtrStrategy) -> u64 {
     let ptr = strategy.ptr_size();
     let cells = u64::from(heap_cells(p)) + u64::from(STACK_MAX + NLOCALS + NPOOL);
-    let heap = cells * 32 + u64::from(CODE_MAX) * 32 + (24 + 5 * ptr).div_ceil(32) * 32;
-    usize::try_from(heap.div_ceil(1 << 20) + 8).expect("sane size") << 20
+    cells * 32 + u64::from(CODE_MAX) * 32 + (24 + 5 * ptr).div_ceil(32) * 32
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 use cheri::cc::ir::build::*;
 use cheri::cc::ir::{CmpOp, FuncDef, Module, Stmt, StructDef, Ty};
 use cheri::cc::strategy::{CapPtr, LegacyPtr, PtrStrategy, SoftFatPtr};
-use cheri::olden::dsl::{run_bench, DslBench};
 use cheri::olden::OldenParams;
 use cheri::os::{boot, ExitReason, KernelConfig};
-use cheri::sim::MachineConfig;
+use cheri::sweep::{run_spec_with_config, JobSpec, FIGURE4_STRATEGIES};
+use cheri::work::Workload;
 
 fn run_module(module: &Module, strategy: &dyn PtrStrategy) -> cheri::os::RunOutcome {
     let program = cheri::cc::compile(module, strategy)
@@ -136,16 +136,11 @@ fn cheri_checksums_and_pages_on_olden() {
     // A cross-crate smoke of the Figure 4 pipeline at tiny sizes,
     // checking page-footprint ordering too: capability binaries touch
     // more pages than legacy ones (4x pointers), software FP in between.
-    let p = OldenParams::scaled();
-    let strategies: [&dyn PtrStrategy; 3] = [&LegacyPtr, &SoftFatPtr::checked(), &CapPtr::c256()];
     let mut pages = Vec::new();
     let mut sums: Vec<Vec<u64>> = Vec::new();
-    for s in strategies {
-        let cfg = MachineConfig {
-            mem_bytes: DslBench::Treeadd.mem_needed(&p, s),
-            ..MachineConfig::default()
-        };
-        let run = run_bench(DslBench::Treeadd, &p, s, cfg).unwrap();
+    for s in FIGURE4_STRATEGIES {
+        let spec = JobSpec::new(Workload::Treeadd, s, OldenParams::scaled());
+        let run = run_spec_with_config(&spec, spec.machine_config(), None).unwrap().run;
         pages.push(run.outcome.pages_touched);
         sums.push(run.checksums().to_vec());
     }
