@@ -11,6 +11,12 @@
 //! direct-mapped write-back cache of tag-table lines, and the controller
 //! counts the DRAM traffic the table generates — the quantity the paper's
 //! claim (and our tag-cache ablation bench) is about.
+//!
+//! Every data store and capability access consults the tag cache, so its
+//! hit path is one masked index and one compare: the line count is 0 or
+//! a power of two (asserted at construction), and each slot holds one
+//! packed 8-byte key, `line_index | VALID` (0 for an empty slot), with
+//! its dirty bit in a parallel array.
 
 use crate::tags::TagTable;
 use crate::{DEFAULT_TAG_CACHE_BYTES, TAG_GRANULE, TAG_LINE_BYTES};
@@ -51,12 +57,10 @@ impl TagCacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct TagCacheLine {
-    valid: bool,
-    dirty: bool,
-    line_index: u64,
-}
+/// The key bit that marks a tag-cache slot valid. A line index is a
+/// physical address shifted right by 13 or more bits, so it never
+/// reaches it.
+const VALID: u64 = 1 << 63;
 
 /// The tag manager: tag table + direct-mapped write-back tag cache.
 ///
@@ -74,7 +78,13 @@ struct TagCacheLine {
 #[derive(Clone, Debug)]
 pub struct TagController {
     table: TagTable,
-    lines: Vec<TagCacheLine>,
+    // One entry per tag-cache slot: `keys[i]` is `line_index | VALID`
+    // for a filled slot and 0 for an empty one; `dirty[i]` whether the
+    // slot was written since its fill.
+    keys: Vec<u64>,
+    dirty: Vec<bool>,
+    /// `keys.len() - 1`: the slot of a line is its index masked by this.
+    slot_mask: u64,
     /// `log2(bytes_per_line())` — the line math runs on every data
     /// store, so it shifts instead of dividing.
     line_shift: u32,
@@ -102,18 +112,38 @@ impl TagController {
 
     /// Full configuration: cache capacity plus tag granule (16 bytes for
     /// the 128-bit capability format).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`TagController::valid_capacity`] holds for
+    /// `cache_bytes`.
     #[must_use]
     pub fn with_config(mem_size: u64, cache_bytes: usize, granule: u64) -> TagController {
+        assert!(
+            TagController::valid_capacity(cache_bytes as u64),
+            "a tag cache of {cache_bytes} bytes is not 0 or a power of two of {TAG_LINE_BYTES}-byte lines"
+        );
         let nlines = cache_bytes / TAG_LINE_BYTES as usize;
         let bytes_per_line = TAG_LINE_BYTES * 8 * granule;
         debug_assert!(bytes_per_line.is_power_of_two());
         TagController {
             table: TagTable::with_granule(mem_size, granule),
-            lines: vec![TagCacheLine::default(); nlines],
+            keys: vec![0; nlines],
+            dirty: vec![false; nlines],
+            slot_mask: (nlines as u64).wrapping_sub(1),
             line_shift: bytes_per_line.trailing_zeros(),
             stats: TagCacheStats::default(),
             sink: None,
         }
+    }
+
+    /// Whether a tag cache of `cache_bytes` can be built: it holds 0 or
+    /// a power-of-two number of whole [`TAG_LINE_BYTES`] lines (bytes
+    /// past the last whole line are unused), so a slot is a mask.
+    #[must_use]
+    pub fn valid_capacity(cache_bytes: u64) -> bool {
+        let nlines = cache_bytes / TAG_LINE_BYTES;
+        nlines == 0 || nlines.is_power_of_two()
     }
 
     /// Attaches (or with `None`, detaches) a trace sink. Every
@@ -154,25 +184,53 @@ impl TagController {
         &mut self.table
     }
 
+    /// Number of tag-cache lines.
+    pub(crate) fn line_count(&self) -> usize {
+        self.keys.len()
+    }
+
     /// Tag-cache lines as `(valid, dirty, line_index)`, for snapshot
     /// export.
     pub(crate) fn export_lines(&self) -> Vec<(bool, bool, u64)> {
-        self.lines.iter().map(|l| (l.valid, l.dirty, l.line_index)).collect()
+        self.keys.iter().zip(&self.dirty).map(|(&k, &d)| (k != 0, d, k & !VALID)).collect()
     }
 
-    /// Restores tag-cache lines and statistics from a snapshot. The
-    /// line count must match this controller's geometry (checked by the
-    /// caller, which owns the error path).
-    pub(crate) fn import_lines(&mut self, lines: &[(bool, bool, u64)], stats: TagCacheStats) {
-        debug_assert_eq!(lines.len(), self.lines.len());
-        for (slot, &(valid, dirty, line_index)) in self.lines.iter_mut().zip(lines) {
-            *slot = TagCacheLine { valid, dirty, line_index };
+    /// Restores tag-cache lines and statistics from a snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Names the first line the packed key cannot hold: a valid line
+    /// whose index has the top bit set, or an invalid line with a
+    /// nonzero index. The line count must match this controller's
+    /// geometry (checked by the caller). Nothing is restored on error.
+    pub(crate) fn import_lines(
+        &mut self,
+        lines: &[(bool, bool, u64)],
+        stats: TagCacheStats,
+    ) -> Result<(), String> {
+        debug_assert_eq!(lines.len(), self.keys.len());
+        let key = |&(valid, _, line_index): &(bool, bool, u64)| match (valid, line_index) {
+            (true, i) if i & VALID == 0 => Some(i | VALID),
+            (false, 0) => Some(0),
+            _ => None,
+        };
+        if let Some(i) = lines.iter().position(|l| key(l).is_none()) {
+            let (valid, _, line_index) = lines[i];
+            let kind = if valid { "a valid" } else { "an invalid" };
+            return Err(format!(
+                "tag cache line {i}: index {line_index:#x} cannot be held by {kind} line"
+            ));
+        }
+        for (i, l) in lines.iter().enumerate() {
+            self.keys[i] = key(l).expect("checked above");
+            self.dirty[i] = l.1;
         }
         self.stats = stats;
+        Ok(())
     }
 
     fn touch_line(&mut self, paddr: u64, make_dirty: bool) {
-        if self.lines.is_empty() {
+        if self.keys.is_empty() {
             self.stats.misses += 1;
             if make_dirty {
                 self.stats.writebacks += 1; // write-through when uncached
@@ -181,24 +239,23 @@ impl TagController {
             return;
         }
         let line_index = paddr >> self.line_shift;
-        let slot = (line_index % self.lines.len() as u64) as usize;
-        let line = &mut self.lines[slot];
-        if line.valid && line.line_index == line_index {
+        let slot = (line_index & self.slot_mask) as usize;
+        let key = line_index | VALID;
+        if self.keys[slot] == key {
             self.stats.hits += 1;
             emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
         } else {
             self.stats.misses += 1;
-            let writeback = line.valid && line.dirty;
+            let writeback = self.keys[slot] != 0 && self.dirty[slot];
             if writeback {
                 self.stats.writebacks += 1;
             }
-            line.valid = true;
-            line.dirty = false;
-            line.line_index = line_index;
+            self.keys[slot] = key;
+            self.dirty[slot] = false;
             emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback });
         }
         if make_dirty {
-            self.lines[slot].dirty = true;
+            self.dirty[slot] = true;
         }
     }
 
@@ -223,9 +280,11 @@ impl TagController {
     /// Clears all tags overlapped by a data store of `len` bytes at
     /// `paddr` (the "non-capability store clears the bit" rule).
     ///
-    /// As an optimisation mirroring the hardware, the controller only
-    /// performs a table update when a granule might be tagged; but every
-    /// store still consults the covering line once.
+    /// Every store of at least one byte counts one tag update
+    /// ([`TagCacheStats::updates`]), touches and dirties the tag-cache
+    /// line covering `paddr` (and the one covering the last byte, when
+    /// the store crosses a line), and clears the covered granules' tags
+    /// in the table, whether or not any of them was set.
     pub fn clear_tags_for_store(&mut self, paddr: u64, len: u64) {
         if len == 0 {
             return;
@@ -249,7 +308,7 @@ mod tests {
     #[test]
     fn default_cache_is_8kb() {
         let ctl = TagController::new(1 << 20);
-        assert_eq!(ctl.lines.len() * TAG_LINE_BYTES as usize, 8 * 1024);
+        assert_eq!(ctl.line_count() * TAG_LINE_BYTES as usize, 8 * 1024);
     }
 
     #[test]

@@ -355,7 +355,8 @@ impl TaggedMem {
     ///
     /// [`cheri_snap::SnapError`] when the snapshot's geometry (memory
     /// size, granule, tag-cache line count) does not match this
-    /// memory's configuration.
+    /// memory's configuration, or a tag-cache line is one the
+    /// controller's packed keys cannot hold.
     pub fn import_state(&mut self, s: &cheri_snap::MemState) -> Result<(), cheri_snap::SnapError> {
         if s.bytes != self.phys.size() {
             return Err(cheri_snap::SnapError(format!(
@@ -385,13 +386,19 @@ impl TaggedMem {
                 cheri_snap::rle_len(&s.tags)
             )));
         }
-        if s.tag_cache.len() != self.tags.export_lines().len() {
+        if s.tag_cache.len() != self.tags.line_count() {
             return Err(cheri_snap::SnapError(format!(
                 "tag cache holds {} lines, machine has {}",
                 s.tag_cache.len(),
-                self.tags.export_lines().len()
+                self.tags.line_count()
             )));
         }
+        let lines: Vec<(bool, bool, u64)> =
+            s.tag_cache.iter().map(|l| (l.valid, l.dirty, l.line_index)).collect();
+        let [lookups, updates, hits, misses, writebacks] = s.tag_stats;
+        self.tags
+            .import_lines(&lines, TagCacheStats { lookups, updates, hits, misses, writebacks })
+            .map_err(cheri_snap::SnapError)?;
         let image = self.phys.image_mut();
         let mut at = 0usize;
         for &(count, value) in &s.words {
@@ -402,11 +409,6 @@ impl TaggedMem {
             }
         }
         self.tags.table_mut().set_words(&cheri_snap::rle_decode(&s.tags));
-        let lines: Vec<(bool, bool, u64)> =
-            s.tag_cache.iter().map(|l| (l.valid, l.dirty, l.line_index)).collect();
-        let [lookups, updates, hits, misses, writebacks] = s.tag_stats;
-        self.tags
-            .import_lines(&lines, TagCacheStats { lookups, updates, hits, misses, writebacks });
         Ok(())
     }
 }

@@ -13,6 +13,14 @@
 //! The platform is one set of constants, not a parameter space: both
 //! L1s are [`CacheParams::l1`], the L2 is [`CacheParams::l2`], and the
 //! penalties are [`L2_LATENCY`] and [`DRAM_LATENCY`].
+//!
+//! Every access runs through this model, so its hit path is kept to
+//! what the model needs. A [`Cache`] keeps its ways in three parallel
+//! arrays: an 8-byte key per way (`tag | VALID`, 0 for an invalid way),
+//! the way's LRU stamp, and its dirty bit. A hit is one compare per
+//! way over the keys of one set; the stamps and dirty bits are touched
+//! only for the way that hits or is replaced. A one-line MRU cursor
+//! skips even that scan for a repeat access to the same line.
 
 use cheri_trace::{emit, CacheLevel, SharedSink, TraceEvent};
 
@@ -47,13 +55,10 @@ impl CacheParams {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    lru: u64,
-}
+/// The key bit that marks a way valid. Tags are physical block numbers
+/// shifted right by at least one bit (a line holds at least 2 bytes), so
+/// they never reach it.
+const VALID: u64 = 1 << 63;
 
 /// Outcome of a single-cache lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,7 +76,14 @@ pub enum Lookup {
 #[derive(Clone, Debug)]
 pub struct Cache {
     params: CacheParams,
-    lines: Vec<Line>,
+    // One entry per way, set-major: `keys[i]` is `tag | VALID` for a
+    // resident line and 0 for an invalid way; `stamps[i]` is the tick of
+    // the way's last access (its LRU stamp) and `dirty[i]` whether it
+    // was written since its fill. A flushed or never-filled way is
+    // all-zero in all three.
+    keys: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     /// Hits observed.
     pub hits: u64,
@@ -88,7 +100,8 @@ pub struct Cache {
     // evict from it, so an access to the same line as the previous one
     // is a guaranteed hit and skips the set scan; the bookkeeping it
     // performs (tick, LRU stamp, dirty, hit count) is identical to the
-    // scan path's. `u64::MAX` = none.
+    // scan path's. `u64::MAX` = none; otherwise `keys[mru_index]` holds
+    // `mru_block` (`import_state` refuses a cursor that breaks this).
     mru_block: u64,
     mru_index: usize,
 }
@@ -98,16 +111,23 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets/ways) or the line
-    /// size or set count is not a power of two.
+    /// Panics if the geometry is degenerate (zero sets/ways), the line
+    /// size is not a power of two of at least 2 bytes, or the set count
+    /// is not a power of two.
     #[must_use]
     pub fn new(params: CacheParams) -> Cache {
         assert!(params.ways > 0 && params.sets() > 0, "degenerate cache geometry");
-        assert!(params.line.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            params.line.is_power_of_two() && params.line >= 2,
+            "line size must be a power of two of at least 2 bytes"
+        );
         assert!(params.sets().is_power_of_two(), "set count must be a power of two");
+        let n = params.sets() * params.ways;
         Cache {
             params,
-            lines: vec![Line::default(); params.sets() * params.ways],
+            keys: vec![0; n],
+            stamps: vec![0; n],
+            dirty: vec![false; n],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -120,55 +140,68 @@ impl Cache {
         }
     }
 
-    /// `(first way index, tag)` for the set containing `paddr`.
+    /// `(first way index, key)` for the line holding physical block
+    /// `block` (`paddr >> line_shift`).
     #[inline]
-    fn locate(&self, paddr: u64) -> (usize, u64) {
-        let block = paddr >> self.line_shift;
-        ((block & self.set_mask) as usize * self.params.ways, block >> self.set_shift)
+    fn locate(&self, block: u64) -> (usize, u64) {
+        ((block & self.set_mask) as usize * self.params.ways, (block >> self.set_shift) | VALID)
+    }
+
+    /// The way holding block `block`, if it is resident.
+    #[inline]
+    fn find(&self, block: u64) -> Option<usize> {
+        let (base, key) = self.locate(block);
+        self.keys[base..base + self.params.ways].iter().position(|&k| k == key).map(|w| base + w)
+    }
+
+    /// Counts a hit on way `i` and makes it the MRU line.
+    #[inline]
+    fn hit(&mut self, i: usize, block: u64, write: bool) {
+        self.stamps[i] = self.tick;
+        if write {
+            self.dirty[i] = true;
+        }
+        self.hits += 1;
+        self.mru_block = block;
+        self.mru_index = i;
     }
 
     /// Looks up (and on miss, fills) the line containing `paddr`,
     /// marking it dirty on writes.
     pub fn access(&mut self, paddr: u64, write: bool) -> Lookup {
         self.tick += 1;
-        if paddr >> self.line_shift == self.mru_block {
-            let l = &mut self.lines[self.mru_index];
-            l.lru = self.tick;
-            if write {
-                l.dirty = true;
-            }
-            self.hits += 1;
+        let block = paddr >> self.line_shift;
+        if block == self.mru_block {
+            self.hit(self.mru_index, block, write);
             return Lookup::Hit;
         }
-        let (base, tag) = self.locate(paddr);
-        let ways = &mut self.lines[base..base + self.params.ways];
-
-        if let Some(w) = ways.iter().position(|l| l.valid && l.tag == tag) {
-            let l = &mut ways[w];
-            l.lru = self.tick;
-            if write {
-                l.dirty = true;
-            }
-            self.hits += 1;
-            self.mru_block = paddr >> self.line_shift;
-            self.mru_index = base + w;
+        if let Some(i) = self.find(block) {
+            self.hit(i, block, write);
             return Lookup::Hit;
         }
 
-        // Miss: fill over the LRU way.
+        // Miss: fill over the LRU way — the first invalid way, else the
+        // first way with the lowest stamp.
         self.misses += 1;
-        let (w, victim) = ways
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
-            .expect("ways > 0");
-        let writeback = victim.valid && victim.dirty;
+        let (base, key) = self.locate(block);
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for i in base..base + self.params.ways {
+            let age = if self.keys[i] == 0 { 0 } else { self.stamps[i] };
+            if age < oldest {
+                oldest = age;
+                victim = i;
+            }
+        }
+        let writeback = self.keys[victim] != 0 && self.dirty[victim];
         if writeback {
             self.writebacks += 1;
         }
-        *victim = Line { valid: true, dirty: write, tag, lru: self.tick };
-        self.mru_block = paddr >> self.line_shift;
-        self.mru_index = base + w;
+        self.keys[victim] = key;
+        self.stamps[victim] = self.tick;
+        self.dirty[victim] = write;
+        self.mru_block = block;
+        self.mru_index = victim;
         Lookup::Miss { writeback }
     }
 
@@ -176,18 +209,21 @@ impl Cache {
     /// containing `paddr` in one batched update. Equivalent to `n`
     /// [`Cache::access`] read calls that all hit: each such call would
     /// advance the tick, refresh the line's LRU stamp to it, and count
-    /// a hit — so only the final LRU stamp is observable. Falls back to
-    /// per-access bookkeeping if the line is not resident (the callers'
-    /// invariant violated), keeping counters exact either way.
+    /// a hit — so only the final LRU stamp is observable. The line is
+    /// normally the MRU one (the block fast path batches the fetches
+    /// behind the one that just touched it), which skips the set scan.
+    /// Falls back to per-access bookkeeping if the line is not resident
+    /// (the callers' invariant violated), keeping counters exact either
+    /// way.
     pub fn record_hits(&mut self, paddr: u64, n: u64) {
-        let (base, tag) = self.locate(paddr);
-        let ways = &mut self.lines[base..base + self.params.ways];
-        if let Some(w) = ways.iter().position(|l| l.valid && l.tag == tag) {
+        let block = paddr >> self.line_shift;
+        let way = if block == self.mru_block { Some(self.mru_index) } else { self.find(block) };
+        if let Some(i) = way {
             self.tick += n;
-            ways[w].lru = self.tick;
+            self.stamps[i] = self.tick;
             self.hits += n;
-            self.mru_block = paddr >> self.line_shift;
-            self.mru_index = base + w;
+            self.mru_block = block;
+            self.mru_index = i;
         } else {
             debug_assert!(false, "record_hits on a non-resident line");
             for _ in 0..n {
@@ -199,9 +235,9 @@ impl Cache {
     /// Invalidates everything (used on address-space teardown between
     /// benchmark runs).
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
+        self.keys.fill(0);
+        self.stamps.fill(0);
+        self.dirty.fill(false);
         self.mru_block = u64::MAX;
     }
 
@@ -212,14 +248,12 @@ impl Cache {
     #[must_use]
     pub fn export_state(&self) -> cheri_snap::CacheState {
         cheri_snap::CacheState {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| cheri_snap::CacheLineState {
-                    valid: l.valid,
-                    dirty: l.dirty,
-                    tag: l.tag,
-                    lru: l.lru,
+            lines: (0..self.keys.len())
+                .map(|i| cheri_snap::CacheLineState {
+                    valid: self.keys[i] != 0,
+                    dirty: self.dirty[i],
+                    tag: self.keys[i] & !VALID,
+                    lru: self.stamps[i],
                 })
                 .collect(),
             tick: self.tick,
@@ -236,30 +270,57 @@ impl Cache {
     /// # Errors
     ///
     /// [`cheri_snap::SnapError`] if the line count does not match this
-    /// cache's geometry.
+    /// cache's geometry, a line holds a tag the packed key cannot (a
+    /// valid line's tag with the top bit set, or an invalid line with a
+    /// tag at all), or the MRU cursor names a line that is not resident
+    /// at its index. Nothing is restored on error.
     pub fn import_state(
         &mut self,
         s: &cheri_snap::CacheState,
     ) -> Result<(), cheri_snap::SnapError> {
-        if s.lines.len() != self.lines.len() {
+        if s.lines.len() != self.keys.len() {
             return Err(cheri_snap::SnapError(format!(
                 "cache holds {} lines, snapshot has {}",
-                self.lines.len(),
+                self.keys.len(),
                 s.lines.len()
             )));
         }
-        if (s.mru_index as usize) >= self.lines.len() && s.mru_block != u64::MAX {
-            return Err(cheri_snap::SnapError(format!("MRU index {} out of range", s.mru_index)));
+        let key = |l: &cheri_snap::CacheLineState| match (l.valid, l.tag) {
+            (true, tag) if tag & VALID == 0 => Some(tag | VALID),
+            (false, 0) => Some(0),
+            _ => None,
+        };
+        if let Some(i) = s.lines.iter().position(|l| key(l).is_none()) {
+            let l = &s.lines[i];
+            let kind = if l.valid { "a valid" } else { "an invalid" };
+            return Err(cheri_snap::SnapError(format!(
+                "cache line {i}: tag {:#x} cannot be held by {kind} line",
+                l.tag
+            )));
         }
-        for (l, sl) in self.lines.iter_mut().zip(&s.lines) {
-            *l = Line { valid: sl.valid, dirty: sl.dirty, tag: sl.tag, lru: sl.lru };
+        if s.mru_block != u64::MAX {
+            let i = s.mru_index as usize;
+            let holds = i / self.params.ways == (s.mru_block & self.set_mask) as usize
+                && s.lines[i].valid
+                && s.lines[i].tag == s.mru_block >> self.set_shift;
+            if !holds {
+                return Err(cheri_snap::SnapError(format!(
+                    "MRU cursor: index {i} does not hold block {:#x}",
+                    s.mru_block
+                )));
+            }
+        }
+        for (i, l) in s.lines.iter().enumerate() {
+            self.keys[i] = key(l).expect("checked above");
+            self.stamps[i] = l.lru;
+            self.dirty[i] = l.dirty;
         }
         self.tick = s.tick;
         self.hits = s.hits;
         self.misses = s.misses;
         self.writebacks = s.writebacks;
         self.mru_block = s.mru_block;
-        self.mru_index = (s.mru_index as usize).min(self.lines.len().saturating_sub(1));
+        self.mru_index = (s.mru_index as usize).min(self.keys.len().saturating_sub(1));
         Ok(())
     }
 }

@@ -302,19 +302,20 @@ impl Machine {
     /// the retiring `pc` and maintains the synthetic call stack at
     /// call/return-shaped control transfers. Caller checks
     /// `self.prof.is_some()` first so the disabled cost is one branch.
-    fn prof_retire(&mut self, pc: u64, inst: &Inst, outcome: &Outcome) {
+    ///
+    /// It runs after [`Machine::retire`] and reads a call's target from
+    /// the CPU state retire left (`JAL`/`JALR` set `next_pc` to it, a
+    /// `CJALR` sets `pc`), not from the outcome, so the block loop hands
+    /// the outcome to retire and never needs it again.
+    fn prof_retire(&mut self, pc: u64, inst: &Inst) {
         let now = self.prof_sample();
         let Some(p) = self.prof.as_mut() else { return };
         p.on_retire(pc, now);
-        match (inst, outcome) {
-            (Inst::Jal { .. } | Inst::Jalr { .. }, Outcome::Jump { target, .. }) => {
-                p.on_call(*target);
-            }
-            (Inst::Jr { rs }, _) if *rs == reg::RA => p.on_return(),
-            (Inst::Cheri(CheriInst::CJALR { .. }), Outcome::CapJump { target, .. }) => {
-                p.on_call(*target);
-            }
-            (Inst::Cheri(CheriInst::CJR { .. }), _) => p.on_return(),
+        match inst {
+            Inst::Jal { .. } | Inst::Jalr { .. } => p.on_call(self.cpu.next_pc),
+            Inst::Jr { rs } if *rs == reg::RA => p.on_return(),
+            Inst::Cheri(CheriInst::CJALR { .. }) => p.on_call(self.cpu.pc),
+            Inst::Cheri(CheriInst::CJR { .. }) => p.on_return(),
             _ => {}
         }
     }
@@ -541,7 +542,7 @@ impl Machine {
         }
         emit(&self.sink, || TraceEvent::Retire { pc, cap: cap_inst });
         if self.prof.is_some() {
-            self.prof_retire(pc, &inst, &outcome);
+            self.prof_retire(pc, &inst);
         }
         Ok(StepResult::Continue)
     }
@@ -759,18 +760,17 @@ impl Machine {
                 cur_line = iline;
             }
 
-            let outcome = match self.execute(&pi.inst) {
-                Ok(o) => o,
+            let pcc_changed = match self.execute(&pi.inst) {
+                Ok(outcome) => match self.retire(outcome) {
+                    ControlFlow::Continue(pcc_changed) => pcc_changed,
+                    ControlFlow::Break(exit) => {
+                        flush!();
+                        return Ok((retired, Some(exit)));
+                    }
+                },
                 Err(e) => {
                     flush!();
                     return Err(e);
-                }
-            };
-            let pcc_changed = match self.retire(outcome) {
-                ControlFlow::Continue(pcc_changed) => pcc_changed,
-                ControlFlow::Break(exit) => {
-                    flush!();
-                    return Ok((retired, Some(exit)));
                 }
             };
 
@@ -782,7 +782,7 @@ impl Machine {
                 cap_retired += 1;
             }
             if self.prof.is_some() {
-                self.prof_retire(start_pc.wrapping_add(4 * i as u64), &pi.inst, &outcome);
+                self.prof_retire(start_pc.wrapping_add(4 * i as u64), &pi.inst);
             }
             i += 1;
             // Exit when control leaves the straight line (taken branch,
@@ -955,6 +955,12 @@ impl Machine {
 
     // --- execute -----------------------------------------------------------
 
+    /// Executes one decoded instruction and returns its control-flow
+    /// outcome for [`Machine::retire`]. Inlined into both callers, so
+    /// the outcome (up to 40 bytes: `CapJump` carries a capability)
+    /// stays in registers instead of round-tripping through the stack
+    /// on every instruction. `execute_cheri` stays out of line.
+    #[inline(always)]
     #[allow(clippy::too_many_lines)]
     fn execute(&mut self, inst: &Inst) -> Result<Outcome, MemError> {
         let pc = self.cpu.pc;
@@ -1615,7 +1621,9 @@ impl Machine {
     /// # Errors
     ///
     /// [`cheri_snap::SnapError`] if the recorded capability size names
-    /// no known format.
+    /// no known format, or the tag-cache size fails
+    /// [`cheri_mem::TagController::valid_capacity`] (a machine built
+    /// with it would panic).
     pub fn config_from_state(
         s: &cheri_snap::ConfigState,
         block_cache: bool,
@@ -1629,6 +1637,13 @@ impl Machine {
                 )))
             }
         };
+        if !cheri_mem::TagController::valid_capacity(s.tag_cache_bytes) {
+            return Err(cheri_snap::SnapError(format!(
+                "tag_cache_bytes {} is not 0 or a power of two of {}-byte tag lines",
+                s.tag_cache_bytes,
+                cheri_mem::TAG_LINE_BYTES
+            )));
+        }
         Ok(MachineConfig {
             mem_bytes: s.mem_bytes as usize,
             tag_cache_bytes: s.tag_cache_bytes as usize,

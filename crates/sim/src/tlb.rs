@@ -9,6 +9,12 @@
 //! CHERI extends each page mapping with two permission bits (Section 6.1):
 //! *capability load* and *capability store*, letting the OS build shared
 //! memory "that cannot act as a channel for passing capabilities".
+//!
+//! Every micro-TLB miss in the machine searches this array, so the
+//! search reads one packed 8-byte key per entry (`vpn2 | PRESENT`, 0 for
+//! an absent entry) kept beside the entries: 1 KB for the 128-entry
+//! TLB. Every writer keeps the keys in step with the entries, and the
+//! first present match still wins.
 
 use crate::exception::TrapKind;
 
@@ -17,6 +23,11 @@ use crate::exception::TrapKind;
 pub const PAGE_SIZE: u64 = 4096;
 /// log2 of the page size.
 pub const PAGE_SHIFT: u32 = 12;
+/// Bits in a virtual page-pair number: `vaddr >> 13` of a 64-bit
+/// address. No `EntryHi` can name a larger `vpn2`.
+pub const VPN2_BITS: u32 = 64 - (PAGE_SHIFT + 1);
+/// The key bit that marks an entry present; above every `vpn2`.
+const PRESENT: u64 = 1 << 63;
 /// The machine's TLB size in paired entries: 128 pairs × 2 × 4 KB = 1 MB
 /// coverage (Figure 5). [`Tlb::new`] takes a size so tests can build
 /// smaller ones.
@@ -93,15 +104,43 @@ pub struct Translation {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
+    // `keys[i]` is `entries[i].vpn2 | PRESENT` for a present entry and 0
+    // for an absent one; every search scans these.
+    keys: Vec<u64>,
     next_random: usize,
     misses: u64,
+}
+
+/// The search key of the page pair holding `vaddr`.
+#[inline]
+fn key_of(vaddr: u64) -> u64 {
+    (vaddr >> (PAGE_SHIFT + 1)) | PRESENT
 }
 
 impl Tlb {
     /// Creates an empty TLB with `entries` paired entries.
     #[must_use]
     pub fn new(entries: usize) -> Tlb {
-        Tlb { entries: vec![TlbEntry::default(); entries], next_random: 0, misses: 0 }
+        Tlb {
+            entries: vec![TlbEntry::default(); entries],
+            keys: vec![0; entries],
+            next_random: 0,
+            misses: 0,
+        }
+    }
+
+    /// Writes `entry` at `slot`, keeping its key in step.
+    fn set(&mut self, slot: usize, entry: TlbEntry) {
+        assert!(entry.vpn2 >> VPN2_BITS == 0, "vpn2 {:#x} exceeds {VPN2_BITS} bits", entry.vpn2);
+        self.entries[slot] = entry;
+        self.keys[slot] = if entry.present { entry.vpn2 | PRESENT } else { 0 };
+    }
+
+    /// The first present entry matching the page pair of `vaddr`.
+    #[inline]
+    fn find(&self, vaddr: u64) -> Option<usize> {
+        let key = key_of(vaddr);
+        self.keys.iter().position(|&k| k == key)
     }
 
     /// Number of paired entries.
@@ -139,38 +178,41 @@ impl Tlb {
     /// * [`TrapKind::TlbInvalid`] if the matching page is invalid.
     /// * [`TrapKind::TlbModified`] for stores to clean pages.
     pub fn translate(&mut self, vaddr: u64, write: bool) -> Result<Translation, TrapKind> {
-        let vpn2 = vaddr >> (PAGE_SHIFT + 1);
+        let Some(i) = self.find(vaddr) else {
+            self.misses += 1;
+            return Err(TrapKind::TlbRefill { vaddr, write });
+        };
+        let e = &self.entries[i];
         let odd = (vaddr >> PAGE_SHIFT) & 1 == 1;
-        for e in &self.entries {
-            if e.present && e.vpn2 == vpn2 {
-                let (pfn, flags) = if odd { (e.pfn1, e.flags1) } else { (e.pfn0, e.flags0) };
-                if !flags.valid {
-                    return Err(TrapKind::TlbInvalid { vaddr, write });
-                }
-                if write && !flags.dirty {
-                    return Err(TrapKind::TlbModified { vaddr });
-                }
-                let paddr = (pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1));
-                return Ok(Translation { paddr, flags });
-            }
+        let (pfn, flags) = if odd { (e.pfn1, e.flags1) } else { (e.pfn0, e.flags0) };
+        if !flags.valid {
+            return Err(TrapKind::TlbInvalid { vaddr, write });
         }
-        self.misses += 1;
-        Err(TrapKind::TlbRefill { vaddr, write })
+        if write && !flags.dirty {
+            return Err(TrapKind::TlbModified { vaddr });
+        }
+        let paddr = (pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1));
+        Ok(Translation { paddr, flags })
     }
 
     /// Writes an entry at a "random" slot (round-robin here, which is
     /// deterministic for reproducibility) — the `TLBWR` path used by the
     /// refill handler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry.vpn2` has more than [`VPN2_BITS`] bits.
     pub fn write_random(&mut self, entry: TlbEntry) {
         // Evict any other entry mapping the same vpn2 first so the TLB
         // never holds duplicate mappings (a machine-check on real MIPS).
-        for e in &mut self.entries {
-            if e.present && e.vpn2 == entry.vpn2 {
-                *e = TlbEntry::default();
+        let dup = entry.vpn2 | PRESENT;
+        for i in 0..self.keys.len() {
+            if self.keys[i] == dup {
+                self.set(i, TlbEntry::default());
             }
         }
         let slot = self.next_random;
-        self.entries[slot] = entry;
+        self.set(slot, entry);
         self.next_random = (self.next_random + 1) % self.entries.len();
     }
 
@@ -178,9 +220,10 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range (kernel bug).
+    /// Panics if `index` is out of range (kernel bug), or if
+    /// `entry.vpn2` has more than [`VPN2_BITS`] bits.
     pub fn write_indexed(&mut self, index: usize, entry: TlbEntry) {
-        self.entries[index] = entry;
+        self.set(index, entry);
     }
 
     /// Reads the entry at `index` (`TLBR`).
@@ -197,8 +240,7 @@ impl Tlb {
     /// index.
     #[must_use]
     pub fn probe(&self, vaddr: u64) -> Option<usize> {
-        let vpn2 = vaddr >> (PAGE_SHIFT + 1);
-        self.entries.iter().position(|e| e.present && e.vpn2 == vpn2)
+        self.find(vaddr)
     }
 
     /// Convenience used by the host kernel: installs a single-page
@@ -214,7 +256,7 @@ impl Tlb {
         let vpn2 = vaddr >> (PAGE_SHIFT + 1);
         let odd = (vaddr >> PAGE_SHIFT) & 1 == 1;
         // Merge with an existing entry for the pair if present.
-        let existing = self.entries.iter().position(|e| e.present && e.vpn2 == vpn2);
+        let existing = self.find(vaddr);
         let mut entry = existing
             .map_or(TlbEntry { vpn2, present: true, ..TlbEntry::default() }, |i| self.entries[i]);
         if odd {
@@ -225,16 +267,15 @@ impl Tlb {
             entry.flags0 = flags;
         }
         match existing {
-            Some(i) => self.entries[i] = entry,
+            Some(i) => self.set(i, entry),
             None => self.write_random(entry),
         }
     }
 
     /// Invalidates every entry (context switch / `execve`).
     pub fn flush(&mut self) {
-        for e in &mut self.entries {
-            *e = TlbEntry::default();
-        }
+        self.entries.fill(TlbEntry::default());
+        self.keys.fill(0);
     }
 
     /// Exports the full TLB state (entries, replacement cursor, miss
@@ -270,7 +311,9 @@ impl Tlb {
     /// # Errors
     ///
     /// [`cheri_snap::SnapError`] if the snapshot's entry count differs
-    /// from this TLB's geometry.
+    /// from this TLB's geometry, or a present entry's `vpn2` has more
+    /// than [`VPN2_BITS`] bits (no `EntryHi` can produce one, and its
+    /// key could alias another's). Nothing is restored on error.
     pub fn import_state(&mut self, s: &cheri_snap::TlbState) -> Result<(), cheri_snap::SnapError> {
         if s.entries.len() != self.entries.len() {
             return Err(cheri_snap::SnapError(format!(
@@ -279,14 +322,20 @@ impl Tlb {
                 s.entries.len()
             )));
         }
+        if let Some(i) = s.entries.iter().position(|e| e.present && e.vpn2 >> VPN2_BITS != 0) {
+            return Err(cheri_snap::SnapError(format!(
+                "TLB entry {i}: vpn2 {:#x} exceeds {VPN2_BITS} bits",
+                s.entries[i].vpn2
+            )));
+        }
         let unpack = |bits: u64| TlbFlags {
             valid: bits & 1 != 0,
             dirty: bits & 2 != 0,
             cap_load: bits & 4 != 0,
             cap_store: bits & 8 != 0,
         };
-        for (e, se) in self.entries.iter_mut().zip(&s.entries) {
-            *e = TlbEntry {
+        for (i, se) in s.entries.iter().enumerate() {
+            self.entries[i] = TlbEntry {
                 vpn2: se.vpn2,
                 pfn0: se.pfn0,
                 flags0: unpack(se.flags0),
@@ -294,6 +343,7 @@ impl Tlb {
                 flags1: unpack(se.flags1),
                 present: se.present,
             };
+            self.keys[i] = if se.present { se.vpn2 | PRESENT } else { 0 };
         }
         self.next_random = (s.next_random as usize) % self.entries.len().max(1);
         self.misses = s.misses;
@@ -303,15 +353,13 @@ impl Tlb {
     /// Invalidates any entry mapping the page containing `vaddr`
     /// (revocation via unmapping, Section 6.1).
     pub fn invalidate_page(&mut self, vaddr: u64) {
-        let vpn2 = vaddr >> (PAGE_SHIFT + 1);
+        let key = key_of(vaddr);
         let odd = (vaddr >> PAGE_SHIFT) & 1 == 1;
-        for e in &mut self.entries {
-            if e.present && e.vpn2 == vpn2 {
-                if odd {
-                    e.flags1.valid = false;
-                } else {
-                    e.flags0.valid = false;
-                }
+        for (e, _) in self.entries.iter_mut().zip(&self.keys).filter(|(_, &k)| k == key) {
+            if odd {
+                e.flags1.valid = false;
+            } else {
+                e.flags0.valid = false;
             }
         }
     }

@@ -3,11 +3,13 @@
 //! per-instruction interpreter must agree on *all* architectural state
 //! and *all* statistics after every run chunk — including across
 //! self-modifying code, mid-block TLB rewrites, traps, and stores into
-//! the executing page.
+//! the executing page. "All" includes the timing model's full state:
+//! every cache line with its LRU stamp and dirty bit, the TLB, and the
+//! tag controller's statistics.
 
 use beri_sim::cpu::cp0reg;
 use beri_sim::decode::encode;
-use beri_sim::inst::{AluImmOp, AluOp, BranchCond, Inst, MulDivOp, ShiftOp, Width};
+use beri_sim::inst::{AluImmOp, AluOp, BranchCond, CheriInst, Inst, MulDivOp, ShiftOp, Width};
 use beri_sim::tlb::TlbFlags;
 use beri_sim::{Machine, MachineConfig, StepResult};
 use proptest::prelude::*;
@@ -40,7 +42,8 @@ fn machine_pair(words: &[u32], seed: u64) -> (Machine, Machine) {
     (build(true), build(false))
 }
 
-/// Asserts every architectural register, counter, and statistic agrees.
+/// Asserts every architectural register, counter, and statistic agrees,
+/// and so does the timing model's state (caches, TLB, tag controller).
 fn assert_same(fast: &Machine, slow: &Machine, what: &str) {
     assert_eq!(fast.stats, slow.stats, "{what}: stats diverged");
     assert_eq!(fast.cpu.gpr, slow.cpu.gpr, "{what}: gpr diverged");
@@ -51,11 +54,17 @@ fn assert_same(fast: &Machine, slow: &Machine, what: &str) {
     for rd in [cp0reg::COUNT, cp0reg::EPC, cp0reg::CAUSE, cp0reg::BADVADDR, cp0reg::ENTRYHI] {
         assert_eq!(fast.cpu.cp0.read(rd), slow.cpu.cp0.read(rd), "{what}: cp0[{rd}] diverged");
     }
+    for i in 0..32u8 {
+        assert_eq!(fast.cpu.caps.get(i), slow.cpu.caps.get(i), "{what}: c{i} diverged");
+    }
+    assert_eq!(fast.cpu.caps.pcc(), slow.cpu.caps.pcc(), "{what}: pcc diverged");
     assert_eq!(
-        fast.hierarchy.l1d.hits + fast.hierarchy.l1i.hits + fast.hierarchy.l2.hits,
-        slow.hierarchy.l1d.hits + slow.hierarchy.l1i.hits + slow.hierarchy.l2.hits,
-        "{what}: cache hits diverged"
+        fast.hierarchy.export_state(),
+        slow.hierarchy.export_state(),
+        "{what}: cache state diverged"
     );
+    assert_eq!(fast.tlb().export_state(), slow.tlb().export_state(), "{what}: TLB diverged");
+    assert_eq!(fast.mem.tag_stats(), slow.mem.tag_stats(), "{what}: tag stats diverged");
     assert_eq!(mem_checksum(fast), mem_checksum(slow), "{what}: memory diverged");
 }
 
@@ -85,13 +94,39 @@ fn run_lockstep(fast: &mut Machine, slow: &mut Machine, chunks: &[u64], what: &s
     }
 }
 
+/// Instructions that may trap mid-block: a 32-bit `ADD` that traps on
+/// overflow, and capability register operations on c1–c3 that fault on
+/// a bounds or tag violation (with `$0` as operand they never do).
+/// They send `Outcome::Trap` and capability traps into the retire step
+/// from inside a block on the fast path.
+fn trapping_inst_strategy() -> impl Strategy<Value = Inst> {
+    let r = 8u8..16;
+    let c = 1u8..4;
+    let rt = || prop_oneof![Just(0u8), 8u8..16];
+    prop_oneof![
+        (r.clone(), r.clone(), r).prop_map(|(rd, rs, rt)| Inst::Alu { op: AluOp::Add, rd, rs, rt }),
+        (c.clone(), c.clone(), rt()).prop_map(|(cd, cb, rt)| Inst::Cheri(CheriInst::CIncBase {
+            cd,
+            cb,
+            rt
+        })),
+        (c.clone(), c, rt()).prop_map(|(cd, cb, rt)| Inst::Cheri(CheriInst::CSetLen {
+            cd,
+            cb,
+            rt
+        })),
+    ]
+}
+
 /// One generated instruction for the random programs: ALU and memory
-/// traffic, short always/never-taken branches, and stores into the
-/// executing code page.
+/// traffic, short always/never-taken branches, stores into the
+/// executing code page, and (one draw in eleven) an instruction that
+/// may trap.
 fn inst_strategy() -> impl Strategy<Value = Inst> {
     let r = 8u8..16;
     let slot = 0i16..64;
     prop_oneof![
+        trapping_inst_strategy(),
         (any::<u8>(), r.clone(), r.clone(), r.clone()).prop_map(|(op, rd, rs, rt)| {
             let op = [
                 AluOp::Daddu,

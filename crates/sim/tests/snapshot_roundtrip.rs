@@ -142,3 +142,55 @@ fn from_state_rebuilds_equivalent_machine() {
     run_to_end(&mut rebuilt);
     assert_eq!(m.snapshot().state_hash(), rebuilt.snapshot().state_hash());
 }
+
+/// A snapshot file can hold what no run produces. Each field the packed
+/// timing layouts cannot hold is refused with a `SnapError` naming it,
+/// never a panic, and the untouched snapshot still restores exactly.
+#[test]
+fn restore_refuses_what_the_packed_layouts_cannot_hold() {
+    let mut m = machine_with(true);
+    m.run(40).unwrap();
+    let good = m.snapshot();
+    let refuse = |what: &str, edit: &dyn Fn(&mut MachineState)| {
+        let mut bad = good.clone();
+        edit(&mut bad);
+        let err = match Machine::from_state(&bad, true) {
+            Ok(_) => panic!("{what}: restored"),
+            Err(e) => e,
+        };
+        assert!(err.0.contains(what), "{what}: {err}");
+    };
+    // A tag cache that is not 0 or a power-of-two number of 64-byte lines.
+    for bytes in [3 * 64, 6 * 64 + 10, 1000 * 64] {
+        refuse("tag_cache_bytes", &|s| s.config.tag_cache_bytes = bytes);
+    }
+    // An MRU cursor naming a line its index does not hold.
+    refuse("MRU cursor", &|s| s.hierarchy.l1d.mru_block ^= 1);
+    refuse("MRU cursor", &|s| s.hierarchy.l1i.mru_index ^= 1);
+    // Cache lines whose tag the packed key cannot carry.
+    refuse("cache line", &|s| {
+        let l = s.hierarchy.l2.lines.iter_mut().find(|l| l.valid).unwrap();
+        l.tag |= 1 << 63;
+    });
+    refuse("cache line", &|s| {
+        let l = s.hierarchy.l1d.lines.iter_mut().find(|l| !l.valid).unwrap();
+        l.tag = 7;
+    });
+    // A present TLB entry with a vpn2 no EntryHi can name.
+    refuse("vpn2", &|s| {
+        s.tlb.entries[0].present = true;
+        s.tlb.entries[0].vpn2 = 1 << 51;
+    });
+    // Tag-cache slots the packed key cannot carry.
+    refuse("tag cache line", &|s| {
+        let l = s.mem.tag_cache.iter_mut().find(|l| !l.valid).unwrap();
+        l.line_index = 9;
+    });
+    refuse("tag cache line", &|s| {
+        s.mem.tag_cache[0].valid = true;
+        s.mem.tag_cache[0].line_index = 1 << 63;
+    });
+
+    let restored = Machine::from_state(&good, true).unwrap();
+    assert_eq!(restored.snapshot().to_json(), good.to_json());
+}
