@@ -229,34 +229,47 @@ impl TagController {
         Ok(())
     }
 
+    /// Probes the tag cache for the line covering `paddr`, dirtying it
+    /// if asked. The hit is inlined into every caller; the miss, and
+    /// every probe of an uncached controller, is not.
+    #[inline(always)]
     fn touch_line(&mut self, paddr: u64, make_dirty: bool) {
+        let line_index = paddr >> self.line_shift;
+        let slot = (line_index & self.slot_mask) as usize;
+        match self.keys.get(slot) {
+            Some(&k) if k == line_index | VALID => {
+                self.stats.hits += 1;
+                emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
+                if make_dirty {
+                    self.dirty[slot] = true;
+                }
+            }
+            _ => self.touch_miss(line_index, make_dirty),
+        }
+    }
+
+    /// The miss half of [`TagController::touch_line`]: fills the slot of
+    /// line `line_index`, writing back a dirty occupant. With no tag
+    /// cache at all, every probe lands here and writes through.
+    #[cold]
+    #[inline(never)]
+    fn touch_miss(&mut self, line_index: u64, make_dirty: bool) {
+        self.stats.misses += 1;
         if self.keys.is_empty() {
-            self.stats.misses += 1;
             if make_dirty {
                 self.stats.writebacks += 1; // write-through when uncached
             }
             emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback: make_dirty });
             return;
         }
-        let line_index = paddr >> self.line_shift;
         let slot = (line_index & self.slot_mask) as usize;
-        let key = line_index | VALID;
-        if self.keys[slot] == key {
-            self.stats.hits += 1;
-            emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
-        } else {
-            self.stats.misses += 1;
-            let writeback = self.keys[slot] != 0 && self.dirty[slot];
-            if writeback {
-                self.stats.writebacks += 1;
-            }
-            self.keys[slot] = key;
-            self.dirty[slot] = false;
-            emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback });
+        let writeback = self.keys[slot] != 0 && self.dirty[slot];
+        if writeback {
+            self.stats.writebacks += 1;
         }
-        if make_dirty {
-            self.dirty[slot] = true;
-        }
+        self.keys[slot] = line_index | VALID;
+        self.dirty[slot] = make_dirty;
+        emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback });
     }
 
     /// Reads the tag for the granule covering `paddr`, through the cache.
@@ -285,6 +298,7 @@ impl TagController {
     /// line covering `paddr` (and the one covering the last byte, when
     /// the store crosses a line), and clears the covered granules' tags
     /// in the table, whether or not any of them was set.
+    #[inline(always)]
     pub fn clear_tags_for_store(&mut self, paddr: u64, len: u64) {
         if len == 0 {
             return;

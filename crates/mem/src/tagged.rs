@@ -152,7 +152,7 @@ impl TaggedMem {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
-    #[inline]
+    #[inline(always)]
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
         self.phys.write_bytes(addr, bytes)?;
         self.tags.clear_tags_for_store(addr, bytes.len() as u64);

@@ -117,18 +117,29 @@ impl TagTable {
 
     /// Clears every tag whose granule overlaps `[paddr, paddr+len)` — the
     /// effect of a non-capability store (Section 4.2: "Any non-capability
-    /// store clears this bit").
+    /// store clears this bit"). Granules past the covered memory are
+    /// skipped.
+    #[inline]
     pub fn clear_range(&mut self, paddr: u64, len: u64) {
         if len == 0 {
             return;
         }
         let first = self.granule_of(paddr);
         let last = self.granule_of(paddr + len - 1);
+        if first == last {
+            // Every aligned data store fits one granule.
+            self.clear_granule(first);
+            return;
+        }
         for g in first..=last {
-            let a = g * self.granule_size;
-            if a < self.granules * self.granule_size {
-                self.set(a, false);
-            }
+            self.clear_granule(g);
+        }
+    }
+
+    #[inline]
+    fn clear_granule(&mut self, g: u64) {
+        if g < self.granules {
+            self.bits[(g / 64) as usize] &= !(1 << (g % 64));
         }
     }
 

@@ -142,20 +142,20 @@ impl Cache {
 
     /// `(first way index, key)` for the line holding physical block
     /// `block` (`paddr >> line_shift`).
-    #[inline]
+    #[inline(always)]
     fn locate(&self, block: u64) -> (usize, u64) {
         ((block & self.set_mask) as usize * self.params.ways, (block >> self.set_shift) | VALID)
     }
 
     /// The way holding block `block`, if it is resident.
-    #[inline]
+    #[inline(always)]
     fn find(&self, block: u64) -> Option<usize> {
         let (base, key) = self.locate(block);
         self.keys[base..base + self.params.ways].iter().position(|&k| k == key).map(|w| base + w)
     }
 
     /// Counts a hit on way `i` and makes it the MRU line.
-    #[inline]
+    #[inline(always)]
     fn hit(&mut self, i: usize, block: u64, write: bool) {
         self.stamps[i] = self.tick;
         if write {
@@ -167,7 +167,9 @@ impl Cache {
     }
 
     /// Looks up (and on miss, fills) the line containing `paddr`,
-    /// marking it dirty on writes.
+    /// marking it dirty on writes. The hit path is inlined into every
+    /// caller; the fill is not.
+    #[inline(always)]
     pub fn access(&mut self, paddr: u64, write: bool) -> Lookup {
         self.tick += 1;
         let block = paddr >> self.line_shift;
@@ -179,9 +181,15 @@ impl Cache {
             self.hit(i, block, write);
             return Lookup::Hit;
         }
+        self.fill(block, write)
+    }
 
-        // Miss: fill over the LRU way — the first invalid way, else the
-        // first way with the lowest stamp.
+    /// The miss half of [`Cache::access`]: fills block `block` over the
+    /// LRU way — the first invalid way, else the first way with the
+    /// lowest stamp.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, block: u64, write: bool) -> Lookup {
         self.misses += 1;
         let (base, key) = self.locate(block);
         let mut victim = base;
@@ -215,6 +223,7 @@ impl Cache {
     /// Falls back to per-access bookkeeping if the line is not resident
     /// (the callers' invariant violated), keeping counters exact either
     /// way.
+    #[inline]
     pub fn record_hits(&mut self, paddr: u64, n: u64) {
         let block = paddr >> self.line_shift;
         let way = if block == self.mru_block { Some(self.mru_index) } else { self.find(block) };
@@ -403,6 +412,7 @@ impl Hierarchy {
         }
     }
 
+    #[inline(always)]
     fn emit_access(&mut self, level: CacheLevel, write: bool, lookup: Lookup) {
         emit(&self.sink, || match lookup {
             Lookup::Hit => TraceEvent::CacheAccess { level, write, hit: true, writeback: false },
@@ -414,6 +424,7 @@ impl Hierarchy {
 
     /// One instruction fetch at physical address `paddr`; returns penalty
     /// cycles.
+    #[inline]
     pub fn fetch(&mut self, paddr: u64) -> u64 {
         let lookup = self.l1i.access(paddr, false);
         self.emit_access(CacheLevel::L1I, false, lookup);
@@ -428,6 +439,7 @@ impl Hierarchy {
     /// L1I), batched: zero penalty cycles, one counter/LRU update, and
     /// the same per-access trace events as [`Hierarchy::fetch`] would
     /// emit.
+    #[inline]
     pub fn fetch_hits(&mut self, paddr: u64, n: u64) {
         self.l1i.record_hits(paddr, n);
         if self.sink.is_some() {
@@ -440,6 +452,7 @@ impl Hierarchy {
     /// One data access of `size` bytes at `paddr`; returns penalty
     /// cycles. Accesses crossing a line boundary touch both lines (as the
     /// hardware would take two cache cycles).
+    #[inline(always)]
     pub fn data(&mut self, paddr: u64, size: u64, write: bool) -> u64 {
         const LINE_SHIFT: u32 = CacheParams::l1().line.trailing_zeros();
         let first = paddr >> LINE_SHIFT;
@@ -456,21 +469,27 @@ impl Hierarchy {
     }
 
     /// One line-sized data access; shared tail of [`Hierarchy::data`].
+    #[inline(always)]
     fn data_line(&mut self, addr: u64, write: bool) -> u64 {
         let lookup = self.l1d.access(addr, write);
         self.emit_access(CacheLevel::L1D, write, lookup);
         match lookup {
             Lookup::Hit => 0,
-            Lookup::Miss { writeback } => {
-                let penalty = self.through_l2(addr, false);
-                if writeback {
-                    // Dirty L1 victim lands in L2.
-                    let victim = self.l2.access(addr, true);
-                    self.emit_access(CacheLevel::L2, true, victim);
-                }
-                penalty
-            }
+            Lookup::Miss { writeback } => self.data_miss(addr, writeback),
         }
+    }
+
+    /// The L2/DRAM tail of an L1D miss on the line at `addr`.
+    #[cold]
+    #[inline(never)]
+    fn data_miss(&mut self, addr: u64, writeback: bool) -> u64 {
+        let penalty = self.through_l2(addr, false);
+        if writeback {
+            // Dirty L1 victim lands in L2.
+            let victim = self.l2.access(addr, true);
+            self.emit_access(CacheLevel::L2, true, victim);
+        }
+        penalty
     }
 
     /// Flushes all levels.

@@ -23,14 +23,14 @@ use cheri_prof::{CounterSample, Profiler};
 use cheri_trace::{emit, names, SharedSink, Snapshot, TraceEvent};
 
 use crate::block::{
-    pinst_flags, Block, BlockCache, PInst, F_CAP, F_STORE, F_TERMINAL, F_TLBW, F_UNCOND_JUMP,
+    lower, Block, BlockCache, Op, PInst, F_CAP, F_STORE, F_TERMINAL, F_TLBW, F_UNCOND_JUMP,
     MAX_BLOCK_INSTS,
 };
 use crate::cache::{CacheParams, Hierarchy, DRAM_LATENCY};
 use crate::cpu::Cpu;
 use crate::decode::decode;
 use crate::exception::{Exception, TrapKind};
-use crate::inst::{reg, AluImmOp, AluOp, BranchCond, CheriInst, Inst, MulDivOp, ShiftOp, Width};
+use crate::inst::{reg, CheriInst, Inst, MulDivOp, Width};
 use crate::pipeline::{
     BranchPredictor, BHT_ENTRIES, DIV_PENALTY, INDIRECT_JUMP_PENALTY, MISPREDICT_PENALTY,
     MUL_PENALTY,
@@ -140,6 +140,11 @@ pub enum StepResult {
     Trap(Exception),
 }
 
+/// What an executed instruction asks [`Machine::retire`] to do. It is
+/// at most 16 bytes of plain integers, so it stays in registers from
+/// execute to retire: a capability jump has already installed its PCC,
+/// and the cause of a trap or a simulator-level memory fault is parked
+/// in the machine by [`Machine::raise`] or [`Machine::fault`].
 #[derive(Clone, Copy, Debug)]
 enum Outcome {
     Next,
@@ -154,18 +159,21 @@ enum Outcome {
         target: u64,
         indirect: bool,
     },
-    /// A capability jump: no delay slot; installs a new PCC.
+    /// A jump with no delay slot (`CJR`, `CJALR`, `ERET`); any new PCC
+    /// is already installed.
     CapJump {
         target: u64,
-        pcc: Capability,
     },
-    Trap {
-        kind: TrapKind,
-        badvaddr: Option<u64>,
-    },
+    /// A trap whose cause [`Machine::raise`] parked.
+    Trap,
+    /// A simulator-level memory fault that [`Machine::fault`] parked.
+    Fault,
     Syscall,
     Break(u32),
 }
+
+// Register-sized: execute hands it to retire in two registers.
+const _: () = assert!(std::mem::size_of::<Outcome>() <= 16, "Outcome must stay within 16 bytes");
 
 /// The simulated machine.
 pub struct Machine {
@@ -190,6 +198,10 @@ pub struct Machine {
     // Predecoded basic blocks (the `run` fast path); invalidated by
     // store-generation counters, never consulted by `step`.
     blocks: BlockCache,
+    // The cause of the trap or memory fault the executing instruction
+    // raised, from `raise`/`fault` until `retire` takes it.
+    parked_trap: Option<(TrapKind, Option<u64>)>,
+    parked_fault: Option<MemError>,
     // Optional trace sink; the same handle is cloned into the cache
     // hierarchy and the tag controller by set_trace_sink.
     sink: Option<SharedSink>,
@@ -219,6 +231,8 @@ impl Machine {
             utlb_load: None,
             utlb_store: None,
             blocks: BlockCache::new(cfg.mem_bytes),
+            parked_trap: None,
+            parked_fault: None,
             sink: None,
             prof: None,
         }
@@ -307,15 +321,15 @@ impl Machine {
     /// the CPU state retire left (`JAL`/`JALR` set `next_pc` to it, a
     /// `CJALR` sets `pc`), not from the outcome, so the block loop hands
     /// the outcome to retire and never needs it again.
-    fn prof_retire(&mut self, pc: u64, inst: &Inst) {
+    fn prof_retire(&mut self, pc: u64, op: &Op) {
         let now = self.prof_sample();
         let Some(p) = self.prof.as_mut() else { return };
         p.on_retire(pc, now);
-        match inst {
-            Inst::Jal { .. } | Inst::Jalr { .. } => p.on_call(self.cpu.next_pc),
-            Inst::Jr { rs } if *rs == reg::RA => p.on_return(),
-            Inst::Cheri(CheriInst::CJALR { .. }) => p.on_call(self.cpu.pc),
-            Inst::Cheri(CheriInst::CJR { .. }) => p.on_return(),
+        match *op {
+            Op::Jal { .. } | Op::Jalr { .. } => p.on_call(self.cpu.next_pc),
+            Op::Jr { rs: reg::RA } => p.on_return(),
+            Op::Other(Inst::Cheri(CheriInst::CJALR { .. })) => p.on_call(self.cpu.pc),
+            Op::Other(Inst::Cheri(CheriInst::CJR { .. })) => p.on_return(),
             _ => {}
         }
     }
@@ -404,6 +418,7 @@ impl Machine {
         self.blocks.invalidate_all();
     }
 
+    #[inline(always)]
     fn translate(
         &mut self,
         vaddr: u64,
@@ -527,22 +542,22 @@ impl Machine {
         };
         self.stats.cycles += self.hierarchy.fetch(ppc);
         let word = self.mem.read_u32(ppc)?;
-        let inst = decode(word);
+        let pi = lower(decode(word));
 
-        let outcome = self.execute(&inst)?;
+        let outcome = self.execute(&pi.op);
         if let ControlFlow::Break(exit) = self.retire(outcome) {
-            return Ok(exit);
+            return exit;
         }
         self.stats.instructions += 1;
         self.stats.cycles += 1;
         self.cpu.cp0.count = self.cpu.cp0.count.wrapping_add(1);
-        let cap_inst = matches!(inst, Inst::Cheri(_));
+        let cap_inst = pi.flags & F_CAP != 0;
         if cap_inst {
             self.stats.cap_instructions += 1;
         }
         emit(&self.sink, || TraceEvent::Retire { pc, cap: cap_inst });
         if self.prof.is_some() {
-            self.prof_retire(pc, &inst);
+            self.prof_retire(pc, &pi.op);
         }
         Ok(StepResult::Continue)
     }
@@ -551,11 +566,12 @@ impl Machine {
     /// path: applies an executed instruction's control-flow outcome —
     /// the PC/next-PC update with branch, mispredict and jump penalties
     /// — and returns `Continue(pcc_changed)`, or takes the trap,
-    /// `SYSCALL` or `BREAK` exit and returns `Break(result)` (the
-    /// instruction did not retire). The callers differ only in fetch,
-    /// decode and how they batch the per-retire counters.
+    /// `SYSCALL`, `BREAK` or memory-fault exit and returns
+    /// `Break(result)` (the instruction did not retire). The callers
+    /// differ only in fetch, decode and how they batch the per-retire
+    /// counters.
     #[inline(always)]
-    fn retire(&mut self, outcome: Outcome) -> ControlFlow<StepResult, bool> {
+    fn retire(&mut self, outcome: Outcome) -> ControlFlow<Result<StepResult, MemError>, bool> {
         let fallthrough = self.cpu.next_pc;
         match outcome {
             Outcome::Next => {
@@ -578,16 +594,22 @@ impl Machine {
                 self.cpu.pc = fallthrough;
                 self.cpu.next_pc = target;
             }
-            Outcome::CapJump { target, pcc } => {
+            Outcome::CapJump { target } => {
                 // Capability jumps have no delay slot in this
-                // implementation: PCC changes atomically with PC.
+                // implementation.
                 self.stats.cycles += INDIRECT_JUMP_PENALTY;
-                self.cpu.caps.set_pcc(pcc);
                 self.cpu.jump_to(target);
                 return ControlFlow::Continue(true);
             }
-            Outcome::Trap { kind, badvaddr } => {
-                return ControlFlow::Break(self.trap(kind, badvaddr))
+            Outcome::Trap => {
+                let (kind, badvaddr) = self.parked_trap.take().expect("a trap parks its cause");
+                return ControlFlow::Break(Ok(self.trap(kind, badvaddr)));
+            }
+            Outcome::Fault => {
+                return ControlFlow::Break(Err(self
+                    .parked_fault
+                    .take()
+                    .expect("a memory fault parks its error")));
             }
             Outcome::Syscall => {
                 self.stats.syscalls += 1;
@@ -595,11 +617,11 @@ impl Machine {
                 // Keep PC at the syscall; the kernel resumes via
                 // advance_past_trap(). Reported as its own variant for
                 // ergonomic dispatch.
-                return ControlFlow::Break(StepResult::Syscall);
+                return ControlFlow::Break(Ok(StepResult::Syscall));
             }
             Outcome::Break(code) => {
                 let _ = self.trap(TrapKind::Break { code }, None);
-                return ControlFlow::Break(StepResult::Break(code));
+                return ControlFlow::Break(Ok(StepResult::Break(code)));
             }
         }
         ControlFlow::Continue(false)
@@ -760,17 +782,12 @@ impl Machine {
                 cur_line = iline;
             }
 
-            let pcc_changed = match self.execute(&pi.inst) {
-                Ok(outcome) => match self.retire(outcome) {
-                    ControlFlow::Continue(pcc_changed) => pcc_changed,
-                    ControlFlow::Break(exit) => {
-                        flush!();
-                        return Ok((retired, Some(exit)));
-                    }
-                },
-                Err(e) => {
+            let outcome = self.execute(&pi.op);
+            let pcc_changed = match self.retire(outcome) {
+                ControlFlow::Continue(pcc_changed) => pcc_changed,
+                ControlFlow::Break(exit) => {
                     flush!();
-                    return Err(e);
+                    return exit.map(|result| (retired, Some(result)));
                 }
             };
 
@@ -782,7 +799,7 @@ impl Machine {
                 cap_retired += 1;
             }
             if self.prof.is_some() {
-                self.prof_retire(start_pc.wrapping_add(4 * i as u64), &pi.inst);
+                self.prof_retire(start_pc.wrapping_add(4 * i as u64), &pi.op);
             }
             i += 1;
             // Exit when control leaves the straight line (taken branch,
@@ -818,20 +835,17 @@ impl Machine {
         while insts.len() < max_words {
             let addr = ppc + 4 * insts.len() as u64;
             let Ok(word) = self.mem.read_u32(addr) else { break };
-            let inst = decode(word);
-            let flags = pinst_flags(&inst);
-            insts.push(PInst { inst, flags });
-            if flags & F_TERMINAL != 0 {
+            let pi = lower(decode(word));
+            insts.push(pi);
+            if pi.flags & F_TERMINAL != 0 {
                 break;
             }
-            if flags & F_UNCOND_JUMP != 0 {
+            if pi.flags & F_UNCOND_JUMP != 0 {
                 // Include the delay slot, then stop: the instruction
                 // after it is the jump target's problem.
                 if insts.len() < max_words {
                     if let Ok(w) = self.mem.read_u32(ppc + 4 * insts.len() as u64) {
-                        let slot_inst = decode(w);
-                        let slot_flags = pinst_flags(&slot_inst);
-                        insts.push(PInst { inst: slot_inst, flags: slot_flags });
+                        insts.push(lower(decode(w)));
                     }
                 }
                 break;
@@ -847,39 +861,46 @@ impl Machine {
     }
 
     // --- data-access helpers ---------------------------------------------
+    //
+    // The hit path of a load or store is inlined into the executor, down
+    // to the cache model and the tag controller; every miss path is a
+    // `#[cold]` function of its own.
 
-    /// A legacy (MIPS) data access: implicitly offset and bounded by C0.
+    /// A legacy (MIPS) data access at `gpr[base] + imm`: implicitly
+    /// offset and bounded by C0.
+    #[inline(always)]
     fn legacy_access(
         &mut self,
         base: u8,
-        imm: i16,
+        imm: u64,
         width: Width,
         write: bool,
     ) -> Result<u64, Outcome> {
-        let addr = self.cpu.get_gpr(base).wrapping_add(imm as i64 as u64);
+        let addr = self.gpr(base).wrapping_add(imm);
         let c0 = *self.cpu.caps.c0();
         let vaddr = c0.base().wrapping_add(addr);
         self.checked_access(vaddr, width.bytes(), write, &c0, 0)
     }
 
-    /// A capability-relative data access via `cb`.
+    /// A capability-relative data access via `cb` at offset
+    /// `gpr[rt] + off` (`off` already scaled by the width).
+    #[inline(always)]
     fn cap_access(
         &mut self,
         cb: u8,
         rt: u8,
-        imm: i8,
+        off: u64,
         width: Width,
         write: bool,
     ) -> Result<u64, Outcome> {
-        let cap = *self.cpu.caps.get(cb);
-        let offset =
-            self.cpu.get_gpr(rt).wrapping_add((i64::from(imm) * width.bytes() as i64) as u64);
-        let vaddr = cap.base().wrapping_add(offset);
+        let cap = *self.cap(cb);
+        let vaddr = cap.base().wrapping_add(self.gpr(rt).wrapping_add(off));
         self.checked_access(vaddr, width.bytes(), write, &cap, cb)
     }
 
     /// Shared tail: alignment, capability check, translation, cache
-    /// timing. Returns the physical address.
+    /// timing. Returns the physical address, or the trap outcome.
+    #[inline(always)]
     fn checked_access(
         &mut self,
         vaddr: u64,
@@ -891,21 +912,16 @@ impl Machine {
         // `size` is a power of two (`Width::bytes`), so the alignment
         // check is a mask, not a division.
         if vaddr & (size - 1) != 0 {
-            return Err(Outcome::Trap {
-                kind: TrapKind::AddressError { vaddr, write },
-                badvaddr: Some(vaddr),
-            });
+            return Err(self.raise(TrapKind::AddressError { vaddr, write }, Some(vaddr)));
         }
         let perm = if write { Perms::STORE } else { Perms::LOAD };
         if let Err(c) = cap.check_data_access(vaddr, size, perm) {
-            return Err(Outcome::Trap {
-                kind: TrapKind::CapViolation(c.with_reg(cap_reg)),
-                badvaddr: Some(vaddr),
-            });
+            return Err(self.raise(TrapKind::CapViolation(c.with_reg(cap_reg)), Some(vaddr)));
         }
-        let (paddr, _) = self
-            .translate(vaddr, write, false)
-            .map_err(|kind| Outcome::Trap { kind, badvaddr: Some(vaddr) })?;
+        let paddr = match self.translate(vaddr, write, false) {
+            Ok((paddr, _)) => paddr,
+            Err(kind) => return Err(self.raise(kind, Some(vaddr))),
+        };
         let penalty = self.hierarchy.data(paddr, size, write);
         self.stats.cycles += penalty;
         if write {
@@ -920,6 +936,7 @@ impl Machine {
         Ok(paddr)
     }
 
+    #[inline(always)]
     fn load_value(&mut self, paddr: u64, width: Width, unsigned: bool) -> Result<u64, MemError> {
         Ok(match (width, unsigned) {
             (Width::Byte, false) => self.mem.read_u8(paddr)? as i8 as i64 as u64,
@@ -932,17 +949,11 @@ impl Machine {
         })
     }
 
+    #[inline(always)]
     fn store_value(&mut self, paddr: u64, width: Width, value: u64) -> Result<(), MemError> {
         match width {
             Width::Byte if self.cfg.fault == Some(FaultInjection::KeepTagOnByteStore) => {
-                // Injected bug: patch the byte inside its granule and
-                // write the granule back with its tag preserved.
-                let granule = self.mem.granule();
-                let base = paddr & !(granule - 1);
-                let mut buf = vec![0u8; granule as usize];
-                let tag = self.mem.read_tagged(base, &mut buf)?;
-                buf[(paddr - base) as usize] = value as u8;
-                self.mem.write_tagged(base, &buf, tag)
+                self.store_byte_keeping_tag(paddr, value as u8)
             }
             Width::Byte => self.mem.write_u8(paddr, value as u8),
             Width::Half => self.mem.write_u16(paddr, value as u16),
@@ -953,141 +964,311 @@ impl Machine {
         Ok(())
     }
 
+    /// The [`FaultInjection::KeepTagOnByteStore`] bug: patches the byte
+    /// inside its granule and writes the granule back with its tag
+    /// preserved.
+    #[cold]
+    #[inline(never)]
+    fn store_byte_keeping_tag(&mut self, paddr: u64, value: u8) -> Result<(), MemError> {
+        let granule = self.mem.granule();
+        let base = paddr & !(granule - 1);
+        let mut buf = vec![0u8; granule as usize];
+        let tag = self.mem.read_tagged(base, &mut buf)?;
+        buf[(paddr - base) as usize] = value;
+        self.mem.write_tagged(base, &buf, tag)
+    }
+
+    /// A legacy load into `rt`.
+    #[inline(always)]
+    fn legacy_load(&mut self, rt: u8, base: u8, imm: u64, width: Width, unsigned: bool) -> Outcome {
+        match self.legacy_access(base, imm, width, false) {
+            Ok(paddr) => self.load_into(rt, paddr, width, unsigned),
+            Err(trap) => trap,
+        }
+    }
+
+    /// A legacy store of `rt`.
+    #[inline(always)]
+    fn legacy_store(&mut self, rt: u8, base: u8, imm: u64, width: Width) -> Outcome {
+        match self.legacy_access(base, imm, width, true) {
+            Ok(paddr) => self.store_from(rt, paddr, width),
+            Err(trap) => trap,
+        }
+    }
+
+    /// Completes a load of the checked physical address `paddr` into
+    /// `rd`.
+    #[inline(always)]
+    fn load_into(&mut self, rd: u8, paddr: u64, width: Width, unsigned: bool) -> Outcome {
+        match self.load_value(paddr, width, unsigned) {
+            Ok(v) => self.put(rd, v),
+            Err(e) => self.fault(e),
+        }
+    }
+
+    /// Completes a store of `rs` to the checked physical address
+    /// `paddr`.
+    #[inline(always)]
+    fn store_from(&mut self, rs: u8, paddr: u64, width: Width) -> Outcome {
+        match self.store_value(paddr, width, self.gpr(rs)) {
+            Ok(()) => Outcome::Next,
+            Err(e) => self.fault(e),
+        }
+    }
+
+    /// A capability-relative load into `rd`.
+    #[inline(always)]
+    fn cap_load(
+        &mut self,
+        rd: u8,
+        cb: u8,
+        rt: u8,
+        off: u64,
+        width: Width,
+        unsigned: bool,
+    ) -> Outcome {
+        match self.cap_access(cb, rt, off, width, false) {
+            Ok(paddr) => self.load_into(rd, paddr, width, unsigned),
+            Err(trap) => trap,
+        }
+    }
+
+    /// A capability-relative store of `rs`.
+    #[inline(always)]
+    fn cap_store(&mut self, rs: u8, cb: u8, rt: u8, off: u64, width: Width) -> Outcome {
+        match self.cap_access(cb, rt, off, width, true) {
+            Ok(paddr) => self.store_from(rs, paddr, width),
+            Err(trap) => trap,
+        }
+    }
+
     // --- execute -----------------------------------------------------------
 
-    /// Executes one decoded instruction and returns its control-flow
-    /// outcome for [`Machine::retire`]. Inlined into both callers, so
-    /// the outcome (up to 40 bytes: `CapJump` carries a capability)
-    /// stays in registers instead of round-tripping through the stack
-    /// on every instruction. `execute_cheri` stays out of line.
+    /// GPR `r`; the mask keeps the index in range without a bounds check.
+    #[inline(always)]
+    fn gpr(&self, r: u8) -> u64 {
+        self.cpu.gpr[usize::from(r & 31)]
+    }
+
+    /// Writes GPR `r` and completes the instruction. `$zero` is written
+    /// and then cleared, which costs a store instead of a branch.
+    #[inline(always)]
+    fn put(&mut self, r: u8, v: u64) -> Outcome {
+        self.cpu.gpr[usize::from(r & 31)] = v;
+        self.cpu.gpr[0] = 0;
+        Outcome::Next
+    }
+
+    /// Capability register `r` (0–31).
+    #[inline(always)]
+    fn cap(&self, r: u8) -> &Capability {
+        self.cpu.caps.get(r & 31)
+    }
+
+    /// A conditional branch at `pc` to `pc + 4 + off`: consults and
+    /// trains the predictor.
+    #[inline(always)]
+    fn branch(&mut self, pc: u64, off: u64, taken: bool) -> Outcome {
+        let predicted = self.predictor.predict(pc);
+        self.predictor.update(pc, taken);
+        Outcome::Branch { target: pc.wrapping_add(4).wrapping_add(off), taken, predicted }
+    }
+
+    /// Parks a trap's cause for [`Machine::retire`] and returns the
+    /// outcome that takes it. Every trap an instruction raises is built
+    /// here, so [`Outcome`] stays register-sized.
+    #[cold]
+    #[inline(never)]
+    fn raise(&mut self, kind: TrapKind, badvaddr: Option<u64>) -> Outcome {
+        self.parked_trap = Some((kind, badvaddr));
+        Outcome::Trap
+    }
+
+    /// Parks a simulator-level memory fault for [`Machine::retire`] and
+    /// returns the outcome that takes it.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, e: MemError) -> Outcome {
+        self.parked_fault = Some(e);
+        Outcome::Fault
+    }
+
+    /// A capability violation on register `reg`.
+    fn cap_trap(&mut self, cause: CapCause, reg: u8) -> Outcome {
+        self.raise(TrapKind::CapViolation(cause.with_reg(reg)), None)
+    }
+
+    /// Executes one lowered instruction and returns its control-flow
+    /// outcome for [`Machine::retire`]. Inlined into both callers, so the
+    /// 16-byte outcome stays in registers. One `match` dispatches every
+    /// hot instruction; the rest go to [`Machine::execute_inst`], which
+    /// stays out of line.
     #[inline(always)]
     #[allow(clippy::too_many_lines)]
-    fn execute(&mut self, inst: &Inst) -> Result<Outcome, MemError> {
+    fn execute(&mut self, op: &Op) -> Outcome {
         let pc = self.cpu.pc;
-        let branch_target =
-            |offset: i16| pc.wrapping_add(4).wrapping_add((i64::from(offset) << 2) as u64);
+        match *op {
+            Op::Nop => Outcome::Next,
+            Op::Addu { rd, rs, rt } => {
+                self.put(rd, sext32((self.gpr(rs) as u32).wrapping_add(self.gpr(rt) as u32)))
+            }
+            Op::Subu { rd, rs, rt } => {
+                self.put(rd, sext32((self.gpr(rs) as u32).wrapping_sub(self.gpr(rt) as u32)))
+            }
+            Op::Add { rd, rs, rt } => {
+                match (self.gpr(rs) as u32 as i32).checked_add(self.gpr(rt) as u32 as i32) {
+                    Some(v) => self.put(rd, v as i64 as u64),
+                    None => self.raise(TrapKind::IntegerOverflow, None),
+                }
+            }
+            Op::Sub { rd, rs, rt } => {
+                match (self.gpr(rs) as u32 as i32).checked_sub(self.gpr(rt) as u32 as i32) {
+                    Some(v) => self.put(rd, v as i64 as u64),
+                    None => self.raise(TrapKind::IntegerOverflow, None),
+                }
+            }
+            Op::Daddu { rd, rs, rt } => self.put(rd, self.gpr(rs).wrapping_add(self.gpr(rt))),
+            Op::Dsubu { rd, rs, rt } => self.put(rd, self.gpr(rs).wrapping_sub(self.gpr(rt))),
+            Op::Dadd { rd, rs, rt } => {
+                match (self.gpr(rs) as i64).checked_add(self.gpr(rt) as i64) {
+                    Some(v) => self.put(rd, v as u64),
+                    None => self.raise(TrapKind::IntegerOverflow, None),
+                }
+            }
+            Op::Dsub { rd, rs, rt } => {
+                match (self.gpr(rs) as i64).checked_sub(self.gpr(rt) as i64) {
+                    Some(v) => self.put(rd, v as u64),
+                    None => self.raise(TrapKind::IntegerOverflow, None),
+                }
+            }
+            Op::And { rd, rs, rt } => self.put(rd, self.gpr(rs) & self.gpr(rt)),
+            Op::Or { rd, rs, rt } => self.put(rd, self.gpr(rs) | self.gpr(rt)),
+            Op::Xor { rd, rs, rt } => self.put(rd, self.gpr(rs) ^ self.gpr(rt)),
+            Op::Nor { rd, rs, rt } => self.put(rd, !(self.gpr(rs) | self.gpr(rt))),
+            Op::Slt { rd, rs, rt } => {
+                self.put(rd, u64::from((self.gpr(rs) as i64) < (self.gpr(rt) as i64)))
+            }
+            Op::Sltu { rd, rs, rt } => self.put(rd, u64::from(self.gpr(rs) < self.gpr(rt))),
+            Op::Movz { rd, rs, rt } if self.gpr(rt) == 0 => self.put(rd, self.gpr(rs)),
+            Op::Movn { rd, rs, rt } if self.gpr(rt) != 0 => self.put(rd, self.gpr(rs)),
+            Op::Movz { .. } | Op::Movn { .. } => Outcome::Next,
+            Op::Addiu { rt, rs, imm } => {
+                self.put(rt, sext32((self.gpr(rs) as u32).wrapping_add(imm as u32)))
+            }
+            Op::Addi { rt, rs, imm } => {
+                match (self.gpr(rs) as u32 as i32).checked_add(imm as u32 as i32) {
+                    Some(v) => self.put(rt, v as i64 as u64),
+                    None => self.raise(TrapKind::IntegerOverflow, None),
+                }
+            }
+            Op::Daddiu { rt, rs, imm } => self.put(rt, self.gpr(rs).wrapping_add(imm)),
+            Op::Daddi { rt, rs, imm } => match (self.gpr(rs) as i64).checked_add(imm as i64) {
+                Some(v) => self.put(rt, v as u64),
+                None => self.raise(TrapKind::IntegerOverflow, None),
+            },
+            Op::Slti { rt, rs, imm } => {
+                self.put(rt, u64::from((self.gpr(rs) as i64) < (imm as i64)))
+            }
+            Op::Sltiu { rt, rs, imm } => self.put(rt, u64::from(self.gpr(rs) < imm)),
+            Op::Andi { rt, rs, imm } => self.put(rt, self.gpr(rs) & imm),
+            Op::Ori { rt, rs, imm } => self.put(rt, self.gpr(rs) | imm),
+            Op::Xori { rt, rs, imm } => self.put(rt, self.gpr(rs) ^ imm),
+            Op::Lui { rt, value } => self.put(rt, value),
+            Op::Sll { rd, rt, sa } => self.put(rd, sext32((self.gpr(rt) as u32) << sa)),
+            Op::Srl { rd, rt, sa } => self.put(rd, sext32((self.gpr(rt) as u32) >> sa)),
+            Op::Sra { rd, rt, sa } => {
+                self.put(rd, sext32(((self.gpr(rt) as u32 as i32) >> sa) as u32))
+            }
+            Op::Dsll { rd, rt, sa } => self.put(rd, self.gpr(rt) << sa),
+            Op::Dsrl { rd, rt, sa } => self.put(rd, self.gpr(rt) >> sa),
+            Op::Dsra { rd, rt, sa } => self.put(rd, ((self.gpr(rt) as i64) >> sa) as u64),
+            Op::Sllv { rd, rt, rs } => {
+                self.put(rd, sext32((self.gpr(rt) as u32) << (self.gpr(rs) & 31)))
+            }
+            Op::Srlv { rd, rt, rs } => {
+                self.put(rd, sext32((self.gpr(rt) as u32) >> (self.gpr(rs) & 31)))
+            }
+            Op::Srav { rd, rt, rs } => {
+                self.put(rd, sext32(((self.gpr(rt) as u32 as i32) >> (self.gpr(rs) & 31)) as u32))
+            }
+            Op::Dsllv { rd, rt, rs } => self.put(rd, self.gpr(rt) << (self.gpr(rs) & 63)),
+            Op::Dsrlv { rd, rt, rs } => self.put(rd, self.gpr(rt) >> (self.gpr(rs) & 63)),
+            Op::Dsrav { rd, rt, rs } => {
+                self.put(rd, ((self.gpr(rt) as i64) >> (self.gpr(rs) & 63)) as u64)
+            }
+            Op::Beq { rs, rt, off } => self.branch(pc, off, self.gpr(rs) == self.gpr(rt)),
+            Op::Bne { rs, rt, off } => self.branch(pc, off, self.gpr(rs) != self.gpr(rt)),
+            Op::Blez { rs, off } => self.branch(pc, off, self.gpr(rs) as i64 <= 0),
+            Op::Bgtz { rs, off } => self.branch(pc, off, self.gpr(rs) as i64 > 0),
+            Op::Bltz { rs, off } => self.branch(pc, off, (self.gpr(rs) as i64) < 0),
+            Op::Bgez { rs, off } => self.branch(pc, off, self.gpr(rs) as i64 >= 0),
+            Op::Bltzal { rs, off } => {
+                let taken = (self.gpr(rs) as i64) < 0;
+                self.put(reg::RA, pc.wrapping_add(8));
+                self.branch(pc, off, taken)
+            }
+            Op::Bgezal { rs, off } => {
+                let taken = self.gpr(rs) as i64 >= 0;
+                self.put(reg::RA, pc.wrapping_add(8));
+                self.branch(pc, off, taken)
+            }
+            Op::J { index } => Outcome::Jump {
+                target: (pc.wrapping_add(4) & !0x0fff_ffff) | index,
+                indirect: false,
+            },
+            Op::Jal { index } => {
+                self.put(reg::RA, pc.wrapping_add(8));
+                Outcome::Jump {
+                    target: (pc.wrapping_add(4) & !0x0fff_ffff) | index,
+                    indirect: false,
+                }
+            }
+            Op::Jr { rs } => Outcome::Jump { target: self.gpr(rs), indirect: true },
+            Op::Jalr { rd, rs } => {
+                let target = self.gpr(rs);
+                self.put(rd, pc.wrapping_add(8));
+                Outcome::Jump { target, indirect: true }
+            }
+            Op::Lb { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Byte, false),
+            Op::Lbu { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Byte, true),
+            Op::Lh { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Half, false),
+            Op::Lhu { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Half, true),
+            Op::Lw { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Word, false),
+            Op::Lwu { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Word, true),
+            Op::Ld { rt, base, imm } => self.legacy_load(rt, base, imm, Width::Double, false),
+            Op::Sb { rt, base, imm } => self.legacy_store(rt, base, imm, Width::Byte),
+            Op::Sh { rt, base, imm } => self.legacy_store(rt, base, imm, Width::Half),
+            Op::Sw { rt, base, imm } => self.legacy_store(rt, base, imm, Width::Word),
+            Op::Sd { rt, base, imm } => self.legacy_store(rt, base, imm, Width::Double),
+            Op::Clb { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Byte, false),
+            Op::Clbu { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Byte, true),
+            Op::Clh { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Half, false),
+            Op::Clhu { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Half, true),
+            Op::Clw { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Word, false),
+            Op::Clwu { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Word, true),
+            Op::Cld { rd, cb, rt, off } => self.cap_load(rd, cb, rt, off, Width::Double, false),
+            Op::Csb { rs, cb, rt, off } => self.cap_store(rs, cb, rt, off, Width::Byte),
+            Op::Csh { rs, cb, rt, off } => self.cap_store(rs, cb, rt, off, Width::Half),
+            Op::Csw { rs, cb, rt, off } => self.cap_store(rs, cb, rt, off, Width::Word),
+            Op::Csd { rs, cb, rt, off } => self.cap_store(rs, cb, rt, off, Width::Double),
+            Op::CIncBase { cd, cb, rt } => match self.cap(cb).inc_base(self.gpr(rt)) {
+                Ok(ncap) => {
+                    self.cpu.caps.set(cd & 31, ncap);
+                    Outcome::Next
+                }
+                Err(e) => self.cap_trap(e, cb),
+            },
+            Op::Clc { cd, cb, rt, imm } => self.load_cap(cd, cb, rt, imm),
+            Op::Csc { cs, cb, rt, imm } => self.store_cap(cs, cb, rt, imm),
+            Op::Other(inst) => self.execute_inst(&inst),
+        }
+    }
 
-        Ok(match *inst {
-            Inst::Alu { op, rd, rs, rt } => {
-                let a = self.cpu.get_gpr(rs);
-                let b = self.cpu.get_gpr(rt);
-                let v = match op {
-                    AluOp::Addu => sext32((a as u32).wrapping_add(b as u32)),
-                    AluOp::Subu => sext32((a as u32).wrapping_sub(b as u32)),
-                    AluOp::Add => match (a as u32 as i32).checked_add(b as u32 as i32) {
-                        Some(v) => v as i64 as u64,
-                        None => {
-                            return Ok(Outcome::Trap {
-                                kind: TrapKind::IntegerOverflow,
-                                badvaddr: None,
-                            })
-                        }
-                    },
-                    AluOp::Sub => match (a as u32 as i32).checked_sub(b as u32 as i32) {
-                        Some(v) => v as i64 as u64,
-                        None => {
-                            return Ok(Outcome::Trap {
-                                kind: TrapKind::IntegerOverflow,
-                                badvaddr: None,
-                            })
-                        }
-                    },
-                    AluOp::Daddu => a.wrapping_add(b),
-                    AluOp::Dsubu => a.wrapping_sub(b),
-                    AluOp::Dadd => match (a as i64).checked_add(b as i64) {
-                        Some(v) => v as u64,
-                        None => {
-                            return Ok(Outcome::Trap {
-                                kind: TrapKind::IntegerOverflow,
-                                badvaddr: None,
-                            })
-                        }
-                    },
-                    AluOp::Dsub => match (a as i64).checked_sub(b as i64) {
-                        Some(v) => v as u64,
-                        None => {
-                            return Ok(Outcome::Trap {
-                                kind: TrapKind::IntegerOverflow,
-                                badvaddr: None,
-                            })
-                        }
-                    },
-                    AluOp::And => a & b,
-                    AluOp::Or => a | b,
-                    AluOp::Xor => a ^ b,
-                    AluOp::Nor => !(a | b),
-                    AluOp::Slt => u64::from((a as i64) < (b as i64)),
-                    AluOp::Sltu => u64::from(a < b),
-                    AluOp::Movz => {
-                        if b == 0 {
-                            a
-                        } else {
-                            self.cpu.get_gpr(rd)
-                        }
-                    }
-                    AluOp::Movn => {
-                        if b != 0 {
-                            a
-                        } else {
-                            self.cpu.get_gpr(rd)
-                        }
-                    }
-                };
-                self.cpu.set_gpr(rd, v);
-                Outcome::Next
-            }
-            Inst::AluImm { op, rt, rs, imm } => {
-                let a = self.cpu.get_gpr(rs);
-                let se = imm as i16 as i64 as u64;
-                let ze = u64::from(imm);
-                let v = match op {
-                    AluImmOp::Addiu => sext32((a as u32).wrapping_add(se as u32)),
-                    AluImmOp::Daddiu => a.wrapping_add(se),
-                    AluImmOp::Addi => match (a as u32 as i32).checked_add(se as u32 as i32) {
-                        Some(v) => v as i64 as u64,
-                        None => {
-                            return Ok(Outcome::Trap {
-                                kind: TrapKind::IntegerOverflow,
-                                badvaddr: None,
-                            })
-                        }
-                    },
-                    AluImmOp::Daddi => match (a as i64).checked_add(se as i64) {
-                        Some(v) => v as u64,
-                        None => {
-                            return Ok(Outcome::Trap {
-                                kind: TrapKind::IntegerOverflow,
-                                badvaddr: None,
-                            })
-                        }
-                    },
-                    AluImmOp::Slti => u64::from((a as i64) < (se as i64)),
-                    AluImmOp::Sltiu => u64::from(a < se),
-                    AluImmOp::Andi => a & ze,
-                    AluImmOp::Ori => a | ze,
-                    AluImmOp::Xori => a ^ ze,
-                };
-                self.cpu.set_gpr(rt, v);
-                Outcome::Next
-            }
-            Inst::Lui { rt, imm } => {
-                self.cpu.set_gpr(rt, sext32(u32::from(imm) << 16));
-                Outcome::Next
-            }
-            Inst::Shift { op, rd, rt, shamt } => {
-                let v = shift(op, self.cpu.get_gpr(rt), u32::from(shamt));
-                self.cpu.set_gpr(rd, v);
-                Outcome::Next
-            }
-            Inst::ShiftV { op, rd, rt, rs } => {
-                let mask = match op {
-                    ShiftOp::Sll | ShiftOp::Srl | ShiftOp::Sra => 31,
-                    _ => 63,
-                };
-                let v = shift(op, self.cpu.get_gpr(rt), (self.cpu.get_gpr(rs) as u32) & mask);
-                self.cpu.set_gpr(rd, v);
-                Outcome::Next
-            }
+    /// Executes a decoded instruction that [`Machine::execute`] does not
+    /// run itself ([`Op::Other`]).
+    #[allow(clippy::too_many_lines)]
+    fn execute_inst(&mut self, inst: &Inst) -> Outcome {
+        match *inst {
             Inst::MulDiv { op, rs, rt } => {
                 let a = self.cpu.get_gpr(rs);
                 let b = self.cpu.get_gpr(rt);
@@ -1115,88 +1296,28 @@ impl Machine {
                 self.cpu.lo = self.cpu.get_gpr(rs);
                 Outcome::Next
             }
-            Inst::Branch { cond, rs, rt, offset } => {
-                let a = self.cpu.get_gpr(rs) as i64;
-                let b = self.cpu.get_gpr(rt) as i64;
-                let taken = match cond {
-                    BranchCond::Eq => a == b,
-                    BranchCond::Ne => a != b,
-                    BranchCond::Lez => a <= 0,
-                    BranchCond::Gtz => a > 0,
-                    BranchCond::Ltz => a < 0,
-                    BranchCond::Gez => a >= 0,
-                };
-                let predicted = self.predictor.predict(pc);
-                self.predictor.update(pc, taken);
-                Outcome::Branch { target: branch_target(offset), taken, predicted }
-            }
-            Inst::BranchLink { cond, rs, offset } => {
-                let a = self.cpu.get_gpr(rs) as i64;
-                let taken = match cond {
-                    BranchCond::Ltz => a < 0,
-                    BranchCond::Gez => a >= 0,
-                    _ => unreachable!("decoder only produces Ltz/Gez links"),
-                };
-                self.cpu.set_gpr(reg::RA, pc.wrapping_add(8));
-                let predicted = self.predictor.predict(pc);
-                self.predictor.update(pc, taken);
-                Outcome::Branch { target: branch_target(offset), taken, predicted }
-            }
-            Inst::J { target } => Outcome::Jump {
-                target: (pc.wrapping_add(4) & !0x0fff_ffff) | (u64::from(target) << 2),
-                indirect: false,
-            },
-            Inst::Jal { target } => {
-                self.cpu.set_gpr(reg::RA, pc.wrapping_add(8));
-                Outcome::Jump {
-                    target: (pc.wrapping_add(4) & !0x0fff_ffff) | (u64::from(target) << 2),
-                    indirect: false,
-                }
-            }
-            Inst::Jr { rs } => Outcome::Jump { target: self.cpu.get_gpr(rs), indirect: true },
-            Inst::Jalr { rd, rs } => {
-                let target = self.cpu.get_gpr(rs);
-                self.cpu.set_gpr(rd, pc.wrapping_add(8));
-                Outcome::Jump { target, indirect: true }
-            }
-            Inst::Load { width, rt, base, imm, unsigned } => {
-                match self.legacy_access(base, imm, width, false) {
-                    Ok(paddr) => {
-                        let v = self.load_value(paddr, width, unsigned)?;
-                        self.cpu.set_gpr(rt, v);
-                        Outcome::Next
-                    }
-                    Err(o) => o,
-                }
-            }
-            Inst::Store { width, rt, base, imm } => {
-                match self.legacy_access(base, imm, width, true) {
-                    Ok(paddr) => {
-                        let v = self.cpu.get_gpr(rt);
-                        self.store_value(paddr, width, v)?;
-                        Outcome::Next
-                    }
-                    Err(o) => o,
-                }
-            }
             Inst::LoadLinked { width, rt, base, imm } => {
-                match self.legacy_access(base, imm, width, false) {
-                    Ok(paddr) => {
-                        let v = self.load_value(paddr, width, false)?;
-                        self.cpu.set_gpr(rt, v);
-                        self.cpu.ll_reservation = Some(paddr);
-                        Outcome::Next
-                    }
+                match self.legacy_access(base, imm as i64 as u64, width, false) {
+                    Ok(paddr) => match self.load_value(paddr, width, false) {
+                        Ok(v) => {
+                            self.cpu.set_gpr(rt, v);
+                            self.cpu.ll_reservation = Some(paddr);
+                            Outcome::Next
+                        }
+                        Err(e) => self.fault(e),
+                    },
                     Err(o) => o,
                 }
             }
             Inst::StoreCond { width, rt, base, imm } => {
                 let reserved = self.cpu.ll_reservation;
-                match self.legacy_access(base, imm, width, true) {
+                match self.legacy_access(base, imm as i64 as u64, width, true) {
                     Ok(paddr) => {
                         if reserved == Some(paddr) {
                             let v = self.cpu.get_gpr(rt);
-                            self.store_value(paddr, width, v)?;
+                            if let Err(e) = self.store_value(paddr, width, v) {
+                                return self.fault(e);
+                            }
                             self.cpu.set_gpr(rt, 1);
                         } else {
                             self.cpu.set_gpr(rt, 0);
@@ -1246,19 +1367,24 @@ impl Machine {
                 self.cpu.cp0.entrylo1 = lo_from_flags(e.pfn1, e.flags1);
                 Outcome::Next
             }
-            Inst::Eret => {
-                let epc = self.cpu.cp0.epc;
-                self.cpu.jump_to(epc);
-                // ERET has no delay slot; model as a no-delay jump by
-                // treating it like a capability jump with unchanged PCC.
-                let pcc = *self.cpu.caps.pcc();
-                Outcome::CapJump { target: epc, pcc }
-            }
-            Inst::Cheri(c) => self.execute_cheri(&c)?,
-            Inst::Reserved { word } => {
-                Outcome::Trap { kind: TrapKind::ReservedInstruction { word }, badvaddr: None }
-            }
-        })
+            // ERET has no delay slot: a capability jump that keeps PCC.
+            Inst::Eret => Outcome::CapJump { target: self.cpu.cp0.epc },
+            Inst::Cheri(c) => self.execute_cheri(&c),
+            Inst::Reserved { word } => self.raise(TrapKind::ReservedInstruction { word }, None),
+            Inst::Alu { .. }
+            | Inst::AluImm { .. }
+            | Inst::Lui { .. }
+            | Inst::Shift { .. }
+            | Inst::ShiftV { .. }
+            | Inst::Branch { .. }
+            | Inst::BranchLink { .. }
+            | Inst::J { .. }
+            | Inst::Jal { .. }
+            | Inst::Jr { .. }
+            | Inst::Jalr { .. }
+            | Inst::Load { .. }
+            | Inst::Store { .. } => unreachable!("{inst:?} lowers to an Op of its own"),
+        }
     }
 
     fn entry_from_cp0(&self) -> crate::tlb::TlbEntry {
@@ -1273,16 +1399,10 @@ impl Machine {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute_cheri(&mut self, c: &CheriInst) -> Result<Outcome, MemError> {
+    fn execute_cheri(&mut self, c: &CheriInst) -> Outcome {
         let pc = self.cpu.pc;
-        let branch_target =
-            |offset: i16| pc.wrapping_add(4).wrapping_add((i64::from(offset) << 2) as u64);
-        let cap_trap = |cause: CapCause, reg: u8| Outcome::Trap {
-            kind: TrapKind::CapViolation(cause.with_reg(reg)),
-            badvaddr: None,
-        };
 
-        Ok(match *c {
+        match *c {
             CheriInst::CGetBase { rd, cb } => {
                 let v = self.cpu.caps.get(cb).base();
                 self.cpu.set_gpr(rd, v);
@@ -1309,16 +1429,6 @@ impl Machine {
                 self.cpu.caps.set(cd, pcc);
                 Outcome::Next
             }
-            CheriInst::CIncBase { cd, cb, rt } => {
-                let delta = self.cpu.get_gpr(rt);
-                match self.cpu.caps.get(cb).inc_base(delta) {
-                    Ok(ncap) => {
-                        self.cpu.caps.set(cd, ncap);
-                        Outcome::Next
-                    }
-                    Err(e) => cap_trap(e, cb),
-                }
-            }
             CheriInst::CSetLen { cd, cb, rt } => {
                 let len = self.cpu.get_gpr(rt);
                 match self.cpu.caps.get(cb).set_len(len) {
@@ -1326,7 +1436,7 @@ impl Machine {
                         self.cpu.caps.set(cd, ncap);
                         Outcome::Next
                     }
-                    Err(e) => cap_trap(e, cb),
+                    Err(e) => self.cap_trap(e, cb),
                 }
             }
             CheriInst::CClearTag { cd, cb } => {
@@ -1341,7 +1451,7 @@ impl Machine {
                         self.cpu.caps.set(cd, ncap);
                         Outcome::Next
                     }
-                    Err(e) => cap_trap(e, cb),
+                    Err(e) => self.cap_trap(e, cb),
                 }
             }
             CheriInst::CToPtr { rd, cb, ct } => {
@@ -1356,7 +1466,7 @@ impl Machine {
                         self.cpu.caps.set(cd, ncap);
                         Outcome::Next
                     }
-                    Err(e) => cap_trap(e, cb),
+                    Err(e) => self.cap_trap(e, cb),
                 }
             }
             CheriInst::CBTU { cb, offset } | CheriInst::CBTS { cb, offset } => {
@@ -1365,123 +1475,30 @@ impl Machine {
                     CheriInst::CBTU { .. } => !tag,
                     _ => tag,
                 };
-                let predicted = self.predictor.predict(pc);
-                self.predictor.update(pc, taken);
-                Outcome::Branch { target: branch_target(offset), taken, predicted }
-            }
-            CheriInst::CLC { cd, cb, rt, imm } => {
-                let csize = self.cfg.cap_format.size();
-                let cap = *self.cpu.caps.get(cb);
-                let offset =
-                    self.cpu.get_gpr(rt).wrapping_add((i64::from(imm) * csize as i64) as u64);
-                let vaddr = cap.base().wrapping_add(offset);
-                if let Err(e) = cap.check_cap_access_g(vaddr, false, csize) {
-                    return Ok(cap_trap(e, cb));
-                }
-                let (paddr, flags) = match self.translate(vaddr, false, false) {
-                    Ok(t) => t,
-                    Err(kind) => return Ok(Outcome::Trap { kind, badvaddr: Some(vaddr) }),
-                };
-                let penalty = self.hierarchy.data(paddr, csize, false);
-                self.stats.cycles += penalty;
-                self.stats.loads += 1;
-                self.stats.bytes_loaded += csize;
-                self.stats.cap_loads += 1;
-                emit(&self.sink, || TraceEvent::DataAccess {
-                    write: false,
-                    bytes: csize,
-                    cycles: penalty,
-                });
-                let before = self.mem.tag_stats().misses;
-                let mut loaded = self.load_cap_formatted(paddr)?;
-                self.charge_tag_misses(before);
-                // A page without the capability-load permission strips
-                // tags on load (Section 6.1's sharing-without-capabilities).
-                if !self.bare && !flags.cap_load {
-                    loaded = loaded.clear_tag();
-                }
-                self.cpu.caps.set(cd, loaded);
-                Outcome::Next
-            }
-            CheriInst::CSC { cs, cb, rt, imm } => {
-                let csize = self.cfg.cap_format.size();
-                let cap = *self.cpu.caps.get(cb);
-                let offset =
-                    self.cpu.get_gpr(rt).wrapping_add((i64::from(imm) * csize as i64) as u64);
-                let vaddr = cap.base().wrapping_add(offset);
-                if let Err(e) = cap.check_cap_access_g(vaddr, true, csize) {
-                    return Ok(cap_trap(e, cb));
-                }
-                let stored = *self.cpu.caps.get(cs);
-                let (paddr, flags) = match self.translate(vaddr, true, false) {
-                    Ok(t) => t,
-                    Err(kind) => return Ok(Outcome::Trap { kind, badvaddr: Some(vaddr) }),
-                };
-                if !self.bare && stored.tag() && !flags.cap_store {
-                    return Ok(cap_trap(CapCause::new(CapExcCode::TlbProhibitStoreCap, cs), cs));
-                }
-                if self.cfg.cap_format == CapFormat::C128
-                    && stored.tag()
-                    && Compressed128::try_from_cap(&stored).is_err()
-                {
-                    // The 128-bit format cannot represent this region
-                    // (Low-Fat alignment rules, Section 4.1).
-                    return Ok(cap_trap(CapCause::new(CapExcCode::AlignmentViolation, cs), cs));
-                }
-                let penalty = self.hierarchy.data(paddr, csize, true);
-                self.stats.cycles += penalty;
-                self.stats.stores += 1;
-                self.stats.bytes_stored += csize;
-                self.stats.cap_stores += 1;
-                emit(&self.sink, || TraceEvent::DataAccess {
-                    write: true,
-                    bytes: csize,
-                    cycles: penalty,
-                });
-                let before = self.mem.tag_stats().misses;
-                self.store_cap_formatted(paddr, &stored)?;
-                self.charge_tag_misses(before);
-                self.cpu.ll_reservation = None;
-                Outcome::Next
-            }
-            CheriInst::CLoad { width, rd, cb, rt, imm, unsigned } => {
-                match self.cap_access(cb, rt, imm, width, false) {
-                    Ok(paddr) => {
-                        let v = self.load_value(paddr, width, unsigned)?;
-                        self.cpu.set_gpr(rd, v);
-                        Outcome::Next
-                    }
-                    Err(o) => o,
-                }
-            }
-            CheriInst::CStore { width, rs, cb, rt, imm } => {
-                match self.cap_access(cb, rt, imm, width, true) {
-                    Ok(paddr) => {
-                        let v = self.cpu.get_gpr(rs);
-                        self.store_value(paddr, width, v)?;
-                        Outcome::Next
-                    }
-                    Err(o) => o,
-                }
+                self.branch(pc, (i64::from(offset) << 2) as u64, taken)
             }
             CheriInst::CLLD { rd, cb, rt, imm } => {
-                match self.cap_access(cb, rt, imm, Width::Double, false) {
-                    Ok(paddr) => {
-                        let v = self.load_value(paddr, Width::Double, false)?;
-                        self.cpu.set_gpr(rd, v);
-                        self.cpu.ll_reservation = Some(paddr);
-                        Outcome::Next
-                    }
+                match self.cap_access(cb, rt, (i64::from(imm) * 8) as u64, Width::Double, false) {
+                    Ok(paddr) => match self.load_value(paddr, Width::Double, false) {
+                        Ok(v) => {
+                            self.cpu.set_gpr(rd, v);
+                            self.cpu.ll_reservation = Some(paddr);
+                            Outcome::Next
+                        }
+                        Err(e) => self.fault(e),
+                    },
                     Err(o) => o,
                 }
             }
             CheriInst::CSCD { rs, cb, rt, imm } => {
                 let reserved = self.cpu.ll_reservation;
-                match self.cap_access(cb, rt, imm, Width::Double, true) {
+                match self.cap_access(cb, rt, (i64::from(imm) * 8) as u64, Width::Double, true) {
                     Ok(paddr) => {
                         if reserved == Some(paddr) {
                             let v = self.cpu.get_gpr(rs);
-                            self.store_value(paddr, Width::Double, v)?;
+                            if let Err(e) = self.store_value(paddr, Width::Double, v) {
+                                return self.fault(e);
+                            }
                             self.cpu.set_gpr(rs, 1);
                         } else {
                             self.cpu.set_gpr(rs, 0);
@@ -1495,14 +1512,17 @@ impl Machine {
             CheriInst::CJR { cb } => {
                 let cap = *self.cpu.caps.get(cb);
                 if let Err(e) = cap.check_execute(cap.base()) {
-                    return Ok(cap_trap(e, cb));
+                    return self.cap_trap(e, cb);
                 }
-                Outcome::CapJump { target: cap.base(), pcc: cap }
+                // PCC changes atomically with PC: nothing between execute
+                // and retire reads it.
+                self.cpu.caps.set_pcc(cap);
+                Outcome::CapJump { target: cap.base() }
             }
             CheriInst::CJALR { cd, cb } => {
                 let cap = *self.cpu.caps.get(cb);
                 if let Err(e) = cap.check_execute(cap.base()) {
-                    return Ok(cap_trap(e, cb));
+                    return self.cap_trap(e, cb);
                 }
                 // Link capability: the current PCC advanced to the return
                 // point (pc + 4; capability jumps have no delay slot here).
@@ -1510,11 +1530,93 @@ impl Machine {
                 let ret = pc.wrapping_add(4);
                 match pcc.inc_base(ret.wrapping_sub(pcc.base())) {
                     Ok(link) => self.cpu.caps.set(cd, link),
-                    Err(e) => return Ok(cap_trap(e, cb)),
+                    Err(e) => return self.cap_trap(e, cb),
                 }
-                Outcome::CapJump { target: cap.base(), pcc: cap }
+                self.cpu.caps.set_pcc(cap);
+                Outcome::CapJump { target: cap.base() }
             }
-        })
+            CheriInst::CIncBase { .. }
+            | CheriInst::CLoad { .. }
+            | CheriInst::CStore { .. }
+            | CheriInst::CLC { .. }
+            | CheriInst::CSC { .. } => unreachable!("{c:?} lowers to an Op of its own"),
+        }
+    }
+
+    /// `CLC cd, rt, imm(cb)`: loads a capability and its tag; `imm` is
+    /// scaled by the capability size.
+    fn load_cap(&mut self, cd: u8, cb: u8, rt: u8, imm: i8) -> Outcome {
+        let csize = self.cfg.cap_format.size();
+        let cap = *self.cpu.caps.get(cb);
+        let offset = self.cpu.get_gpr(rt).wrapping_add((i64::from(imm) * csize as i64) as u64);
+        let vaddr = cap.base().wrapping_add(offset);
+        if let Err(e) = cap.check_cap_access_g(vaddr, false, csize) {
+            return self.cap_trap(e, cb);
+        }
+        let (paddr, flags) = match self.translate(vaddr, false, false) {
+            Ok(t) => t,
+            Err(kind) => return self.raise(kind, Some(vaddr)),
+        };
+        let penalty = self.hierarchy.data(paddr, csize, false);
+        self.stats.cycles += penalty;
+        self.stats.loads += 1;
+        self.stats.bytes_loaded += csize;
+        self.stats.cap_loads += 1;
+        emit(&self.sink, || TraceEvent::DataAccess { write: false, bytes: csize, cycles: penalty });
+        let before = self.mem.tag_stats().misses;
+        let mut loaded = match self.load_cap_formatted(paddr) {
+            Ok(cap) => cap,
+            Err(e) => return self.fault(e),
+        };
+        self.charge_tag_misses(before);
+        // A page without the capability-load permission strips
+        // tags on load (Section 6.1's sharing-without-capabilities).
+        if !self.bare && !flags.cap_load {
+            loaded = loaded.clear_tag();
+        }
+        self.cpu.caps.set(cd, loaded);
+        Outcome::Next
+    }
+
+    /// `CSC cs, rt, imm(cb)`: stores a capability register and its tag;
+    /// `imm` is scaled by the capability size.
+    fn store_cap(&mut self, cs: u8, cb: u8, rt: u8, imm: i8) -> Outcome {
+        let csize = self.cfg.cap_format.size();
+        let cap = *self.cpu.caps.get(cb);
+        let offset = self.cpu.get_gpr(rt).wrapping_add((i64::from(imm) * csize as i64) as u64);
+        let vaddr = cap.base().wrapping_add(offset);
+        if let Err(e) = cap.check_cap_access_g(vaddr, true, csize) {
+            return self.cap_trap(e, cb);
+        }
+        let stored = *self.cpu.caps.get(cs);
+        let (paddr, flags) = match self.translate(vaddr, true, false) {
+            Ok(t) => t,
+            Err(kind) => return self.raise(kind, Some(vaddr)),
+        };
+        if !self.bare && stored.tag() && !flags.cap_store {
+            return self.cap_trap(CapCause::new(CapExcCode::TlbProhibitStoreCap, cs), cs);
+        }
+        if self.cfg.cap_format == CapFormat::C128
+            && stored.tag()
+            && Compressed128::try_from_cap(&stored).is_err()
+        {
+            // The 128-bit format cannot represent this region
+            // (Low-Fat alignment rules, Section 4.1).
+            return self.cap_trap(CapCause::new(CapExcCode::AlignmentViolation, cs), cs);
+        }
+        let penalty = self.hierarchy.data(paddr, csize, true);
+        self.stats.cycles += penalty;
+        self.stats.stores += 1;
+        self.stats.bytes_stored += csize;
+        self.stats.cap_stores += 1;
+        emit(&self.sink, || TraceEvent::DataAccess { write: true, bytes: csize, cycles: penalty });
+        let before = self.mem.tag_stats().misses;
+        if let Err(e) = self.store_cap_formatted(paddr, &stored) {
+            return self.fault(e);
+        }
+        self.charge_tag_misses(before);
+        self.cpu.ll_reservation = None;
+        Outcome::Next
     }
 
     /// Reads an in-memory capability in the configured format.
@@ -1837,20 +1939,6 @@ fn sext32(v: u32) -> u64 {
     v as i32 as i64 as u64
 }
 
-fn shift(op: ShiftOp, v: u64, s: u32) -> u64 {
-    match op {
-        ShiftOp::Sll => sext32((v as u32) << s),
-        ShiftOp::Srl => sext32((v as u32) >> s),
-        ShiftOp::Sra => sext32((((v as u32) as i32) >> s) as u32),
-        ShiftOp::Dsll => v << s,
-        ShiftOp::Dsrl => v >> s,
-        ShiftOp::Dsra => ((v as i64) >> s) as u64,
-        ShiftOp::Dsll32 => v << (s + 32),
-        ShiftOp::Dsrl32 => v >> (s + 32),
-        ShiftOp::Dsra32 => ((v as i64) >> (s + 32)) as u64,
-    }
-}
-
 fn muldiv(op: MulDivOp, a: u64, b: u64) -> (u64, u64, u64) {
     match op {
         MulDivOp::Mult => {
@@ -1924,6 +2012,7 @@ fn lo_from_flags(pfn: u64, f: TlbFlags) -> u64 {
 mod tests {
     use super::*;
     use crate::decode::encode;
+    use crate::inst::{AluImmOp, AluOp, BranchCond, ShiftOp};
 
     fn machine() -> Machine {
         let mut m = Machine::new(MachineConfig { mem_bytes: 1 << 20, ..MachineConfig::default() });

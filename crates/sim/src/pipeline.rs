@@ -119,12 +119,14 @@ impl BranchPredictor {
 
     /// Predicted direction for the branch at `pc`.
     #[must_use]
+    #[inline]
     pub fn predict(&self, pc: u64) -> bool {
         self.counters[self.index(pc)] >= 2
     }
 
     /// Trains the predictor with the actual outcome; returns `true` if
     /// the prediction was correct.
+    #[inline]
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         let correct = self.predict(pc) == taken;
         let i = self.index(pc);

@@ -81,14 +81,14 @@ fn mem_checksum(m: &Machine) -> u64 {
 /// Runs both machines through the same chunk schedule (chunk boundaries
 /// land mid-block, which is exactly the resume path under test) and
 /// compares after every chunk. Stops when both report the same
-/// non-`Continue` result.
+/// non-`Continue` result or the same simulator-level memory error.
 fn run_lockstep(fast: &mut Machine, slow: &mut Machine, chunks: &[u64], what: &str) {
     for (i, &chunk) in chunks.iter().enumerate() {
-        let rf = fast.run(chunk).unwrap();
-        let rs = slow.run(chunk).unwrap();
+        let rf = fast.run(chunk);
+        let rs = slow.run(chunk);
         assert_eq!(rf, rs, "{what}: chunk {i} results diverged");
         assert_same(fast, slow, what);
-        if rf != StepResult::Continue {
+        if rf != Ok(StepResult::Continue) {
             return;
         }
     }
@@ -118,35 +118,116 @@ fn trapping_inst_strategy() -> impl Strategy<Value = Inst> {
     ]
 }
 
+/// Capability-relative loads and stores through c1–c3 at `$7` (the
+/// data window) plus a scaled offset. The trapping instructions can
+/// move those capabilities anywhere, so these may also trap or reach
+/// past physical memory.
+fn cap_access_strategy() -> impl Strategy<Value = Inst> {
+    let r = 8u8..16;
+    let c = 1u8..4;
+    prop_oneof![
+        (any::<u8>(), r.clone(), c.clone(), 0i8..32).prop_map(|(w, rd, cb, imm)| {
+            let width = [Width::Byte, Width::Half, Width::Word, Width::Double][w as usize % 4];
+            Inst::Cheri(CheriInst::CLoad { width, rd, cb, rt: 7, imm, unsigned: w % 8 < 4 })
+        }),
+        (any::<u8>(), r, c, 0i8..32).prop_map(|(w, rs, cb, imm)| {
+            let width = [Width::Byte, Width::Half, Width::Word, Width::Double][w as usize % 4];
+            Inst::Cheri(CheriInst::CStore { width, rs, cb, rt: 7, imm })
+        }),
+    ]
+}
+
+/// Short forward branches on every condition, over registers whose
+/// values make them go either way, including the linking forms.
+fn branch_strategy() -> impl Strategy<Value = Inst> {
+    let r = 8u8..16;
+    prop_oneof![
+        (any::<u8>(), r.clone(), r.clone(), 2i16..4).prop_map(|(c, rs, rt, offset)| {
+            let cond = [
+                BranchCond::Eq,
+                BranchCond::Ne,
+                BranchCond::Lez,
+                BranchCond::Gtz,
+                BranchCond::Ltz,
+                BranchCond::Gez,
+            ][c as usize % 6];
+            let rt = if matches!(cond, BranchCond::Eq | BranchCond::Ne) { rt } else { 0 };
+            Inst::Branch { cond, rs, rt, offset }
+        }),
+        (any::<bool>(), r, 2i16..4).prop_map(|(ltz, rs, offset)| Inst::BranchLink {
+            cond: if ltz { BranchCond::Ltz } else { BranchCond::Gez },
+            rs,
+            offset
+        }),
+    ]
+}
+
 /// One generated instruction for the random programs: ALU and memory
-/// traffic, short always/never-taken branches, stores into the
-/// executing code page, and (one draw in eleven) an instruction that
+/// traffic across every operation the executor lowers, short
+/// always/never-taken and data-dependent branches, stores into the
+/// executing code page, and (one draw in fifteen) an instruction that
 /// may trap.
 fn inst_strategy() -> impl Strategy<Value = Inst> {
     let r = 8u8..16;
     let slot = 0i16..64;
     prop_oneof![
         trapping_inst_strategy(),
+        cap_access_strategy(),
+        branch_strategy(),
         (any::<u8>(), r.clone(), r.clone(), r.clone()).prop_map(|(op, rd, rs, rt)| {
             let op = [
+                AluOp::Addu,
+                AluOp::Subu,
                 AluOp::Daddu,
                 AluOp::Dsubu,
                 AluOp::And,
                 AluOp::Or,
                 AluOp::Xor,
+                AluOp::Nor,
                 AluOp::Slt,
                 AluOp::Sltu,
-            ][op as usize % 7];
+                AluOp::Movz,
+                AluOp::Movn,
+            ][op as usize % 12];
             Inst::Alu { op, rd, rs, rt }
         }),
         (any::<u8>(), r.clone(), r.clone(), any::<u16>()).prop_map(|(op, rt, rs, imm)| {
-            let op =
-                [AluImmOp::Daddiu, AluImmOp::Ori, AluImmOp::Andi, AluImmOp::Xori][op as usize % 4];
+            let op = [
+                AluImmOp::Addiu,
+                AluImmOp::Daddiu,
+                AluImmOp::Slti,
+                AluImmOp::Sltiu,
+                AluImmOp::Ori,
+                AluImmOp::Andi,
+                AluImmOp::Xori,
+            ][op as usize % 7];
             Inst::AluImm { op, rt, rs, imm }
         }),
+        (r.clone(), any::<u16>()).prop_map(|(rt, imm)| Inst::Lui { rt, imm }),
         (any::<u8>(), r.clone(), r.clone(), 0u8..32).prop_map(|(op, rd, rt, shamt)| {
-            let op = [ShiftOp::Dsll, ShiftOp::Dsrl, ShiftOp::Dsra][op as usize % 3];
+            let op = [
+                ShiftOp::Sll,
+                ShiftOp::Srl,
+                ShiftOp::Sra,
+                ShiftOp::Dsll,
+                ShiftOp::Dsrl,
+                ShiftOp::Dsra,
+                ShiftOp::Dsll32,
+                ShiftOp::Dsrl32,
+                ShiftOp::Dsra32,
+            ][op as usize % 9];
             Inst::Shift { op, rd, rt, shamt }
+        }),
+        (any::<u8>(), r.clone(), r.clone(), r.clone()).prop_map(|(op, rd, rt, rs)| {
+            let op = [
+                ShiftOp::Sll,
+                ShiftOp::Srl,
+                ShiftOp::Sra,
+                ShiftOp::Dsll,
+                ShiftOp::Dsrl,
+                ShiftOp::Dsra,
+            ][op as usize % 6];
+            Inst::ShiftV { op, rd, rt, rs }
         }),
         (r.clone(), r.clone()).prop_map(|(rs, rt)| Inst::MulDiv { op: MulDivOp::Dmultu, rs, rt }),
         r.clone().prop_map(|rd| Inst::Mflo { rd }),
