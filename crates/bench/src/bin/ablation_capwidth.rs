@@ -14,7 +14,7 @@ use cheri_sweep::{run_jobs, JobSpec, CAPWIDTH_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let Exhibit { scale, jobs, .. } =
+    let Exhibit { scale, jobs } =
         Exhibit::from_args("ablation_capwidth", "ablation_capwidth [--scaled|--paper] [--jobs N]");
     let params = params_for(scale);
     let specs: Vec<JobSpec> = Workload::ALL
@@ -23,7 +23,7 @@ fn main() {
             CAPWIDTH_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_jobs(&specs, jobs, None);
+    let results = run_jobs(&specs, jobs);
 
     println!("== Capability width ablation: 256-bit vs 128-bit CHERI (execution) ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "cheri-256", "cheri-128", "recovered");

@@ -12,7 +12,7 @@ use cheri_sweep::{run_jobs, JobSpec, ELISION_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let Exhibit { scale, jobs, .. } =
+    let Exhibit { scale, jobs } =
         Exhibit::from_args("ablation_elision", "ablation_elision [--scaled|--paper] [--jobs N]");
     let params = params_for(scale);
     let specs: Vec<JobSpec> = Workload::ALL
@@ -21,7 +21,7 @@ fn main() {
             ELISION_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_jobs(&specs, jobs, None);
+    let results = run_jobs(&specs, jobs);
 
     println!("== Software bounds-check elision ablation ==\n");
     println!("{:<11}{:>14}{:>14}{:>14}", "benchmark", "checked", "eliding", "saved");

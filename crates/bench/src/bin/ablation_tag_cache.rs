@@ -22,7 +22,7 @@ fn main() {
             ..JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, params)
         })
         .collect();
-    let results = run_jobs(&specs, jobs, None);
+    let results = run_jobs(&specs, jobs);
 
     println!("== Tag-cache size ablation (treeadd depth 15, CHERI mode) ==\n");
     println!(

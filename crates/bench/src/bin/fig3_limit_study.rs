@@ -13,7 +13,7 @@ use cheri_sweep::run_indexed;
 use cheri_work::native::WORKLOADS;
 
 fn main() {
-    let Exhibit { scale, jobs, .. } =
+    let Exhibit { scale, jobs } =
         Exhibit::from_args("fig3_limit_study", "fig3_limit_study [--scaled|--paper] [--jobs N]");
     let params = params_for(scale);
     eprintln!("recording traces ({scale:?} parameters)...");

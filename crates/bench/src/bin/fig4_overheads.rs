@@ -5,8 +5,7 @@
 //!
 //! A thin text view over the canonical `cheri-sweep` matrix: the job
 //! list comes from [`FIGURE4_STRATEGIES`] and executes on the parallel
-//! sweep engine (`--jobs N`; with `--trace-out` the jobs run serially
-//! so the event stream stays one ordered file).
+//! sweep engine (`--jobs N`).
 
 use cheri_bench::{bar, overhead_pct, params_for, Exhibit};
 use cheri_olden::dsl::BenchRun;
@@ -14,12 +13,8 @@ use cheri_sweep::{run_jobs, JobSpec, FIGURE4_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    // `--trace-out <path>`: stream every event of every run as JSON
-    // lines, with a marker line delimiting each benchmark/mode pair.
-    let Exhibit { scale, jobs, sink } = Exhibit::from_args(
-        "fig4_overheads",
-        "fig4_overheads [--scaled|--paper] [--jobs N] [--trace-out PATH]",
-    );
+    let Exhibit { scale, jobs } =
+        Exhibit::from_args("fig4_overheads", "fig4_overheads [--scaled|--paper] [--jobs N]");
     let params = params_for(scale);
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
@@ -27,7 +22,7 @@ fn main() {
             FIGURE4_STRATEGIES.into_iter().map(move |s| JobSpec::new(bench, s, params))
         })
         .collect();
-    let results = run_jobs(&specs, jobs, sink.as_ref());
+    let results = run_jobs(&specs, jobs);
 
     println!("== Figure 4: execution-time overhead vs unsafe MIPS ({scale:?} sizes) ==\n");
     println!(
@@ -73,7 +68,4 @@ fn main() {
         println!();
     }
     println!("(paper: 'CHERI outperforms CCured substantially in all configurations')");
-    if let Some(s) = &sink {
-        s.borrow_mut().flush();
-    }
 }

@@ -4,17 +4,14 @@
 //!
 //! A thin text view over the canonical `cheri-sweep` matrix: the sweep
 //! points come from the workload registry ([`Workload::sweep_points`])
-//! and execute on the parallel sweep engine (`--jobs N`; `--trace-out`
-//! forces the serial traced path).
+//! and execute on the parallel sweep engine (`--jobs N`).
 
 use cheri_bench::{bar, overhead_pct, Exhibit};
 use cheri_sweep::{run_jobs, JobSpec, HEAPSIZE_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    // `--trace-out <path>`: stream every event of every sweep point.
-    let Exhibit { jobs, sink, .. } =
-        Exhibit::from_args("fig5_heapsize", "fig5_heapsize [--jobs N] [--trace-out PATH]");
+    let Exhibit { jobs, .. } = Exhibit::from_args("fig5_heapsize", "fig5_heapsize [--jobs N]");
     println!("== Figure 5: CHERI slowdown at different heap sizes ==");
     println!("(cache geometry: 16KB L1 / 64KB L2 / TLB covering 1MB)\n");
     let specs: Vec<JobSpec> = Workload::ALL
@@ -27,7 +24,7 @@ fn main() {
             })
         })
         .collect();
-    let results = run_jobs(&specs, jobs, sink.as_ref());
+    let results = run_jobs(&specs, jobs);
 
     let mut rows = results.chunks(HEAPSIZE_STRATEGIES.len());
     for bench in Workload::ALL {
@@ -46,7 +43,4 @@ fn main() {
     println!("(paper: 'For very small sets, overhead is negligible. As working");
     println!(" set-size increases, capability cache pressure grows faster than");
     println!(" for unprotected code', with steps at the L1/L2/TLB capacities.)");
-    if let Some(s) = &sink {
-        s.borrow_mut().flush();
-    }
 }

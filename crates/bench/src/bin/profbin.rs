@@ -84,7 +84,7 @@ fn main() {
     let spec =
         JobSpec::from_parts(&args.workload, &args.strategy, args.tag_kb, OldenParams::scaled())
             .unwrap_or_else(|e| cli.usage_exit(&e));
-    let run = run_job(&spec, spec.machine_config(), Mode::Profiled, None, &mut |_, _| {})
+    let run = run_job(&spec, spec.machine_config(), Mode::Profiled, None)
         .unwrap_or_else(|e| fail(&format!("{}: {e}", spec.key())));
     let result = run.result.expect("profiled runs complete");
     let profile = run.profile.expect("profiled runs return a profile");

@@ -4,24 +4,21 @@
 //!
 //! ```text
 //! trace_report <bench> [--strategy <name>] [--scaled|--paper]
-//!              [--jsonl <path>] [--out <snapshot.json>]
+//!              [--out <snapshot.json>]
 //! trace_report --diff <a.json> <b.json>
 //! ```
 //!
-//! `--jsonl` streams every architectural event as a JSON line (the one
-//! case that attaches a trace sink; `cheri-bench`'s `trace_transparency`
-//! test checks such a stream against the counters); `--out` saves the
-//! counter snapshot for later comparison with `--diff`, which prints
-//! per-counter deltas between two saved runs.
+//! `--out` saves the counter snapshot for later comparison with
+//! `--diff`, which prints per-counter deltas between two saved runs.
 
 use cheri_bench::cli::Cli;
 use cheri_bench::{params_for, Scale};
 use cheri_sweep::{run_spec_with_config, JobSpec, StrategyKind};
-use cheri_trace::{marker, shared, JsonlSink, Snapshot};
+use cheri_trace::Snapshot;
 use cheri_work::Workload;
 
 const USAGE: &str = "trace_report <workload> [--strategy <name>]\n\
-     \u{20}                   [--scaled|--paper] [--jsonl <path>] [--out <path>]\n\
+     \u{20}                   [--scaled|--paper] [--out <path>]\n\
      \u{20}      trace_report --diff <a.json> <b.json>\n\
      strategies: mips, ccured, ccured-elide, cheri (aka cap), cheri128";
 
@@ -36,14 +33,12 @@ fn main() {
     let mut cli = Cli::new("trace_report", USAGE);
     let mut strategy_name = String::from("cheri");
     let mut scale = Scale::Medium;
-    let mut jsonl_path = None;
     let mut out_path = None;
     let mut diff_mode = false;
     let mut positional: Vec<String> = Vec::new();
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--strategy" => strategy_name = cli.value("--strategy"),
-            "--jsonl" => jsonl_path = Some(cli.value("--jsonl")),
             "--out" => out_path = Some(cli.value("--out")),
             "--diff" => diff_mode = true,
             "--scaled" => scale = Scale::Scaled,
@@ -74,20 +69,10 @@ fn main() {
     };
     let params = params_for(scale);
 
-    let sink = jsonl_path.map(|path| {
-        let jsonl = JsonlSink::create(std::path::Path::new(&path))
-            .unwrap_or_else(|e| cli.usage_exit(&format!("cannot create {path}: {e}")));
-        shared(jsonl)
-    });
-
     let spec = JobSpec::new(bench, strategy, params);
-    let run = run_spec_with_config(&spec, spec.machine_config(), sink.clone())
+    let run = run_spec_with_config(&spec, spec.machine_config(), None)
         .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), strategy.name()))
         .run;
-    if let Some(handle) = &sink {
-        marker(&sink, "run end");
-        handle.borrow_mut().flush();
-    }
 
     let metrics = &run.outcome.metrics;
     println!("== trace_report: {} [{}] ==", bench.name(), strategy.name());

@@ -258,7 +258,7 @@ fn main() {
     let specs = selected_matrix(&args);
     banner(&args, specs.len(), "", "");
     let t0 = Instant::now();
-    let report = SweepReport::from_results(args.profile.name(), &run_jobs(&specs, args.jobs, None));
+    let report = SweepReport::from_results(args.profile.name(), &run_jobs(&specs, args.jobs));
     let wall = t0.elapsed();
 
     println!("{:<28} {:>14} {:>14} {:>9} {:>9}", "job", "instructions", "cycles", "l1d%", "tag%");

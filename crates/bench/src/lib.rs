@@ -19,8 +19,7 @@
 //! The matrix exhibits read their flags through [`Exhibit::from_args`]:
 //! `--scaled` (CI-sized) or `--paper` (the paper's full parameters,
 //! minutes of host time) where the exhibit has sizes, otherwise medium
-//! sizes; `--jobs N`; and `--trace-out PATH` where it traces. Any other
-//! argument exits 2.
+//! sizes; and `--jobs N`. Any other argument exits 2.
 //!
 //! This library holds the small amount of shared harness plumbing,
 //! including the common command-line scanner ([`cli::Cli`]).
@@ -31,7 +30,6 @@ pub mod specfuzz;
 pub mod triage;
 
 use cheri_olden::OldenParams;
-use cheri_trace::{shared, JsonlSink, SharedSink};
 use cheri_work::Workload;
 
 /// Which problem-size preset a harness should use.
@@ -84,38 +82,25 @@ pub struct Exhibit {
     pub scale: Scale,
     /// `--jobs N`; the host's available parallelism without it.
     pub jobs: usize,
-    /// `--trace-out PATH`: a JSONL sink streaming to that path, which
-    /// the harness threads through every run (one marker line per run).
-    pub sink: Option<SharedSink>,
 }
 
 impl Exhibit {
     /// Reads the process arguments through [`cli::Cli`]. `usage` is both
     /// the synopsis printed on misuse and the list of flags the exhibit
-    /// takes, out of `--scaled`, `--paper`, `--jobs N` and `--trace-out
-    /// PATH`. Any other argument, a missing or non-positive `--jobs`
-    /// operand, or a trace file that cannot be created exits 2.
+    /// takes, out of `--scaled`, `--paper` and `--jobs N`. Any other
+    /// argument, or a missing or non-positive `--jobs` operand, exits 2.
     #[must_use]
     pub fn from_args(tool: &'static str, usage: &'static str) -> Exhibit {
         let offered = |flag: &str| {
             usage.split(|c: char| c.is_whitespace() || "[]|".contains(c)).any(|t| t == flag)
         };
         let mut cli = cli::Cli::new(tool, usage);
-        let mut ex =
-            Exhibit { scale: Scale::Medium, jobs: cheri_sweep::default_threads(), sink: None };
+        let mut ex = Exhibit { scale: Scale::Medium, jobs: cheri_sweep::default_threads() };
         while let Some(arg) = cli.next_arg() {
             match arg.as_str() {
                 "--scaled" if offered("--scaled") => ex.scale = Scale::Scaled,
                 "--paper" if offered("--paper") => ex.scale = Scale::Paper,
                 "--jobs" if offered("--jobs") => ex.jobs = cli.positive("--jobs"),
-                "--trace-out" if offered("--trace-out") => {
-                    let path = cli.value("--trace-out");
-                    let jsonl =
-                        JsonlSink::create(std::path::Path::new(&path)).unwrap_or_else(|e| {
-                            cli.usage_exit(&format!("cannot create trace file {path}: {e}"))
-                        });
-                    ex.sink = Some(shared(jsonl));
-                }
                 _ => cli.unknown(&arg),
             }
         }

@@ -1,7 +1,7 @@
 //! The single-job drivers run end to end: `trace_report` prints one
 //! workload's counter table and `profbin` its per-function profile, and
-//! a tag-cache size the job spec refuses exits 2 naming the field
-//! before anything runs.
+//! a tag-cache size the job spec refuses, or a flag `trace_report` does
+//! not take, exits 2 before anything runs.
 
 use std::process::{Command, Output};
 
@@ -14,6 +14,14 @@ fn run(bin: &str, args: &[&str]) -> (Output, String) {
 fn assert_ok(out: &Output) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+fn assert_usage_error(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains(needle), "stderr: {stderr}");
+    assert!(stderr.contains("usage: "), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs on misuse");
 }
 
 #[test]
@@ -35,6 +43,21 @@ fn trace_report_prints_the_counter_table() {
 }
 
 #[test]
+fn trace_report_refuses_an_event_stream() {
+    let dir = std::env::temp_dir().join(format!("drivers_jsonl_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_report"))
+        .args(["treeadd", "--jsonl", "t.jsonl"])
+        .current_dir(&dir)
+        .output()
+        .expect("run the driver");
+    let created = dir.join("t.jsonl").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_usage_error(&out, "unknown argument '--jsonl'");
+    assert!(!created, "misuse creates no file");
+}
+
+#[test]
 fn profbin_prints_its_function_table() {
     let (out, stdout) = run(env!("CARGO_BIN_EXE_profbin"), &[]);
     assert_ok(&out);
@@ -52,10 +75,6 @@ fn profbin_prints_its_function_table() {
 
 #[test]
 fn profbin_refuses_a_tag_cache_size_that_is_not_a_power_of_two() {
-    let (out, stdout) = run(env!("CARGO_BIN_EXE_profbin"), &["--tag-kb", "3"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("'tag_kb'"), "stderr: {stderr}");
-    assert!(stderr.contains("usage: "), "stderr: {stderr}");
-    assert!(stdout.is_empty(), "nothing runs on misuse");
+    let (out, _) = run(env!("CARGO_BIN_EXE_profbin"), &["--tag-kb", "3"]);
+    assert_usage_error(&out, "'tag_kb'");
 }

@@ -20,7 +20,6 @@
 
 use crate::tags::TagTable;
 use crate::{DEFAULT_TAG_CACHE_BYTES, TAG_GRANULE, TAG_LINE_BYTES};
-use cheri_trace::{emit, SharedSink, TraceEvent};
 
 /// Statistics maintained by the tag controller.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,10 +88,6 @@ pub struct TagController {
     /// store, so it shifts instead of dividing.
     line_shift: u32,
     stats: TagCacheStats,
-    // Trace sink shared with the rest of the machine (cloning the
-    // controller shares the sink handle, which is what snapshot-style
-    // clones want).
-    sink: Option<SharedSink>,
 }
 
 impl TagController {
@@ -133,7 +128,6 @@ impl TagController {
             slot_mask: (nlines as u64).wrapping_sub(1),
             line_shift: bytes_per_line.trailing_zeros(),
             stats: TagCacheStats::default(),
-            sink: None,
         }
     }
 
@@ -144,14 +138,6 @@ impl TagController {
     pub fn valid_capacity(cache_bytes: u64) -> bool {
         let nlines = cache_bytes / TAG_LINE_BYTES;
         nlines == 0 || nlines.is_power_of_two()
-    }
-
-    /// Attaches (or with `None`, detaches) a trace sink. Every
-    /// tag-cache probe and tag-table read/write is mirrored into the
-    /// sink adjacent to the corresponding [`TagCacheStats`] increment,
-    /// so counting the events reproduces those statistics exactly.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
     }
 
     /// Physical bytes of memory covered by one tag-cache line.
@@ -239,7 +225,6 @@ impl TagController {
         match self.keys.get(slot) {
             Some(&k) if k == line_index | VALID => {
                 self.stats.hits += 1;
-                emit(&self.sink, || TraceEvent::TagCache { hit: true, writeback: false });
                 if make_dirty {
                     self.dirty[slot] = true;
                 }
@@ -259,17 +244,14 @@ impl TagController {
             if make_dirty {
                 self.stats.writebacks += 1; // write-through when uncached
             }
-            emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback: make_dirty });
             return;
         }
         let slot = (line_index & self.slot_mask) as usize;
-        let writeback = self.keys[slot] != 0 && self.dirty[slot];
-        if writeback {
+        if self.keys[slot] != 0 && self.dirty[slot] {
             self.stats.writebacks += 1;
         }
         self.keys[slot] = line_index | VALID;
         self.dirty[slot] = make_dirty;
-        emit(&self.sink, || TraceEvent::TagCache { hit: false, writeback });
     }
 
     /// Reads the tag for the granule covering `paddr`, through the cache.
@@ -277,9 +259,7 @@ impl TagController {
     pub fn read_tag(&mut self, paddr: u64) -> bool {
         self.stats.lookups += 1;
         self.touch_line(paddr, false);
-        let tag = self.table.get(paddr);
-        emit(&self.sink, || TraceEvent::TagTableRead { addr: paddr, tag });
-        tag
+        self.table.get(paddr)
     }
 
     /// Writes the tag for the granule covering `paddr`, through the cache.
@@ -287,7 +267,6 @@ impl TagController {
         self.stats.updates += 1;
         self.touch_line(paddr, true);
         self.table.set(paddr, tag);
-        emit(&self.sink, || TraceEvent::TagTableWrite { addr: paddr, tag });
     }
 
     /// Clears all tags overlapped by a data store of `len` bytes at
@@ -306,7 +285,6 @@ impl TagController {
         self.stats.updates += 1;
         self.touch_line(paddr, true);
         self.table.clear_range(paddr, len);
-        emit(&self.sink, || TraceEvent::TagTableWrite { addr: paddr, tag: false });
         // A store crossing a line boundary touches the second line too.
         let last = paddr + len - 1;
         if last >> self.line_shift != paddr >> self.line_shift {

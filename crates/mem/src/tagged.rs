@@ -123,12 +123,6 @@ impl TaggedMem {
         self.tags.reset_stats();
     }
 
-    /// Attaches (or detaches, with `None`) a trace sink on the tag
-    /// controller; see [`TagController::set_trace_sink`].
-    pub fn set_trace_sink(&mut self, sink: Option<cheri_trace::SharedSink>) {
-        self.tags.set_trace_sink(sink);
-    }
-
     /// The underlying tag controller (for inspection, e.g. the GC sketch).
     #[must_use]
     pub fn tag_controller(&self) -> &TagController {

@@ -103,14 +103,16 @@ pub struct BenchSession {
 
 impl BenchSession {
     /// Compiles `module` under `strategy`, boots a kernel sized by
-    /// `machine`, attaches `sink`, and execs the program — everything up
-    /// to (but not including) the first instruction. The sink is
-    /// attached after boot and before `exec`, so its event stream covers
-    /// exactly the instructions the legacy counters cover. The session
-    /// neither knows nor cares which workload built the module, so any
-    /// guest program with the Phase/Print conventions (the `cheri-work`
-    /// workloads) runs, snapshots, and resumes exactly like the Olden
-    /// four.
+    /// `machine`, attaches `prof` (loaded with the module's symbol
+    /// table), and execs the program — everything up to (but not
+    /// including) the first instruction. The profiler goes on before
+    /// `exec` on the freshly booted machine, so its attribution covers
+    /// every counted event and the per-function sums equal the final
+    /// global counters; collect it with [`BenchSession::take_profile`].
+    /// The session neither knows nor cares which workload built the
+    /// module, so any guest program with the Phase/Print conventions
+    /// (the `cheri-work` workloads) runs, snapshots, and resumes exactly
+    /// like the Olden four.
     ///
     /// # Errors
     ///
@@ -119,36 +121,7 @@ impl BenchSession {
         module: &Module,
         strategy: &dyn PtrStrategy,
         machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(module, strategy, machine, sink, false)
-    }
-
-    /// [`BenchSession::start_module`] with a [`cheri_prof::Profiler`]
-    /// attached (loaded with the module's symbol table). The profiler
-    /// goes on before `exec` on the freshly booted machine, so its
-    /// attribution covers every counted event and the per-function sums
-    /// equal the final global counters. Collect the result with
-    /// [`BenchSession::take_profile`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchSession::start_module`].
-    pub fn start_module_profiled(
-        module: &Module,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-    ) -> Result<BenchSession, Box<dyn std::error::Error>> {
-        BenchSession::start_inner(module, strategy, machine, sink, true)
-    }
-
-    fn start_inner(
-        module: &Module,
-        strategy: &dyn PtrStrategy,
-        machine: MachineConfig,
-        sink: Option<cheri_trace::SharedSink>,
-        profiled: bool,
+        prof: Option<Box<cheri_prof::Profiler>>,
     ) -> Result<BenchSession, Box<dyn std::error::Error>> {
         let (program, symbols) = compile_module_with_symbols(module, strategy)?;
         let user_top = (machine.mem_bytes as u64).max(16 << 20) + (16 << 20);
@@ -158,9 +131,7 @@ impl BenchSession {
             ..cheri_os::ProcessLayout::default()
         };
         let mut kernel = boot(KernelConfig { machine, layout, max_instructions: RUNAWAY_BUDGET });
-        kernel.set_trace_sink(sink);
-        if profiled {
-            let mut prof = Box::new(cheri_prof::Profiler::new());
+        if let Some(mut prof) = prof {
             prof.set_symbols(symbols);
             kernel.machine_mut().set_profiler(Some(prof));
         }
@@ -168,8 +139,8 @@ impl BenchSession {
         Ok(BenchSession { kernel, mode: strategy.name() })
     }
 
-    /// Detaches the profiler (if [`BenchSession::start_module_profiled`] was
-    /// used) and finishes it into a [`cheri_prof::ProfileReport`].
+    /// Detaches the profiler (if [`BenchSession::start_module`] was given
+    /// one) and finishes it into a [`cheri_prof::ProfileReport`].
     pub fn take_profile(&mut self) -> Option<cheri_prof::ProfileReport> {
         self.kernel.machine_mut().take_profiler().map(|p| p.into_report())
     }

@@ -18,7 +18,6 @@
 //! caller's data — it traps.
 
 use cheri_core::{CapRegFile, Capability, Perms};
-use cheri_trace::{emit, TraceEvent};
 
 use crate::context::Context;
 use crate::kernel::Kernel;
@@ -80,14 +79,7 @@ impl Kernel {
         self.machine_mut().advance_past_trap();
         let saved = Context::save(&self.machine().cpu);
         self.domain_stack.push(saved);
-        // Domain numbering for `DomainCross` events: 0 is the root
-        // process, registered domain `i` is `i + 1`. (Domain spans carry
-        // the registered index `i` itself.)
-        let from = self.domain_id_stack.last().copied().unwrap_or(0);
-        let to = id + 1;
-        self.domain_id_stack.push(to);
         self.domain_calls += 1;
-        emit(&self.sink, || TraceEvent::DomainCross { from, to, enter: true });
 
         let cpu = &mut self.machine_mut().cpu;
         // Mutual distrust: no caller registers leak into the callee.
@@ -112,10 +104,7 @@ impl Kernel {
         let Some(saved) = self.domain_stack.pop() else {
             return false;
         };
-        let from = self.domain_id_stack.pop().unwrap_or(0);
-        let to = self.domain_id_stack.last().copied().unwrap_or(0);
         self.domain_returns += 1;
-        emit(&self.sink, || TraceEvent::DomainCross { from, to, enter: false });
         let cpu = &mut self.machine_mut().cpu;
         saved.restore(cpu);
         cpu.set_gpr(beri_sim::reg::V0, value);

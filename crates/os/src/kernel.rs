@@ -9,7 +9,7 @@ use cheri_asm::Program;
 use cheri_core::{CapCause, Capability, Perms};
 use cheri_mem::MemError;
 use cheri_trace::chrome::Ph;
-use cheri_trace::{emit, names, SharedSink, Snapshot, SpanKind, TraceEvent};
+use cheri_trace::{names, Snapshot, SpanKind};
 
 use crate::abi;
 use crate::layout::ProcessLayout;
@@ -175,16 +175,12 @@ pub struct Kernel {
     pub(crate) brk: u64,
     pub(crate) domains: Vec<crate::domains::DomainSpec>,
     pub(crate) domain_stack: Vec<crate::context::Context>,
-    // Domain ids mirroring `domain_stack` (for DomainCross attribution).
-    pub(crate) domain_id_stack: Vec<u64>,
     pub(crate) execs: u64,
     pub(crate) domain_calls: u64,
     pub(crate) domain_returns: u64,
-    pub(crate) sink: Option<SharedSink>,
-    // The guest spans currently open, innermost last: the one state
-    // behind both the trace stream's SpanBegin/SpanEnd and the
-    // profiler's timeline. Host-side observation state: reset on exec
-    // and on snapshot restore, never serialized.
+    // The guest spans currently open, innermost last: the state behind
+    // the profiler's timeline. Host-side observation state: reset on
+    // exec and on snapshot restore, never serialized.
     pub(crate) spans: Vec<(SpanKind, u64)>,
 }
 
@@ -205,28 +201,11 @@ impl Kernel {
             brk: 0,
             domains: Vec::new(),
             domain_stack: Vec::new(),
-            domain_id_stack: Vec::new(),
             execs: 0,
             domain_calls: 0,
             domain_returns: 0,
-            sink: None,
             spans: Vec::new(),
         }
-    }
-
-    /// Attaches (or with `None`, detaches) a trace sink to the kernel
-    /// and the whole machine beneath it: the pipeline, the cache
-    /// hierarchy, and the tag controller all share the handle, so one
-    /// call instruments every layer.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        self.machine.set_trace_sink(sink.clone());
-        self.sink = sink;
-    }
-
-    /// The kernel's trace sink handle, if one is attached.
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
     }
 
     /// The underlying machine (e.g. for statistics or capability
@@ -296,10 +275,8 @@ impl Kernel {
         self.brk = layout.heap_base;
         self.domains.clear();
         self.domain_stack.clear();
-        self.domain_id_stack.clear();
         self.execs += 1;
         let pid = self.execs;
-        emit(&self.sink, || TraceEvent::ContextSwitch { pid });
         // The previous address space's spans die with it.
         self.spans.clear();
         let ts = self.machine.stats.cycles;
@@ -366,7 +343,6 @@ impl Kernel {
         // includes it — that ordering is guest-visible and must not
         // change.)
         let ts = self.machine.stats.cycles - SYSCALL_CYCLES;
-        emit(&self.sink, || TraceEvent::Syscall { nr: num, cycles: SYSCALL_CYCLES });
         if let Some(p) = self.machine.profiler_mut() {
             p.on_syscall(num, ts, SYSCALL_CYCLES);
         }
@@ -433,11 +409,10 @@ impl Kernel {
         None
     }
 
-    /// Opens guest span `kind id` at cycle `ts` on the trace stream and
-    /// the profiler timeline.
+    /// Opens guest span `kind id` at cycle `ts` on the profiler
+    /// timeline.
     fn span_begin(&mut self, kind: SpanKind, id: u64, ts: u64) {
         self.spans.push((kind, id));
-        emit(&self.sink, || TraceEvent::SpanBegin { kind, id, cycles: ts });
         if let Some(p) = self.machine.profiler_mut() {
             p.on_span(Ph::Begin, kind, id, ts);
         }
@@ -448,7 +423,6 @@ impl Kernel {
     /// open).
     fn span_end(&mut self, ts: u64) -> Option<SpanKind> {
         let (kind, id) = self.spans.pop()?;
-        emit(&self.sink, || TraceEvent::SpanEnd { kind, id, cycles: ts });
         if let Some(p) = self.machine.profiler_mut() {
             p.on_span(Ph::End, kind, id, ts);
         }
@@ -537,27 +511,12 @@ impl Kernel {
                 }
                 #[allow(unreachable_patterns)]
                 StepResult::Trap(e) => match e.kind {
-                    TrapKind::TlbRefill { vaddr, .. } => {
-                        // Emit only for true refill misses — TlbInvalid
-                        // and TlbModified are serviced by the same
-                        // handler but are not counted as refills by
-                        // `Stats::tlb_refills`, and the event stream
-                        // must aggregate to the same totals.
-                        emit(&self.sink, || TraceEvent::TlbRefill {
-                            vaddr,
-                            cycles: TLB_REFILL_CYCLES,
-                        });
-                        if let Some(reason) = self.handle_refill(vaddr)? {
-                            break reason;
-                        }
-                    }
-                    TrapKind::TlbInvalid { vaddr, .. } => {
-                        if let Some(reason) = self.handle_refill(vaddr)? {
-                            break reason;
-                        }
-                    }
-                    TrapKind::TlbModified { vaddr } => {
-                        // All anonymous pages are writable; re-map dirty.
+                    // All anonymous pages are writable, so a write to a
+                    // clean page (TlbModified) is re-mapped dirty by the
+                    // same handler.
+                    TrapKind::TlbRefill { vaddr, .. }
+                    | TrapKind::TlbInvalid { vaddr, .. }
+                    | TrapKind::TlbModified { vaddr } => {
                         if let Some(reason) = self.handle_refill(vaddr)? {
                             break reason;
                         }

@@ -19,6 +19,12 @@
 //! * **capability faults** delivered to the process (here: terminating it
 //!   and reporting the cause, like an uncaught `SIGPROT`).
 //!
+//! A run is observed two ways: [`Kernel::metrics`] reads the
+//! simulator's own counters into one snapshot, and the kernel's stack of
+//! open phase and domain spans, with its execs and syscalls, drives an
+//! attached profiler's timeline (`cheri_prof::Profiler`), the one
+//! per-event view of a run.
+//!
 //! The kernel is *host-level*: it runs as Rust against the [`Machine`]
 //! rather than as guest code behind the exception vector. Every
 //! architectural interaction (TLB contents, page permissions, capability

@@ -8,7 +8,7 @@
 //! resumes a process mid-flight with results and cycle counts
 //! bit-identical to a run that never stopped.
 //!
-//! Harness attachments (trace sinks) and per-run knobs (the runaway
+//! Harness attachments (the profiler) and per-run knobs (the runaway
 //! instruction budget) are deliberately not part of the snapshot, so the
 //! same snapshot hashes identically however the harness was configured.
 
@@ -105,7 +105,6 @@ impl Kernel {
             console: self.console.clone(),
             domains: self.domains.iter().map(domain_to_state).collect(),
             domain_stack: self.domain_stack.iter().map(context_to_state).collect(),
-            domain_id_stack: self.domain_id_stack.clone(),
         }
     }
 
@@ -133,7 +132,6 @@ impl Kernel {
         self.domains = s.domains.iter().map(domain_from_state).collect();
         self.domain_stack =
             s.domain_stack.iter().map(context_from_state).collect::<Result<Vec<_>, _>>()?;
-        self.domain_id_stack = s.domain_id_stack.clone();
         // Guest spans are host-side observation state, never part of a
         // snapshot: a restored kernel starts with no open span (the
         // machine restore likewise resets any attached profiler).
@@ -142,9 +140,8 @@ impl Kernel {
     }
 
     /// Restores a [`Kernel::snapshot`] onto this kernel. The machine
-    /// identity and the kernel's layout must match; the
-    /// attached trace sink and the runaway budget are left as they are
-    /// (they are harness knobs, not process state).
+    /// identity and the kernel's layout must match; the runaway budget
+    /// is left as it is (a harness knob, not process state).
     ///
     /// # Errors
     ///

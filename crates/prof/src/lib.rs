@@ -1,7 +1,8 @@
 //! # cheri-prof — guest-side profiling for the CHERI reproduction
 //!
 //! The sweep reports say *how much* overhead a pointer strategy pays;
-//! this crate says *where*. A [`Profiler`] attached to a
+//! this crate says *where*, and is the workspace's one per-event
+//! observer of the guest. A [`Profiler`] attached to a
 //! `beri_sim::Machine` (via `Machine::set_profiler`) collects:
 //!
 //! * **per-PC attribution** — exact histograms of retired
@@ -25,9 +26,9 @@
 //! ## Transparency
 //!
 //! The profiler is host-side observation only: it never feeds back into
-//! architectural state, cycle accounting, or the event stream, and it
-//! is *not* a trace sink — attaching it does not disable the simulator's
-//! predecoded-block fast path. Sweep reports are byte-identical with
+//! architectural state or cycle accounting, and both execution paths
+//! drive the same retire hook, so attaching it keeps the simulator on
+//! its predecoded-block fast path. Sweep reports are byte-identical with
 //! profiling on or off (`xsweep --prof` asserts this in-process;
 //! `crates/sim/tests/prof_transparency.rs` proves it on random
 //! programs).

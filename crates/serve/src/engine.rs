@@ -316,7 +316,7 @@ impl JobEngine {
     /// `ctx` attributes the job's phase spans and latency to a request
     /// (pass [`JobCtx::default`] outside request handling). Telemetry
     /// observes the ladder, never steers it: [`run_job`]'s span hook is
-    /// the one the batch path passes a no-op.
+    /// the one the batch path passes `None`.
     ///
     /// # Errors
     ///
@@ -353,7 +353,7 @@ impl JobEngine {
             None => (Origin::Cold, Mode::Split),
         };
         let mut phases = PhaseRecorder::new(&self.telem, ctx, origin.name());
-        let run = run_job(spec, spec.machine_config(), mode, None, &mut |n, b| phases.note(n, b))?;
+        let run = run_job(spec, spec.machine_config(), mode, Some(&mut |n, b| phases.note(n, b)))?;
         let rec =
             JobRecord::from_result(run.result.as_ref().expect("split and resumed runs complete"));
         // Only a cold (split) run captures a snapshot.
@@ -382,8 +382,7 @@ impl JobEngine {
                 if stop.stopping() {
                     return false;
                 }
-                let run =
-                    run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+                let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None);
                 match run.map(|r| r.snapshot) {
                     Ok(Some(snap)) => {
                         engine.pool.insert(canon, snap);

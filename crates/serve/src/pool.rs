@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn pool_insert_is_first_writer_wins() {
         let spec = JobSpec::new(Workload::Treeadd, StrategyKind::Mips, OldenParams::scaled());
-        let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+        let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None);
         let snap = run.unwrap().snapshot.expect("treeadd reaches phase 2");
         let pool = SnapshotPool::new();
         let canon = spec.canonical_json();

@@ -11,7 +11,7 @@
 //! Telemetry must never perturb served results. That holds by
 //! construction: the engine runs jobs through the *same function*
 //! whether observed or not (`cheri_sweep::run_job`, whose span hook the
-//! batch path passes a no-op), and all metrics are derived from host
+//! batch path leaves `None`), and all metrics are derived from host
 //! clocks and counters outside the simulator.
 
 use crate::protocol::Origin;

@@ -61,7 +61,7 @@ fn every_config_field_changes_the_key() {
 fn restored_snapshot_hashes_like_the_original() {
     let params = OldenParams::scaled();
     let spec = JobSpec::from_parts("treeadd", "mips", 8, params).unwrap();
-    let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None, &mut |_, _| {});
+    let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None);
     let snap = run.unwrap().snapshot.expect("treeadd reaches the phase-2 boundary");
     let restored = Snapshot::from_json(&snap.to_json()).unwrap();
     assert_eq!(restored.state_hash(), snap.state_hash());

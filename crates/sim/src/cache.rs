@@ -22,8 +22,6 @@
 //! only for the way that hits or is replaced. A one-line MRU cursor
 //! skips even that scan for a repeat access to the same line.
 
-use cheri_trace::{emit, CacheLevel, SharedSink, TraceEvent};
-
 /// Geometry of one cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheParams {
@@ -360,9 +358,6 @@ pub struct Hierarchy {
     pub dram_bytes: u64,
     /// Individual DRAM transactions.
     pub dram_accesses: u64,
-    // Trace sink shared with the rest of the machine; events mirror the
-    // per-cache hit/miss counters exactly.
-    sink: Option<SharedSink>,
 }
 
 impl Default for Hierarchy {
@@ -382,23 +377,11 @@ impl Hierarchy {
             l2: Cache::new(CacheParams::l2()),
             dram_bytes: 0,
             dram_accesses: 0,
-            sink: None,
         }
     }
 
-    /// Attaches (or with `None`, detaches) a trace sink. One
-    /// `CacheAccess` event is emitted per [`Cache::access`] call —
-    /// including the L2 probe behind an L1 miss and the L2 update
-    /// absorbing a dirty L1 victim — so aggregated event counts equal
-    /// the per-cache hit/miss/writeback counters exactly.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
-    }
-
     fn through_l2(&mut self, paddr: u64, write_into_l2: bool) -> u64 {
-        let lookup = self.l2.access(paddr, write_into_l2);
-        self.emit_access(CacheLevel::L2, write_into_l2, lookup);
-        match lookup {
+        match self.l2.access(paddr, write_into_l2) {
             Lookup::Hit => L2_LATENCY,
             Lookup::Miss { writeback } => {
                 self.dram_accesses += 1;
@@ -412,23 +395,11 @@ impl Hierarchy {
         }
     }
 
-    #[inline(always)]
-    fn emit_access(&mut self, level: CacheLevel, write: bool, lookup: Lookup) {
-        emit(&self.sink, || match lookup {
-            Lookup::Hit => TraceEvent::CacheAccess { level, write, hit: true, writeback: false },
-            Lookup::Miss { writeback } => {
-                TraceEvent::CacheAccess { level, write, hit: false, writeback }
-            }
-        });
-    }
-
     /// One instruction fetch at physical address `paddr`; returns penalty
     /// cycles.
     #[inline]
     pub fn fetch(&mut self, paddr: u64) -> u64 {
-        let lookup = self.l1i.access(paddr, false);
-        self.emit_access(CacheLevel::L1I, false, lookup);
-        match lookup {
+        match self.l1i.access(paddr, false) {
             Lookup::Hit => 0,
             Lookup::Miss { .. } => self.through_l2(paddr, false),
         }
@@ -436,17 +407,10 @@ impl Hierarchy {
 
     /// `n` instruction fetches that are all guaranteed L1I hits (the
     /// line containing `paddr` was fetched and nothing else touches
-    /// L1I), batched: zero penalty cycles, one counter/LRU update, and
-    /// the same per-access trace events as [`Hierarchy::fetch`] would
-    /// emit.
+    /// L1I), batched: zero penalty cycles and one counter/LRU update.
     #[inline]
     pub fn fetch_hits(&mut self, paddr: u64, n: u64) {
         self.l1i.record_hits(paddr, n);
-        if self.sink.is_some() {
-            for _ in 0..n {
-                self.emit_access(CacheLevel::L1I, false, Lookup::Hit);
-            }
-        }
     }
 
     /// One data access of `size` bytes at `paddr`; returns penalty
@@ -471,9 +435,7 @@ impl Hierarchy {
     /// One line-sized data access; shared tail of [`Hierarchy::data`].
     #[inline(always)]
     fn data_line(&mut self, addr: u64, write: bool) -> u64 {
-        let lookup = self.l1d.access(addr, write);
-        self.emit_access(CacheLevel::L1D, write, lookup);
-        match lookup {
+        match self.l1d.access(addr, write) {
             Lookup::Hit => 0,
             Lookup::Miss { writeback } => self.data_miss(addr, writeback),
         }
@@ -486,8 +448,7 @@ impl Hierarchy {
         let penalty = self.through_l2(addr, false);
         if writeback {
             // Dirty L1 victim lands in L2.
-            let victim = self.l2.access(addr, true);
-            self.emit_access(CacheLevel::L2, true, victim);
+            self.l2.access(addr, true);
         }
         penalty
     }

@@ -20,7 +20,7 @@ use std::ops::ControlFlow;
 use cheri_core::{CapCause, CapExcCode, Capability, Compressed128, Perms};
 use cheri_mem::{MemError, TaggedMem};
 use cheri_prof::{CounterSample, Profiler};
-use cheri_trace::{emit, names, SharedSink, Snapshot, TraceEvent};
+use cheri_trace::{names, Snapshot};
 
 use crate::block::{
     lower, Block, BlockCache, Op, PInst, F_CAP, F_STORE, F_TERMINAL, F_TLBW, F_UNCOND_JUMP,
@@ -202,11 +202,7 @@ pub struct Machine {
     // raised, from `raise`/`fault` until `retire` takes it.
     parked_trap: Option<(TrapKind, Option<u64>)>,
     parked_fault: Option<MemError>,
-    // Optional trace sink; the same handle is cloned into the cache
-    // hierarchy and the tag controller by set_trace_sink.
-    sink: Option<SharedSink>,
-    // Optional profiler. Unlike a sink, a profiler does NOT disable the
-    // predecoded fast path: both execution paths call the same retire
+    // Optional profiler: both execution paths call the same retire
     // hook, and the profiler never feeds back into architectural state.
     prof: Option<Box<Profiler>>,
 }
@@ -233,34 +229,14 @@ impl Machine {
             blocks: BlockCache::new(cfg.mem_bytes),
             parked_trap: None,
             parked_fault: None,
-            sink: None,
             prof: None,
         }
     }
 
-    /// Attaches a trace sink (or detaches, with `None`), wiring the same
-    /// shared handle through the cache hierarchy and the tag controller
-    /// so the whole machine feeds one event stream. Instrumentation is
-    /// observational only: attaching any sink never changes
-    /// architectural state or cycle accounting.
-    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
-        self.hierarchy.set_trace_sink(sink.clone());
-        self.mem.set_trace_sink(sink.clone());
-        self.sink = sink;
-    }
-
-    /// The currently attached trace sink handle, if any (the kernel
-    /// clones this so OS-level events join the same stream).
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
-    }
-
     /// Attaches a profiler (or detaches, with `None`). The profiler is
-    /// observational only — it never changes architectural state, cycle
-    /// accounting, or the trace stream — and, unlike a trace sink, it
-    /// does not disable the predecoded-block fast path: both execution
-    /// paths drive the same per-retire hook.
+    /// observational only — it never changes architectural state or
+    /// cycle accounting — and both execution paths drive the same
+    /// per-retire hook.
     ///
     /// On attach the delta-sampling baseline is seeded from the current
     /// global counters, so only events from this point on are
@@ -494,11 +470,6 @@ impl Machine {
             TrapKind::CapViolation(cause) => {
                 self.stats.cap_violations += 1;
                 self.cpu.cp0.raise_cap(cause);
-                emit(&self.sink, || TraceEvent::CapException {
-                    code: cause.code().code(),
-                    reg: cause.reg(),
-                    pc: epc,
-                });
                 if let Some(p) = self.prof.as_mut() {
                     p.on_cap_exception(epc);
                 }
@@ -555,7 +526,6 @@ impl Machine {
         if cap_inst {
             self.stats.cap_instructions += 1;
         }
-        emit(&self.sink, || TraceEvent::Retire { pc, cap: cap_inst });
         if self.prof.is_some() {
             self.prof_retire(pc, &pi.op);
         }
@@ -629,19 +599,16 @@ impl Machine {
 
     /// Runs until a syscall, break, trap, or `max_steps` instructions.
     ///
-    /// When the block cache is enabled and no trace sink is attached,
-    /// this takes the predecoded fast path (see the `block` module);
-    /// otherwise it is a plain [`Machine::step`] loop. Both paths
-    /// produce bit-identical architectural state and statistics.
+    /// When the block cache is enabled this takes the predecoded fast
+    /// path (see the `block` module); otherwise it is a plain
+    /// [`Machine::step`] loop. Both paths produce bit-identical
+    /// architectural state and statistics.
     ///
     /// # Errors
     ///
     /// Propagates simulator-level [`MemError`]s from [`Machine::step`].
     pub fn run(&mut self, max_steps: u64) -> Result<StepResult, MemError> {
-        // The slow path is the traced reference implementation, so any
-        // attached sink (which must observe per-instruction events)
-        // disables the fast path for the duration.
-        if self.cfg.block_cache && self.sink.is_none() {
+        if self.cfg.block_cache {
             return self.run_predecoded(max_steps);
         }
         for _ in 0..max_steps {
@@ -922,8 +889,7 @@ impl Machine {
             Ok((paddr, _)) => paddr,
             Err(kind) => return Err(self.raise(kind, Some(vaddr))),
         };
-        let penalty = self.hierarchy.data(paddr, size, write);
-        self.stats.cycles += penalty;
+        self.stats.cycles += self.hierarchy.data(paddr, size, write);
         if write {
             self.stats.stores += 1;
             self.stats.bytes_stored += size;
@@ -932,7 +898,6 @@ impl Machine {
             self.stats.loads += 1;
             self.stats.bytes_loaded += size;
         }
-        emit(&self.sink, || TraceEvent::DataAccess { write, bytes: size, cycles: penalty });
         Ok(paddr)
     }
 
@@ -1557,12 +1522,10 @@ impl Machine {
             Ok(t) => t,
             Err(kind) => return self.raise(kind, Some(vaddr)),
         };
-        let penalty = self.hierarchy.data(paddr, csize, false);
-        self.stats.cycles += penalty;
+        self.stats.cycles += self.hierarchy.data(paddr, csize, false);
         self.stats.loads += 1;
         self.stats.bytes_loaded += csize;
         self.stats.cap_loads += 1;
-        emit(&self.sink, || TraceEvent::DataAccess { write: false, bytes: csize, cycles: penalty });
         let before = self.mem.tag_stats().misses;
         let mut loaded = match self.load_cap_formatted(paddr) {
             Ok(cap) => cap,
@@ -1604,12 +1567,10 @@ impl Machine {
             // (Low-Fat alignment rules, Section 4.1).
             return self.cap_trap(CapCause::new(CapExcCode::AlignmentViolation, cs), cs);
         }
-        let penalty = self.hierarchy.data(paddr, csize, true);
-        self.stats.cycles += penalty;
+        self.stats.cycles += self.hierarchy.data(paddr, csize, true);
         self.stats.stores += 1;
         self.stats.bytes_stored += csize;
         self.stats.cap_stores += 1;
-        emit(&self.sink, || TraceEvent::DataAccess { write: true, bytes: csize, cycles: penalty });
         let before = self.mem.tag_stats().misses;
         if let Err(e) = self.store_cap_formatted(paddr, &stored) {
             return self.fault(e);
@@ -1703,8 +1664,8 @@ impl Machine {
     }
 
     /// The identity half of a snapshot: everything needed to verify (or
-    /// rebuild) a compatible machine. The `block_cache` flag and trace
-    /// sinks are deliberately *not* recorded — both are architecturally
+    /// rebuild) a compatible machine. The `block_cache` flag is
+    /// deliberately *not* recorded — it is architecturally
     /// transparent, so a snapshot taken with the block cache on restores
     /// bit-identically onto a machine running with it off (the
     /// transparency tests rely on this).
@@ -1824,7 +1785,7 @@ impl Machine {
     /// restored run is bit-identical — same results, same cycle counts —
     /// to one that never stopped. Reconstructible acceleration state
     /// (micro-TLBs, the predecoded block cache) and harness attachments
-    /// (trace sinks) are excluded; they regenerate on demand and never
+    /// (the profiler) are excluded; they regenerate on demand and never
     /// affect either results or timing.
     #[must_use]
     pub fn snapshot(&self) -> cheri_snap::MachineState {

@@ -222,7 +222,6 @@ fn kernel_json(k: &KernelState) -> String {
         arr.push(']');
         w.raw_field("domain_stack", &arr);
     }
-    w.raw_field("domain_id_stack", &u64_list(k.domain_id_stack.iter().copied()));
     w.close()
 }
 
@@ -485,7 +484,6 @@ fn kernel_from(j: &Json, path: &str) -> Result<KernelState, SnapError> {
         console: text(o, "console", path)?,
         domains,
         domain_stack,
-        domain_id_stack: u64_vec_field(o, "domain_id_stack", path)?,
     })
 }
 
@@ -671,7 +669,6 @@ mod tests {
                 next_pc: 0x1_0044,
                 caps: (0..33).map(|i| CapState { tag: false, words: [i, 0, 0, 0] }).collect(),
             }],
-            domain_id_stack: vec![1],
         }
     }
 
@@ -723,12 +720,16 @@ mod tests {
     fn rejects_wrong_schema_and_version() {
         let snap = Snapshot { machine: sample_machine(), kernel: None };
         let text = snap.to_json();
-        let bad_schema = text.replace("cheri-snap/v2", "cheri-snap/v9");
+        let bad_schema = text.replace("cheri-snap/v3", "cheri-snap/v9");
         assert!(Snapshot::from_json(&bad_schema).unwrap_err().0.contains("unsupported schema"));
-        // A file of the first version, which recorded the whole platform
-        // in its identity, is refused rather than half-read.
-        let v1 = text.replace("\"version\":2", "\"version\":1");
-        assert!(Snapshot::from_json(&v1).unwrap_err().0.contains("unsupported version"));
+        // Files of the earlier versions are refused rather than
+        // half-read: v1 recorded the whole platform in its identity, v2
+        // a kernel domain-id stack.
+        for old in [1, 2] {
+            let stale = text.replace("\"version\":3", &format!("\"version\":{old}"));
+            assert_ne!(stale, text);
+            assert!(Snapshot::from_json(&stale).unwrap_err().0.contains("unsupported version"));
+        }
         assert!(Snapshot::from_json("{}").is_err());
         assert!(Snapshot::from_json("not json").is_err());
     }

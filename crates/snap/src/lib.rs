@@ -16,13 +16,13 @@
 //! 1. **Deterministic**: a given machine state has exactly one
 //!    serialization. Maps are emitted sorted, fields in a fixed order,
 //!    numbers as unsigned decimals. Equal states produce equal bytes.
-//! 2. **Versioned**: every snapshot carries `schema: "cheri-snap/v2"`
+//! 2. **Versioned**: every snapshot carries `schema: "cheri-snap/v3"`
 //!    and an integer `version`; the decoder rejects anything else
 //!    rather than guessing.
 //! 3. **Complete for resumption, silent on harness knobs**: everything
 //!    architectural or timing-visible is captured; reconstructible
 //!    acceleration state (micro-TLBs, predecoded block cache) and
-//!    harness configuration (trace sinks, runaway budgets, the
+//!    harness configuration (the profiler, runaway budgets, the
 //!    block-cache enable flag) are deliberately *excluded*, so the same
 //!    snapshot hashes identically whichever way the simulator is
 //!    driven.
@@ -42,10 +42,10 @@ pub use state::{
 };
 
 /// Schema identifier written into (and required from) every snapshot.
-pub const SCHEMA: &str = "cheri-snap/v2";
+pub const SCHEMA: &str = "cheri-snap/v3";
 
 /// Format version written into (and required from) every snapshot.
-pub const VERSION: u64 = 2;
+pub const VERSION: u64 = 3;
 
 /// An error from decoding a snapshot or restoring one into a machine
 /// whose configuration does not match.

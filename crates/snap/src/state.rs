@@ -173,9 +173,8 @@ pub struct MemState {
 /// target, since each changes the shape of the state vectors or future
 /// timing. The rest of the platform (cache geometry, latencies, TLB and
 /// branch-table sizes) is constant in the simulator, so it is not
-/// recorded. The block-cache enable flag and trace sinks are *not*
-/// recorded either — both are architecturally transparent harness
-/// knobs.
+/// recorded. The block-cache enable flag is *not* recorded either — it
+/// is an architecturally transparent harness knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConfigState {
     /// Physical memory size in bytes.
@@ -289,8 +288,6 @@ pub struct KernelState {
     pub domains: Vec<DomainState>,
     /// Saved contexts of in-progress domain calls (innermost last).
     pub domain_stack: Vec<ContextState>,
-    /// Ids of the domains those contexts belong to.
-    pub domain_id_stack: Vec<u64>,
 }
 
 /// A complete snapshot: the machine, plus kernel state when the

@@ -83,7 +83,7 @@ pub fn ab(
     let jobs = run_indexed(specs.len(), threads, |i| {
         let spec = &specs[i];
         let side_run = |side: &Side<'_>, mode: Mode<'_>| {
-            run_job(spec, (side.cfg)(spec), mode, None, &mut |_, _| {})
+            run_job(spec, (side.cfg)(spec), mode, None)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
         };
         let a_mode = (a.mode)(None).expect("side A always runs");
@@ -124,7 +124,7 @@ pub fn dump_divergence(
     suffix: &str,
 ) -> Result<PathBuf, String> {
     let key = spec.key();
-    let run = run_job(spec, cfg, Mode::FinalSnap, None, &mut |_, _| {})
+    let run = run_job(spec, cfg, Mode::FinalSnap, None)
         .map_err(|e| format!("re-run of {key} failed: {e}"))?;
     let snap = run.snapshot.expect("a final-snapshot run captures its state");
     let path = dir.join(format!("divergence-{}{suffix}.json", key.replace('/', "-")));

@@ -53,6 +53,6 @@ pub use report::{hit_rate_bp, JobRecord, SweepReport, ARCH_COUNTERS, SCHEMA_VERS
 #[must_use]
 pub fn run_matrix(profile: Profile, threads: usize) -> SweepReport {
     let specs = profile_matrix(profile);
-    let results = run_jobs(&specs, threads, None);
+    let results = run_jobs(&specs, threads);
     SweepReport::from_results(profile.name(), &results)
 }

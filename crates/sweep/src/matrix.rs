@@ -17,7 +17,6 @@ use beri_sim::MachineConfig;
 use cheri_cc::strategy::{CapPtr, LegacyPtr, PtrStrategy, SoftFatPtr};
 use cheri_olden::dsl::{BenchRun, BenchSession};
 use cheri_olden::OldenParams;
-use cheri_trace::{marker, SharedSink};
 use cheri_work::Workload;
 
 use crate::engine;
@@ -223,16 +222,6 @@ impl JobSpec {
         k
     }
 
-    /// The trace-marker label, matching the historical harness format:
-    /// `workload/strategy` or `workload/strategy/variant`.
-    #[must_use]
-    pub fn marker_label(&self) -> String {
-        match self.variant {
-            Some(v) => format!("{}/{}/{}", self.workload.name(), self.strategy.name(), v),
-            None => format!("{}/{}", self.workload.name(), self.strategy.name()),
-        }
-    }
-
     /// The machine configuration for this job: memory sized for the
     /// workload ([`Workload::mem_needed`]), the capability format of the
     /// strategy (the 128-bit strategy needs a 16-byte-granule machine),
@@ -284,8 +273,7 @@ pub enum Mode<'a> {
     BootOnly,
     /// Restore a [`Mode::Split`] snapshot and run the remainder. The
     /// result is byte-identical to the cold run the snapshot came from;
-    /// only the configuration's `block_cache` applies, and no sink is
-    /// attached to the restored session.
+    /// only the configuration's `block_cache` applies.
     Resume(&'a cheri_snap::Snapshot),
     /// As [`Mode::Plain`], also capturing the *final* machine+kernel
     /// snapshot: the divergence artifact a failed gate writes under
@@ -313,16 +301,15 @@ pub struct JobRun {
 pub const WARM_SNAPSHOT_PHASE: u64 = 2;
 
 /// Runs one job in the given [`Mode`]: the one execution path behind
-/// every batch, warm, profiled, traced and served run.
+/// every batch, warm, profiled and served run.
 ///
-/// `sink` streams every event of a booted run, preceded by the
-/// historical `run start:` marker. `span(phase, is_begin)` brackets the
-/// run's phases: `"boot"` covers module start (through the phase
-/// boundary for [`Mode::Split`] and [`Mode::BootOnly`]), `"restore"`
-/// the [`Mode::Resume`] restore, `"simulate"` the run to completion.
-/// Ends are emitted on error paths too, so a span stream built from the
-/// hook always balances. Batch callers pass a no-op hook: observed and
-/// unobserved runs are one code path, which keeps telemetry out of the
+/// `span(phase, is_begin)`, when given, brackets the run's phases:
+/// `"boot"` covers module start (through the phase boundary for
+/// [`Mode::Split`] and [`Mode::BootOnly`]), `"restore"` the
+/// [`Mode::Resume`] restore, `"simulate"` the run to completion. Ends
+/// are emitted on error paths too, so a span stream built from the hook
+/// always balances. Batch callers pass `None`: observed and unobserved
+/// runs are one code path, which keeps telemetry out of the
 /// byte-identity argument.
 ///
 /// # Errors
@@ -333,9 +320,10 @@ pub fn run_job(
     spec: &JobSpec,
     cfg: MachineConfig,
     mode: Mode<'_>,
-    sink: Option<SharedSink>,
-    span: &mut dyn FnMut(&'static str, bool),
+    span: Option<&mut dyn FnMut(&'static str, bool)>,
 ) -> Result<JobRun, String> {
+    let mut unobserved = |_: &'static str, _: bool| {};
+    let span = span.unwrap_or(&mut unobserved);
     let mut out = JobRun { result: None, snapshot: None, profile: None };
     let mut session = if let Mode::Resume(snap) = mode {
         span("restore", true);
@@ -345,15 +333,14 @@ pub fn run_job(
     } else {
         let split = matches!(mode, Mode::Split | Mode::BootOnly);
         span("boot", true);
-        let booted =
-            boot(spec, cfg, matches!(mode, Mode::Profiled), sink).and_then(|mut session| {
-                let early = if split {
-                    session.run_until_phase(WARM_SNAPSHOT_PHASE).map_err(|e| e.to_string())?
-                } else {
-                    None
-                };
-                Ok((session, early))
-            });
+        let booted = boot(spec, cfg, matches!(mode, Mode::Profiled)).and_then(|mut session| {
+            let early = if split {
+                session.run_until_phase(WARM_SNAPSHOT_PHASE).map_err(|e| e.to_string())?
+            } else {
+                None
+            };
+            Ok((session, early))
+        });
         span("boot", false);
         let (session, early) = booted?;
         if let Some(run) = early {
@@ -385,22 +372,15 @@ pub fn run_job(
 /// Compiles the job's module under its strategy and boots it, with the
 /// profiler attached if `profiled`: the one boot every [`run_job`] mode
 /// but [`Mode::Resume`] shares.
-fn boot(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-    profiled: bool,
-    sink: Option<SharedSink>,
-) -> Result<BenchSession, String> {
-    marker(&sink, &format!("run start: {}", spec.marker_label()));
+fn boot(spec: &JobSpec, cfg: MachineConfig, profiled: bool) -> Result<BenchSession, String> {
     let strategy = spec.strategy.strategy();
     let module = spec.workload.module(&spec.params);
-    let start =
-        if profiled { BenchSession::start_module_profiled } else { BenchSession::start_module };
-    start(&module, strategy.as_ref(), cfg, sink).map_err(|e| e.to_string())
+    let prof = profiled.then(|| Box::new(cheri_prof::Profiler::new()));
+    BenchSession::start_module(&module, strategy.as_ref(), cfg, prof).map_err(|e| e.to_string())
 }
 
-/// [`run_job`] in [`Mode::Plain`] with an explicit machine configuration
-/// and no span hook.
+/// [`run_job`] in [`Mode::Plain`] with an explicit machine configuration;
+/// `span` is [`run_job`]'s phase hook.
 ///
 /// # Errors
 ///
@@ -408,33 +388,26 @@ fn boot(
 pub fn run_spec_with_config(
     spec: &JobSpec,
     cfg: MachineConfig,
-    sink: Option<SharedSink>,
+    span: Option<&mut dyn FnMut(&'static str, bool)>,
 ) -> Result<JobResult, String> {
-    run_job(spec, cfg, Mode::Plain, sink, &mut |_, _| {})
-        .map(|r| r.result.expect("plain runs complete"))
+    run_job(spec, cfg, Mode::Plain, span).map(|r| r.result.expect("plain runs complete"))
 }
 
 /// Runs `specs` in [`Mode::Plain`] across `threads` worker threads (each
 /// job owns its own machine) and returns results in spec order,
-/// independent of thread count and scheduling. With a `sink`, the jobs
-/// run serially on the calling thread instead and every event of every
-/// run streams into the sink with one marker per job — the
-/// `--trace-out` path of the figure harnesses, one ordered file.
+/// independent of thread count and scheduling.
 ///
 /// # Panics
 ///
 /// Panics with the job key if any job fails — a failed run on the
 /// canonical matrix is a harness bug, not a reportable datum.
 #[must_use]
-pub fn run_jobs(specs: &[JobSpec], threads: usize, sink: Option<&SharedSink>) -> Vec<JobResult> {
-    let run = |spec: &JobSpec, sink: Option<SharedSink>| {
-        run_spec_with_config(spec, spec.machine_config(), sink)
+pub fn run_jobs(specs: &[JobSpec], threads: usize) -> Vec<JobResult> {
+    engine::run_indexed(specs.len(), threads, |i| {
+        let spec = &specs[i];
+        run_spec_with_config(spec, spec.machine_config(), None)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.key()))
-    };
-    match sink {
-        Some(sink) => specs.iter().map(|spec| run(spec, Some(sink.clone()))).collect(),
-        None => engine::run_indexed(specs.len(), threads, |i| run(&specs[i], None)),
-    }
+    })
 }
 
 /// The `xsweep` problem-size / matrix-density presets.
@@ -552,14 +525,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_key_and_marker_format() {
+    fn spec_key_format() {
         let mut spec =
             JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, OldenParams::scaled());
         assert_eq!(spec.key(), "treeadd/cheri/tag8");
-        assert_eq!(spec.marker_label(), "treeadd/cheri");
         spec.variant = Some(12);
         assert_eq!(spec.key(), "treeadd/cheri/tag8/p12");
-        assert_eq!(spec.marker_label(), "treeadd/cheri/12");
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn report_is_byte_identical_across_thread_counts() {
 #[test]
 fn self_check_passes_and_seeded_drift_fails() {
     let specs = treeadd_specs();
-    let results = run_jobs(&specs, 2, None);
+    let results = run_jobs(&specs, 2);
     let report = SweepReport::from_results("smoke", &results);
 
     // Round-trip through the serialised form, as the CI gate does.
@@ -147,7 +147,7 @@ fn report_carries_the_evaluations_headline_shape() {
     // CCured's on treeadd — the Figure 4 headline — visible straight
     // from the report.
     let specs = treeadd_specs();
-    let results = run_jobs(&specs, 2, None);
+    let results = run_jobs(&specs, 2);
     let report = SweepReport::from_results("smoke", &results);
     let cycles = |key: &str| report.job(key).expect(key).counters["cycles.total"];
     let (mips, ccured, cheri) =

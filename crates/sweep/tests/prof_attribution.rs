@@ -27,7 +27,7 @@ fn specs() -> Vec<JobSpec> {
 }
 
 fn run_profiled(spec: &JobSpec) -> (JobResult, ProfileReport) {
-    let run = run_job(spec, spec.machine_config(), Mode::Profiled, None, &mut |_, _| {}).unwrap();
+    let run = run_job(spec, spec.machine_config(), Mode::Profiled, None).unwrap();
     (run.result.unwrap(), run.profile.unwrap())
 }
 

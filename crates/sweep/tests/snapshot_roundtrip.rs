@@ -96,9 +96,9 @@ fn allocstress_roundtrips_with_block_cache_on_and_off() {
 fn warm_start_split_and_resume_agree() {
     let spec = JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, OldenParams::scaled());
     let cfg = spec.machine_config();
-    let cold = run_job(&spec, cfg.clone(), Mode::Split, None, &mut |_, _| {}).unwrap();
+    let cold = run_job(&spec, cfg.clone(), Mode::Split, None).unwrap();
     let snap = cold.snapshot.expect("treeadd reaches phase 2");
-    let warm = run_job(&spec, cfg, Mode::Resume(&snap), None, &mut |_, _| {}).unwrap();
+    let warm = run_job(&spec, cfg, Mode::Resume(&snap), None).unwrap();
     let cold_rec = JobRecord::from_result(&cold.result.unwrap());
     let warm_rec = JobRecord::from_result(&warm.result.unwrap());
     assert_eq!(cold_rec, warm_rec, "warm-started record must equal the cold run");

@@ -1,7 +1,8 @@
 //! `cheri-telem`: service-side telemetry for the CHERI reproduction.
 //!
-//! The guest side of the workspace is fully observable — per-event
-//! traces (`cheri-trace`), per-PC profiles (`cheri-prof`) — but the
+//! The guest side of the workspace is fully observable — the counter
+//! snapshot (`cheri-trace`), per-PC profiles and the guest timeline
+//! (`cheri-prof`) — but the
 //! *host service* (`cheri-serve`) was a black box: a stuck worker or a
 //! cold-cache stampede was invisible until the run ended. This crate is
 //! the host-side counterpart, built on the same principles:
@@ -19,9 +20,9 @@
 //! * **Always on.** One short uncontended mutex per update, at
 //!   *service* rate (per request/phase, not per retired instruction).
 //!
-//! Spans have the shape of the guest span events (`SpanBegin`/`SpanEnd`
-//! with a kind, an id, and a timestamp), but name different spans for a
-//! different caller: here the kind is a [`SpanPhase`], the id is a
+//! Spans have the shape of the guest spans the kernel hands the
+//! profiler (a begin and an end with a kind, an id, and a timestamp),
+//! but name different spans for a different caller: here the kind is a [`SpanPhase`], the id is a
 //! (request, job) pair, and the timestamp is host microseconds since
 //! the log was created. The log renders through the workspace's one
 //! Chrome trace-event writer (`cheri_trace::chrome`) with one lane

@@ -1,9 +1,9 @@
 //! Per-request span events: balanced begin/end pairs per phase, with a
 //! Chrome-trace / Perfetto export.
 //!
-//! This reuses the guest-side span shape from the trace crate
-//! (`SpanBegin`/`SpanEnd`: a kind, an id, a timestamp) for the host
-//! service: the kind is a [`SpanPhase`], the id is a (request, job)
+//! This reuses the guest-side span shape (a begin and an end with a
+//! kind, an id, a timestamp; `cheri_trace::SpanKind` on the guest) for
+//! the host service: the kind is a [`SpanPhase`], the id is a (request, job)
 //! pair, and the timestamp is microseconds since the [`SpanLog`] was
 //! created, taken from a monotonic clock. "Balanced" is a hard
 //! invariant, not a hope: [`SpanLog::check_balance`] verifies that for

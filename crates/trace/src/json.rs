@@ -45,13 +45,6 @@ impl JsonWriter {
         let _ = write!(self.buf, "{value}");
     }
 
-    /// Appends `"name":"0x1f"` — addresses read better in hex, and the
-    /// string form keeps the parser integer-only.
-    pub fn hex_field(&mut self, name: &str, value: u64) {
-        self.key(name);
-        let _ = write!(self.buf, "\"{value:#x}\"");
-    }
-
     /// Appends `"name":true|false`.
     pub fn bool_field(&mut self, name: &str, value: bool) {
         self.key(name);

@@ -1,4 +1,4 @@
-//! # cheri-trace — unified tracing for the CHERI reproduction
+//! # cheri-trace — the counter and timeline vocabulary of the CHERI reproduction
 //!
 //! Every quantity the paper measures (the Figure 4/5 overheads, the
 //! §4.2 tag-cache behaviour, the §8 ablations) is an architectural
@@ -6,41 +6,14 @@
 //! cache hierarchy, `TagCacheStats`) are the one aggregate of those
 //! counts: `Kernel::metrics` reads them into a [`Snapshot`] under the
 //! canonical [`names`], with mechanical [`Snapshot::diff`] between runs.
-//! This crate gives the events behind them one vocabulary
-//! ([`TraceEvent`]) and one sink for per-event consumers, the JSONL
-//! stream [`JsonlSink`] shared as a [`SharedSink`] — plus the one Chrome
-//! trace-event writer ([`chrome`]) every timeline in the workspace
-//! renders through.
+//! The one per-event observer is the guest profiler (`cheri-prof`): it
+//! attributes the same counters per PC and draws the guest timeline
+//! from the kernel's phase and domain spans ([`SpanKind`]). That
+//! timeline and the service's request spans both render through the one
+//! Chrome trace-event writer ([`chrome`]).
 //!
-//! ## Design constraints
-//!
-//! * **No external dependencies.** JSON lines are written and parsed by
-//!   the hand-rolled [`json`] module; no serde.
-//! * **Near-zero cost when disabled.** Instrumented components hold an
-//!   `Option<SharedSink>`; with no sink attached the hot path is one
-//!   predictable branch and the event value is never even constructed —
-//!   emission sites take an `FnOnce() -> TraceEvent` via [`emit`].
-//! * **Observational transparency.** Sinks only observe; nothing in
-//!   this crate feeds back into architectural state. An integration
-//!   test in `cheri-bench` asserts that a traced run and an
-//!   un-instrumented run of an Olden workload reach bit-identical
-//!   architectural end-states.
-//! * **A complete stream.** Every event is emitted adjacent to the
-//!   counter increment it mirrors, so counting a JSONL stream's lines
-//!   by event kind reproduces the counters exactly — the same
-//!   integration test asserts it for every counter in [`names`].
-//!
-//! ## Quick use
-//!
-//! ```
-//! use cheri_trace::{emit, marker, shared, JsonlSink, TraceEvent};
-//!
-//! let sink = shared(JsonlSink::new(Box::new(Vec::new())));
-//! let attached = Some(sink.clone());
-//! marker(&attached, "run start: treeadd/cheri");
-//! emit(&attached, || TraceEvent::Syscall { nr: 4, cycles: 120 });
-//! assert_eq!(sink.borrow().written(), 1); // markers are not events
-//! ```
+//! The workspace builds offline, so JSON is written and parsed by the
+//! hand-rolled [`json`] module; no serde.
 
 // Library paths must report errors, not abort: every fallible path
 // returns Result or uses expect with a stated invariant. Tests may
@@ -49,14 +22,34 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod chrome;
-mod event;
 pub mod json;
 mod metrics;
-mod sink;
 
-pub use event::{CacheLevel, SpanKind, TraceEvent};
 pub use metrics::{Snapshot, SnapshotDiff};
-pub use sink::{emit, marker, shared, JsonlSink, SharedSink};
+
+/// What a guest timeline span brackets. The kernel keeps the open spans
+/// and closes them innermost first, each with the kind and id it opened
+/// with; the profiler records them on its timeline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SpanKind {
+    /// A benchmark phase (between `SYS_PHASE` markers); its id is the
+    /// phase id.
+    Phase,
+    /// A protection-domain activation (between domain call and return);
+    /// its id is the registered domain index.
+    Domain,
+}
+
+impl SpanKind {
+    /// Lower-case short name used as the timeline category.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SpanKind::Phase => "phase",
+            SpanKind::Domain => "domain",
+        }
+    }
+}
 
 /// Canonical counter names: the keys `beri_sim::Machine::metrics` and
 /// `Kernel::metrics` export the simulator's counters under.

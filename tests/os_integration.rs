@@ -188,8 +188,8 @@ fn malloc_without_system_calls() {
 #[test]
 fn guest_spans_close_on_every_exit() {
     // A process that opens phase 1 and then stops on `break` (not
-    // through SYS_EXIT) still leaves a balanced span stream and timeline:
-    // every exit closes the spans it leaves open.
+    // through SYS_EXIT) still leaves a balanced timeline: every exit
+    // closes the spans it leaves open.
     let mut kernel = boot(KernelConfig::default());
     let mut a = Asm::new(kernel.layout().text_base);
     a.li64(reg::A0, 1);
@@ -199,6 +199,5 @@ fn guest_spans_close_on_every_exit() {
     kernel.exec(&a.finalize().unwrap()).unwrap();
     let run = common::run_observed(&mut kernel);
     assert_eq!(run.outcome.exit, ExitReason::Break(7));
-    assert_eq!(run.stream, common::edges(&["+phase 1", "-phase 1"]));
-    assert_eq!(run.timeline, run.stream);
+    assert_eq!(run.timeline, common::edges(&["+phase 1", "-phase 1"]));
 }
