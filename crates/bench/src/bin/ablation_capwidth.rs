@@ -9,14 +9,14 @@
 //! The strategy triple is the canonical [`CAPWIDTH_STRATEGIES`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::{overhead_pct, params_for, Exhibit};
+use cheri_bench::{overhead_pct, Exhibit};
 use cheri_sweep::{run_jobs, JobSpec, CAPWIDTH_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let Exhibit { scale, jobs } =
+    let Exhibit { profile, jobs } =
         Exhibit::from_args("ablation_capwidth", "ablation_capwidth [--scaled|--paper] [--jobs N]");
-    let params = params_for(scale);
+    let params = profile.params();
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {

@@ -7,14 +7,14 @@
 //! The strategy triple is the canonical [`ELISION_STRATEGIES`] from
 //! `cheri-sweep`, executed on the parallel sweep engine (`--jobs N`).
 
-use cheri_bench::{overhead_pct, params_for, Exhibit};
+use cheri_bench::{overhead_pct, Exhibit};
 use cheri_sweep::{run_jobs, JobSpec, ELISION_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let Exhibit { scale, jobs } =
+    let Exhibit { profile, jobs } =
         Exhibit::from_args("ablation_elision", "ablation_elision [--scaled|--paper] [--jobs N]");
-    let params = params_for(scale);
+    let params = profile.params();
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {

@@ -7,16 +7,16 @@
 //! optimistic and pessimistic instructions) normalised to the
 //! unprotected baseline.
 
-use cheri_bench::{params_for, Exhibit};
+use cheri_bench::Exhibit;
 use cheri_limit::run_study;
 use cheri_sweep::run_indexed;
 use cheri_work::native::WORKLOADS;
 
 fn main() {
-    let Exhibit { scale, jobs } =
+    let Exhibit { profile, jobs } =
         Exhibit::from_args("fig3_limit_study", "fig3_limit_study [--scaled|--paper] [--jobs N]");
-    let params = params_for(scale);
-    eprintln!("recording traces ({scale:?} parameters)...");
+    let params = profile.params();
+    eprintln!("recording traces ({} profile sizes)...", profile.name());
     // Record the native workload traces in parallel on the sweep
     // engine; `run_indexed` returns them in workload order, so the
     // study's inputs are identical at any `--jobs` count.

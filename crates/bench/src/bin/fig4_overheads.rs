@@ -7,15 +7,15 @@
 //! list comes from [`FIGURE4_STRATEGIES`] and executes on the parallel
 //! sweep engine (`--jobs N`).
 
-use cheri_bench::{bar, overhead_pct, params_for, Exhibit};
+use cheri_bench::{bar, overhead_pct, Exhibit};
 use cheri_olden::dsl::BenchRun;
-use cheri_sweep::{run_jobs, JobSpec, FIGURE4_STRATEGIES};
+use cheri_sweep::{run_jobs, JobSpec, Profile, FIGURE4_STRATEGIES};
 use cheri_work::Workload;
 
 fn main() {
-    let Exhibit { scale, jobs } =
+    let Exhibit { profile, jobs } =
         Exhibit::from_args("fig4_overheads", "fig4_overheads [--scaled|--paper] [--jobs N]");
-    let params = params_for(scale);
+    let params = profile.params();
     let specs: Vec<JobSpec> = Workload::ALL
         .into_iter()
         .flat_map(|bench| {
@@ -24,7 +24,12 @@ fn main() {
         .collect();
     let results = run_jobs(&specs, jobs);
 
-    println!("== Figure 4: execution-time overhead vs unsafe MIPS ({scale:?} sizes) ==\n");
+    let sizes = match profile {
+        Profile::Smoke => "Scaled",
+        Profile::Full => "Medium",
+        Profile::Paper => "Paper",
+    };
+    println!("== Figure 4: execution-time overhead vs unsafe MIPS ({sizes} sizes) ==\n");
     println!(
         "{:<12}{:<14}{:>9}{:>10}{:>9}   total",
         "benchmark", "mode", "alloc%", "compute%", "total%"

@@ -10,10 +10,11 @@
 //!
 //! `--out` saves the counter snapshot for later comparison with
 //! `--diff`, which prints per-counter deltas between two saved runs.
+//! A file that cannot be read, parsed or written is a runtime failure:
+//! exit 1, without the usage text.
 
-use cheri_bench::cli::Cli;
-use cheri_bench::{params_for, Scale};
-use cheri_sweep::{run_spec_with_config, JobSpec, StrategyKind};
+use cheri_bench::cli::{self, Cli};
+use cheri_sweep::{run_spec_with_config, JobSpec, Profile, StrategyKind};
 use cheri_trace::Snapshot;
 use cheri_work::Workload;
 
@@ -24,15 +25,14 @@ const USAGE: &str = "trace_report <workload> [--strategy <name>]\n\
 
 fn load_snapshot(cli: &Cli, path: &str) -> Snapshot {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| cli.usage_exit(&format!("cannot read {path}: {e}")));
-    Snapshot::from_json(&text)
-        .unwrap_or_else(|e| cli.usage_exit(&format!("{path}: not a snapshot: {e}")))
+        .unwrap_or_else(|e| cli.fail(&format!("cannot read {path}: {e}")));
+    Snapshot::from_json(&text).unwrap_or_else(|e| cli.fail(&format!("{path}: not a snapshot: {e}")))
 }
 
 fn main() {
     let mut cli = Cli::new("trace_report", USAGE);
     let mut strategy_name = String::from("cheri");
-    let mut scale = Scale::Medium;
+    let mut profile = Profile::Full;
     let mut out_path = None;
     let mut diff_mode = false;
     let mut positional: Vec<String> = Vec::new();
@@ -41,8 +41,8 @@ fn main() {
             "--strategy" => strategy_name = cli.value("--strategy"),
             "--out" => out_path = Some(cli.value("--out")),
             "--diff" => diff_mode = true,
-            "--scaled" => scale = Scale::Scaled,
-            "--paper" => scale = Scale::Paper,
+            "--scaled" => profile = Profile::Smoke,
+            "--paper" => profile = Profile::Paper,
             flag if flag.starts_with("--") => cli.unknown(flag),
             operand => positional.push(operand.to_string()),
         }
@@ -67,9 +67,7 @@ fn main() {
     let Some(strategy) = StrategyKind::parse(&strategy_name) else {
         cli.usage_exit(&format!("unknown strategy {strategy_name:?}"));
     };
-    let params = params_for(scale);
-
-    let spec = JobSpec::new(bench, strategy, params);
+    let spec = JobSpec::new(bench, strategy, profile.params());
     let run = run_spec_with_config(&spec, spec.machine_config(), None)
         .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), strategy.name()))
         .run;
@@ -80,8 +78,7 @@ fn main() {
     print!("{}", metrics.render_table());
 
     if let Some(path) = &out_path {
-        std::fs::write(path, metrics.to_json())
-            .unwrap_or_else(|e| cli.usage_exit(&format!("cannot write {path}: {e}")));
+        cli::write_file(cli.tool(), path.as_ref(), &metrics.to_json());
         println!("snapshot written to {path}");
     }
 }

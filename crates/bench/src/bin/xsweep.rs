@@ -30,16 +30,16 @@
 //! ```
 //!
 //! `--warm` and `--prof` are one A/B harness ([`cheri_sweep::ab()`])
-//! with a mode-specific tail. When one of their
-//! transparency asserts or the `--check` gate fails, the offending
-//! jobs' final machine+kernel snapshots are written as
-//! `results/divergence-*.json` for offline triage with `snapreplay`.
+//! with a mode-specific tail. When one of their transparency asserts
+//! fails it names the first diverging job, and a failed `--check` gate
+//! names the drifting counters; either way the job key reruns the
+//! failing job exactly, and nothing but the report is written.
 
 use cheri_bench::cli::{self, Cli};
 use cheri_bench::parse_workloads_csv;
 use cheri_sweep::{
-    ab, check_reports, comparisons, dump_divergence, profile_matrix, render_drifts, run_jobs,
-    AbJob, JobResult, JobSpec, Mode, Profile, Side, SweepReport,
+    ab, check_reports, comparisons, profile_matrix, render_drifts, run_jobs, AbJob, JobResult,
+    JobSpec, Mode, Profile, Side, SweepReport,
 };
 use cheri_work::Workload;
 use std::path::{Path, PathBuf};
@@ -143,27 +143,15 @@ fn banner(args: &Args, jobs: usize, mode: &str, sides: &str) {
     );
 }
 
-/// Reports one divergence dump (written snapshot or failed re-run).
-fn report_dump(dump: &Result<PathBuf, String>) {
-    match dump {
-        Ok(path) => eprintln!("xsweep: divergence snapshot: {}", path.display()),
-        Err(e) => eprintln!("xsweep: {e}"),
-    }
-}
-
 /// The A/B half every transparency mode shares: runs the selected matrix
 /// under sides `a` and `b` ([`cheri_sweep::ab()`]), and on any divergence
-/// reports the snapshots written under `results/` and fails with
-/// `what` and the first diverging job. Returns each job's two runs.
+/// fails with `what` and the first diverging job. Returns each job's two
+/// runs.
 fn run_ab(args: &Args, mode: &str, sides: &str, a: &Side, b: &Side, what: &str) -> Vec<AbJob> {
     let specs = selected_matrix(args);
     banner(args, specs.len(), mode, sides);
-    ab(&specs, args.jobs, a, b, Path::new("results")).unwrap_or_else(|d| {
-        d.dumps.iter().for_each(report_dump);
-        fail(&format!(
-            "{what} on {} job(s) (first diverging job: {}) — triage with snapreplay",
-            d.jobs, d.key
-        ))
+    ab(&specs, args.jobs, a, b).unwrap_or_else(|d| {
+        fail(&format!("{what} on {} job(s) (first diverging job: {})", d.jobs, d.key))
     })
 }
 
@@ -179,15 +167,14 @@ fn side_a_report(args: &Args, jobs: &[AbJob]) -> SweepReport {
 /// the two reports are byte-identical in-process, and writes the cold
 /// report to `--out`. A job with no snapshot is not re-run (side A's
 /// result stands for it, so its agreement proves nothing), and any such
-/// job fails the mode. On divergence the first offending job's final
-/// cold state lands in `results/`.
+/// job fails the mode.
 fn run_warm(args: &Args) {
     let jobs = run_ab(
         args,
         " --warm",
         ", cold + warm-started",
-        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Split), dump: Some("") },
-        &Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume), dump: None },
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Split) },
+        &Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume) },
         "warm-started results diverged from cold",
     );
     let warm = jobs.iter().filter(|j| j.b_ran).count();
@@ -211,16 +198,14 @@ fn run_warm(args: &Args) {
 /// (profiling is observational — any divergence is a profiler bug), and
 /// writes each job's profile as `results/prof/<key>.prof.json` plus
 /// flamegraph collapsed stacks (`.folded`) and the Perfetto/Chrome
-/// trace-event timeline (`.timeline.json`). On divergence the first
-/// offending job's final plain-run snapshot lands in `results/` for
-/// `snapreplay`.
+/// trace-event timeline (`.timeline.json`).
 fn run_prof(args: &Args) {
     let jobs = run_ab(
         args,
         " --prof",
         ", plain vs profiled",
-        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain), dump: Some("-plain") },
-        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Profiled), dump: None },
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain) },
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Profiled) },
         "profiling changed architectural results",
     );
     println!("reports identical: yes (profiling is observationally transparent)\n");
@@ -319,17 +304,6 @@ fn main() {
                 path.display()
             );
             print!("{}", render_drifts(&drifts));
-            // Snapshot the final state of the first few drifting jobs
-            // so the failure is triageable offline.
-            let drifting = specs.iter().filter(|s| drifts.iter().any(|d| d.job == s.key()));
-            for spec in drifting.take(3) {
-                report_dump(&dump_divergence(
-                    Path::new("results"),
-                    spec,
-                    spec.machine_config(),
-                    "",
-                ));
-            }
             println!(
                 "\n(intentional? re-bless with: xsweep --profile {} --bless)",
                 args.profile.name()

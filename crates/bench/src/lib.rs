@@ -17,9 +17,10 @@
 //! | `ablation_elision` | §8 check-elision ablation |
 //!
 //! The matrix exhibits read their flags through [`Exhibit::from_args`]:
-//! `--scaled` (CI-sized) or `--paper` (the paper's full parameters,
-//! minutes of host time) where the exhibit has sizes, otherwise medium
-//! sizes; and `--jobs N`. Any other argument exits 2.
+//! `--scaled` (the smoke profile's sizes) or `--paper` (the paper's full
+//! parameters, minutes of host time) where the exhibit has sizes,
+//! otherwise the full profile's medium sizes; and `--jobs N`. Any other
+//! argument exits 2.
 //!
 //! This library holds the small amount of shared harness plumbing,
 //! including the common command-line scanner ([`cli::Cli`]).
@@ -27,31 +28,9 @@
 pub mod cli;
 pub mod latency;
 pub mod specfuzz;
-pub mod triage;
 
-use cheri_olden::OldenParams;
+use cheri_sweep::Profile;
 use cheri_work::Workload;
-
-/// Which problem-size preset a harness should use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// CI-sized (`--scaled`).
-    Scaled,
-    /// The default: memory-hierarchy-dominated but quick.
-    Medium,
-    /// The paper's parameters (`--paper`).
-    Paper,
-}
-
-/// The parameter preset for a scale.
-#[must_use]
-pub fn params_for(scale: Scale) -> OldenParams {
-    match scale {
-        Scale::Scaled => OldenParams::scaled(),
-        Scale::Medium => OldenParams::medium(),
-        Scale::Paper => OldenParams::paper(),
-    }
-}
 
 /// Parses a `--workloads` CSV operand into workloads: canonical names,
 /// comma-separated, order preserved, duplicates collapsed. Unknown
@@ -78,8 +57,10 @@ pub fn parse_workloads_csv(cli: &cli::Cli, csv: &str) -> Vec<Workload> {
 
 /// The flags of a matrix exhibit.
 pub struct Exhibit {
-    /// `--scaled` / `--paper`; [`Scale::Medium`] without either.
-    pub scale: Scale,
+    /// The problem sizes, as [`Profile::params`]: `--scaled` gives
+    /// [`Profile::Smoke`], `--paper` [`Profile::Paper`], neither
+    /// [`Profile::Full`].
+    pub profile: Profile,
     /// `--jobs N`; the host's available parallelism without it.
     pub jobs: usize,
 }
@@ -95,11 +76,11 @@ impl Exhibit {
             usage.split(|c: char| c.is_whitespace() || "[]|".contains(c)).any(|t| t == flag)
         };
         let mut cli = cli::Cli::new(tool, usage);
-        let mut ex = Exhibit { scale: Scale::Medium, jobs: cheri_sweep::default_threads() };
+        let mut ex = Exhibit { profile: Profile::Full, jobs: cheri_sweep::default_threads() };
         while let Some(arg) = cli.next_arg() {
             match arg.as_str() {
-                "--scaled" if offered("--scaled") => ex.scale = Scale::Scaled,
-                "--paper" if offered("--paper") => ex.scale = Scale::Paper,
+                "--scaled" if offered("--scaled") => ex.profile = Profile::Smoke,
+                "--paper" if offered("--paper") => ex.profile = Profile::Paper,
                 "--jobs" if offered("--jobs") => ex.jobs = cli.positive("--jobs"),
                 _ => cli.unknown(&arg),
             }

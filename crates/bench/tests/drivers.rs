@@ -1,7 +1,8 @@
 //! The single-job drivers run end to end: `trace_report` prints one
 //! workload's counter table and `profbin` its per-function profile, and
 //! a tag-cache size the job spec refuses, or a flag `trace_report` does
-//! not take, exits 2 before anything runs.
+//! not take, exits 2 before anything runs. A file `trace_report` cannot
+//! write is a runtime failure: exit 1, without the usage text.
 
 use std::process::{Command, Output};
 
@@ -55,6 +56,25 @@ fn trace_report_refuses_an_event_stream() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_usage_error(&out, "unknown argument '--jsonl'");
     assert!(!created, "misuse creates no file");
+}
+
+#[test]
+fn trace_report_exits_1_when_it_cannot_write_its_snapshot() {
+    let dir = std::env::temp_dir().join(format!("drivers_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("create a regular file");
+    let out_path = file.join("a.json");
+    let out_path = out_path.to_str().expect("a UTF-8 temp path");
+    let (out, _) = run(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &["treeadd", "--strategy", "cap", "--scaled", "--out", out_path],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cannot"), "stderr: {stderr}");
+    assert!(!stderr.contains("usage: "), "a runtime failure is not misuse: {stderr}");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Binary-level tests of the `xsweep` CI gate: `--bless` then
 //! `--check` passes and exits 0; a doctored baseline fails with a
-//! nonzero exit and names the drifting metric.
+//! nonzero exit, names the drifting metric and writes nothing but its
+//! `--out` report.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -46,7 +47,8 @@ fn gate_passes_on_blessed_baseline_and_fails_on_drift() {
     assert!(String::from_utf8_lossy(&ok.stdout).contains("check: OK"));
 
     // Doctor one architectural counter in the baseline: the gate must
-    // fail, exit nonzero, and name the metric and job.
+    // fail, exit nonzero, and name the metric and job. It runs in the
+    // temp dir, so any file it writes beside `--out` would land there.
     let text = std::fs::read_to_string(&baseline).expect("read baseline");
     let needle = "\"sim.instructions\":";
     let at = text.find(needle).expect("baseline has instruction counts") + needle.len();
@@ -62,12 +64,14 @@ fn gate_passes_on_blessed_baseline_and_fails_on_drift() {
         .arg(&out)
         .arg("--check")
         .arg(&drift_path)
+        .current_dir(&dir)
         .output()
         .expect("run xsweep --check (drift)");
     assert_eq!(fail.status.code(), Some(1), "seeded drift must exit 1");
     let stdout = String::from_utf8_lossy(&fail.stdout);
     assert!(stdout.contains("check: FAILED"), "{stdout}");
     assert!(stdout.contains("sim.instructions"), "drift table names the metric: {stdout}");
+    assert!(!dir.join("results").exists(), "a failing gate writes only its --out report");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -94,8 +94,8 @@ pub const RUNAWAY_BUDGET: u64 = 200_000_000_000;
 /// [`BenchSession::run_until_phase`] / [`BenchSession::run_for`] with
 /// [`BenchSession::snapshot`] at any stop. A snapshot restored via
 /// [`BenchSession::resume`] finishes with results bit-identical to the
-/// uninterrupted run — the warm-start sweep mode and the `snapreplay`
-/// triage tool are both built on this.
+/// uninterrupted run — the warm-start sweep mode and the service's
+/// snapshot pool are both built on this.
 pub struct BenchSession {
     kernel: Kernel,
     mode: &'static str,
@@ -152,8 +152,7 @@ impl BenchSession {
     ///
     /// # Errors
     ///
-    /// [`cheri_snap::SnapError`] if the snapshot is machine-only or
-    /// malformed.
+    /// [`cheri_snap::SnapError`] if the snapshot is malformed.
     pub fn resume(
         snap: &cheri_snap::Snapshot,
         mode: &'static str,

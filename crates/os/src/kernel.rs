@@ -457,8 +457,8 @@ impl Kernel {
     /// Runs for at most `steps` retired instructions, returning
     /// `Ok(None)` if the budget elapsed with the process still live or
     /// `Ok(Some(outcome))` if it finished first. Stopping is exact —
-    /// precisely `steps` instructions retire — which is what
-    /// `snapreplay`'s divergence bisection depends on.
+    /// precisely `steps` instructions retire — which is what the
+    /// mid-run snapshot tests depend on.
     ///
     /// # Errors
     ///

@@ -79,7 +79,7 @@ impl Kernel {
     /// versioned [`Snapshot`].
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot { machine: self.machine.snapshot(), kernel: Some(self.export_state()) }
+        Snapshot { machine: self.machine.snapshot(), kernel: self.export_state() }
     }
 
     fn export_state(&self) -> KernelState {
@@ -145,39 +145,29 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`SnapError`] naming the first mismatch, or if the snapshot is
-    /// machine-only (no kernel section); on error the kernel may be
-    /// partially restored and must not be resumed.
+    /// [`SnapError`] naming the first mismatch; on error the kernel may
+    /// be partially restored and must not be resumed.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        let Some(k) = &snap.kernel else {
-            return Err(SnapError(
-                "snapshot has no kernel section (machine-only snapshot)".to_string(),
-            ));
-        };
         self.machine.restore(&snap.machine)?;
-        self.import_state(k)
+        self.import_state(&snap.kernel)
     }
 
     /// Resurrects a kernel from a snapshot alone: rebuilds the machine
     /// and the kernel configuration from the snapshot's identity
     /// sections, then restores the state. `block_cache` and
     /// `max_instructions` are caller decisions (neither is recorded in
-    /// the snapshot). This is the `snapreplay` entry point — no help
+    /// the snapshot). This is the warm-start entry point — no help
     /// from the harness that took the snapshot is needed.
     ///
     /// # Errors
     ///
-    /// [`SnapError`] if the snapshot is machine-only or malformed.
+    /// [`SnapError`] if the snapshot is malformed.
     pub fn resume(
         snap: &Snapshot,
         block_cache: bool,
         max_instructions: u64,
     ) -> Result<Kernel, SnapError> {
-        let Some(ks) = &snap.kernel else {
-            return Err(SnapError(
-                "snapshot has no kernel section (machine-only snapshot)".to_string(),
-            ));
-        };
+        let ks = &snap.kernel;
         let machine = Machine::from_state(&snap.machine, block_cache)?;
         let cfg = KernelConfig {
             machine: machine.config().clone(),
@@ -299,18 +289,8 @@ mod tests {
         let prog = phase_program(&k);
         k.exec(&prog).unwrap();
         let mut snap = k.snapshot();
-        let ks = snap.kernel.as_mut().unwrap();
-        ks.layout[2] += 0x1000;
+        snap.kernel.layout[2] += 0x1000;
         let mut other = kernel();
         assert!(other.restore(&snap).is_err());
-    }
-
-    #[test]
-    fn machine_only_snapshot_is_rejected_by_kernel_restore() {
-        let k = kernel();
-        let snap = cheri_snap::Snapshot { machine: k.machine().snapshot(), kernel: None };
-        let mut other = kernel();
-        let err = other.restore(&snap).unwrap_err();
-        assert!(err.0.contains("no kernel section"), "{err}");
     }
 }

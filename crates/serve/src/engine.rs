@@ -522,7 +522,7 @@ pub fn transparency_gate(
         .map_or_else(|| "<report>".to_string(), |(a, _)| a.key.clone());
     Err(format!(
         "served report diverges from the cold batch report (first diverging job: {key}) — \
-         serving must be transparent; triage with snapreplay"
+         serving must be transparent"
     ))
 }
 

@@ -48,6 +48,9 @@ const POLL: Duration = Duration::from_millis(100);
 /// grow a connection's buffer without bound.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// The worker-queue depth at or above which `health` reports not ready.
+const QUEUE_LIMIT: u64 = 256;
+
 /// Prewarm states for the readiness probe.
 const PREWARM_NONE: u64 = 0;
 const PREWARM_RUNNING: u64 = 1;
@@ -67,8 +70,6 @@ pub struct ServerConfig {
     /// Write the final telemetry flush (Chrome trace + metric snapshot)
     /// to this path on drain, atomically.
     pub telem_out: Option<PathBuf>,
-    /// Queue depth at or above which `health` reports not ready.
-    pub queue_limit: u64,
 }
 
 impl Default for ServerConfig {
@@ -78,7 +79,6 @@ impl Default for ServerConfig {
             results_dir: None,
             watch_signals: false,
             telem_out: None,
-            queue_limit: 256,
         }
     }
 }
@@ -92,7 +92,6 @@ struct Shared {
     /// Allocator for work-request ids (1-based; 0 means "no request").
     work_reqs: AtomicU64,
     prewarm_state: AtomicU64,
-    queue_limit: u64,
     start: Instant,
 }
 
@@ -120,7 +119,6 @@ impl Server {
             telem_out: cfg.telem_out,
             work_reqs: AtomicU64::new(0),
             prewarm_state: AtomicU64::new(PREWARM_NONE),
-            queue_limit: cfg.queue_limit,
             start: Instant::now(),
         });
         Ok(Server { listener, shared })
@@ -269,14 +267,14 @@ fn health(shared: &Shared) -> HealthSnapshot {
     let ready = !shared.stop.stopping()
         && workers_alive == workers
         && prewarm != "running"
-        && queue_depth < shared.queue_limit;
+        && queue_depth < QUEUE_LIMIT;
     HealthSnapshot {
         ready,
         prewarm: prewarm.to_string(),
         workers_alive,
         workers,
         queue_depth,
-        queue_limit: shared.queue_limit,
+        queue_limit: QUEUE_LIMIT,
         uptime_ms: u64::try_from(shared.start.elapsed().as_millis()).unwrap_or(u64::MAX),
         version: env!("CARGO_PKG_VERSION").to_string(),
     }

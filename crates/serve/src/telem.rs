@@ -78,8 +78,9 @@ pub const HIST_COUNTER_PAIRS: &[(&str, &str)] = &[
 
 /// Identifies one engine job inside one request for span attribution:
 /// `req` is the server-assigned monotonic request id (0 for work not
-/// driven by a wire request — tests, the selfcheck gate), `job` the
-/// index of the job within the request (0 for single-job verbs).
+/// driven by a wire request — tests, the in-process transparency gate),
+/// `job` the index of the job within the request (0 for single-job
+/// verbs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JobCtx {
     /// The request id (one Chrome-trace lane per id).

@@ -56,7 +56,7 @@ fn every_config_field_changes_the_key() {
 }
 
 /// A snapshot must hash identically after a serialization round-trip:
-/// `snapreplay` compares the hashes of states it loads and re-runs.
+/// the decoder is the encoder's oracle, here on a real phase-2 state.
 #[test]
 fn restored_snapshot_hashes_like_the_original() {
     let params = OldenParams::scaled();

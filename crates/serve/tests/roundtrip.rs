@@ -6,7 +6,7 @@
 
 use cheri_serve::{
     telem, transparency_gate, Client, JobEngine, JobParts, Origin, Request, Server, ServerConfig,
-    WorkerPool, HIST_COUNTER_PAIRS,
+    Stop, WorkerPool, HIST_COUNTER_PAIRS,
 };
 use cheri_sweep::{run_matrix, Profile};
 use cheri_telem::{parse_exposition, Exposition};
@@ -196,7 +196,8 @@ fn served_new_workload_jobs_match_batch_lines() {
     handle.join().unwrap().unwrap();
 }
 
-/// The in-process gate the `--selfcheck` flag runs: served (cache + warm pool) vs cold batch, byte-compared — with
+/// The in-process gate: the whole smoke matrix served warm from a
+/// prewarmed snapshot pool vs the cold batch path, byte-compared — with
 /// telemetry recording, which is the acceptance form of "observation
 /// does not perturb results". The span stream the gate produced must also
 /// balance, and every phase histogram must agree with its counter.
@@ -204,9 +205,11 @@ fn served_new_workload_jobs_match_batch_lines() {
 fn transparency_gate_passes_on_smoke_with_telemetry_attached() {
     let engine = Arc::new(JobEngine::default());
     let workers = WorkerPool::new(2);
+    let jobs = cheri_sweep::profile_matrix(Profile::Smoke).len();
+    assert_eq!(engine.prewarm(Profile::Smoke, &workers, &Stop::new(false)), jobs);
     let report = transparency_gate(&engine, &workers, Profile::Smoke).unwrap();
     assert_eq!(report.profile, "smoke");
-    assert!(!report.jobs.is_empty());
+    assert_eq!(report.jobs.len(), jobs);
     workers.shutdown();
 
     let telem = engine.telem();
@@ -217,6 +220,11 @@ fn transparency_gate_passes_on_smoke_with_telemetry_attached() {
         snap.counter("serve_jobs_total"),
         report.jobs.len() as u64,
         "one job_finished per matrix job"
+    );
+    assert_eq!(
+        snap.counter("serve_jobs_warm_total"),
+        report.jobs.len() as u64,
+        "every prewarmed job is served warm, and warm matches batch"
     );
     for (hist, counter) in HIST_COUNTER_PAIRS {
         let count = snap.histogram(hist).map_or(0, cheri_telem::Histogram::count);

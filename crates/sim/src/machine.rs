@@ -1843,8 +1843,9 @@ impl Machine {
 
     /// Builds a fresh machine from a snapshot: reconstructs the
     /// configuration (with the caller's `block_cache` choice) and
-    /// restores the state. This is what `snapreplay` uses to resurrect
-    /// a machine with no help from the harness that took the snapshot.
+    /// restores the state. This is how `Kernel::resume` and `specfuzz`
+    /// resurrect a machine with no help from the harness that took the
+    /// snapshot.
     ///
     /// # Errors
     ///

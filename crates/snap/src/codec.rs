@@ -490,8 +490,9 @@ fn kernel_from(j: &Json, path: &str) -> Result<KernelState, SnapError> {
 // ------------------------------------------------------------- public API
 
 impl MachineState {
-    /// Canonical serialization of the machine fragment alone (used by
-    /// divergence dumps, which compare machines without kernel state).
+    /// Canonical serialization of the machine fragment alone: a bare
+    /// machine's state, which the simulator's round-trip tests hash and
+    /// decode.
     #[must_use]
     pub fn to_json(&self) -> String {
         machine_json(self)
@@ -523,10 +524,7 @@ impl Snapshot {
         w.str_field("schema", SCHEMA);
         w.u64_field("version", VERSION);
         w.raw_field("machine", &machine_json(&self.machine));
-        match &self.kernel {
-            Some(k) => w.raw_field("kernel", &kernel_json(k)),
-            None => w.raw_field("kernel", "null"),
-        }
+        w.raw_field("kernel", &kernel_json(&self.kernel));
         w.close()
     }
 
@@ -547,10 +545,7 @@ impl Snapshot {
             return Err(SnapError(format!("unsupported version {version} (want {VERSION})")));
         }
         let machine = machine_from(field(o, "machine", "snapshot")?, "machine")?;
-        let kernel = match field(o, "kernel", "snapshot")? {
-            Json::Null => None,
-            k => Some(kernel_from(k, "kernel")?),
-        };
+        let kernel = kernel_from(field(o, "kernel", "snapshot")?, "kernel")?;
         Ok(Snapshot { machine, kernel })
     }
 
@@ -674,7 +669,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_bit_exactly() {
-        let snap = Snapshot { machine: sample_machine(), kernel: Some(sample_kernel()) };
+        let snap = Snapshot { machine: sample_machine(), kernel: sample_kernel() };
         let text = snap.to_json();
         let back = Snapshot::from_json(&text).unwrap();
         assert_eq!(back, snap);
@@ -693,16 +688,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_none_roundtrips() {
-        let snap = Snapshot { machine: sample_machine(), kernel: None };
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back.kernel, None);
-        assert_eq!(back, snap);
-    }
-
-    #[test]
     fn any_field_change_changes_the_hash() {
-        let base = Snapshot { machine: sample_machine(), kernel: Some(sample_kernel()) };
+        let base = Snapshot { machine: sample_machine(), kernel: sample_kernel() };
         let mut twiddled = base.clone();
         twiddled.machine.cpu.gpr[4] ^= 1;
         assert_ne!(twiddled.state_hash(), base.state_hash());
@@ -710,15 +697,13 @@ mod tests {
         twiddled.machine.mem.tags = rle_encode([0b11]);
         assert_ne!(twiddled.state_hash(), base.state_hash());
         let mut twiddled = base.clone();
-        if let Some(k) = &mut twiddled.kernel {
-            k.console.push('x');
-        }
+        twiddled.kernel.console.push('x');
         assert_ne!(twiddled.state_hash(), base.state_hash());
     }
 
     #[test]
     fn rejects_wrong_schema_and_version() {
-        let snap = Snapshot { machine: sample_machine(), kernel: None };
+        let snap = Snapshot { machine: sample_machine(), kernel: sample_kernel() };
         let text = snap.to_json();
         let bad_schema = text.replace("cheri-snap/v3", "cheri-snap/v9");
         assert!(Snapshot::from_json(&bad_schema).unwrap_err().0.contains("unsupported schema"));
@@ -736,13 +721,18 @@ mod tests {
 
     #[test]
     fn shape_violations_are_reported_with_context() {
-        let snap = Snapshot { machine: sample_machine(), kernel: None };
-        // Truncate the GPR file: 32 → 31 entries.
+        let snap = Snapshot { machine: sample_machine(), kernel: sample_kernel() };
         let text = snap.to_json().replace("\"hi\":5", "\"hi\":5,\"bogus\":1");
         // Unknown extra fields are tolerated (forward-compatible reads
         // within a version are not needed, but must not crash).
         assert!(Snapshot::from_json(&text).is_ok());
         let err = MachineState::from_json("{\"config\":{}}").unwrap_err();
         assert!(err.0.contains("machine.config"), "err: {err}");
+        // Every snapshot carries its kernel: a null section is refused,
+        // naming the field.
+        let kernel_at = text.find("\"kernel\":").expect("kernel section");
+        let machine_only = format!("{}\"kernel\":null}}", &text[..kernel_at]);
+        let err = Snapshot::from_json(&machine_only).unwrap_err();
+        assert_eq!(err.0, "kernel: expected an object");
     }
 }

@@ -30,7 +30,7 @@
 //! Serialization reuses the workspace's hand-rolled JSON
 //! ([`cheri_trace::json`]) — the build is offline, so there is no
 //! serde. [`StateHash`] (64-bit FNV-1a over the canonical bytes) gives
-//! cheap equality for lockstep comparison and divergence bisection.
+//! cheap equality for the round-trip and warm-start tests.
 
 mod codec;
 mod state;
@@ -72,7 +72,7 @@ impl std::error::Error for SnapError {}
 /// FNV-1a, the same construction `cheri-trace` and the block-cache
 /// differ use for memory checksums. Two states are equal iff their
 /// canonical serializations are equal, so hash inequality proves
-/// divergence and hash equality is (for triage purposes) equality.
+/// divergence and hash equality is (for testing purposes) equality.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StateHash(pub u64);
 

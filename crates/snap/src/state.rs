@@ -290,13 +290,12 @@ pub struct KernelState {
     pub domain_stack: Vec<ContextState>,
 }
 
-/// A complete snapshot: the machine, plus kernel state when the
-/// snapshot was taken through `cheri-os` (a machine used bare — e.g. in
-/// unit tests — snapshots with `kernel: None`).
+/// A complete snapshot, as `Kernel::snapshot` takes it: the machine
+/// and the kernel running on it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Simulator state.
     pub machine: MachineState,
-    /// Kernel state, when captured via `Kernel::snapshot`.
-    pub kernel: Option<KernelState>,
+    /// Kernel state.
+    pub kernel: KernelState,
 }

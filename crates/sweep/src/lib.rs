@@ -11,13 +11,12 @@
 //!   ([`JobSpec::from_parts`]) and machine configuration, and the
 //!   one way to run a job: [`run_job`] in a closed set of [`Mode`]s
 //!   (plain, profiled, split at the warm-start boundary, boot-only,
-//!   resumed, final-snapshot), with [`run_jobs`] running many in
-//!   parallel, so every harness iterates the same lists in the same
-//!   order and every run — batch, warm, profiled, traced or served —
-//!   executes the same code;
+//!   resumed), with [`run_jobs`] running many in parallel, so every
+//!   harness iterates the same lists in the same order and every run —
+//!   batch, warm, profiled or served — executes the same code;
 //! * [`mod@ab`] — the A/B transparency harness (`xsweep --warm`/`--prof`):
-//!   one matrix under two sides, byte-compared, with divergence
-//!   snapshots on a mismatch;
+//!   one matrix under two sides, byte-compared, naming the first
+//!   diverging job on a mismatch;
 //! * [`engine`] — a deterministic work-stealing executor: each job owns
 //!   its own `Machine`, workers steal indices from an atomic cursor,
 //!   and results are reassembled in index order, so output is
@@ -38,7 +37,7 @@ pub mod engine;
 pub mod matrix;
 pub mod report;
 
-pub use ab::{ab, dump_divergence, AbJob, Divergence, Side};
+pub use ab::{ab, AbJob, Divergence, Side};
 pub use check::{check_reports, comparisons, render_drifts, Drift};
 pub use engine::{default_threads, run_indexed};
 pub use matrix::{

@@ -275,10 +275,6 @@ pub enum Mode<'a> {
     /// result is byte-identical to the cold run the snapshot came from;
     /// only the configuration's `block_cache` applies.
     Resume(&'a cheri_snap::Snapshot),
-    /// As [`Mode::Plain`], also capturing the *final* machine+kernel
-    /// snapshot: the divergence artifact a failed gate writes under
-    /// `results/`.
-    FinalSnap,
 }
 
 /// What [`run_job`] produced.
@@ -287,8 +283,7 @@ pub struct JobRun {
     /// The completed job; `None` only for a [`Mode::BootOnly`] run that
     /// stopped at the phase boundary.
     pub result: Option<JobResult>,
-    /// The snapshot [`Mode::Split`], [`Mode::BootOnly`] or
-    /// [`Mode::FinalSnap`] captured.
+    /// The snapshot [`Mode::Split`] or [`Mode::BootOnly`] captured.
     pub snapshot: Option<cheri_snap::Snapshot>,
     /// The [`Mode::Profiled`] profile.
     pub profile: Option<cheri_prof::ProfileReport>,
@@ -359,12 +354,8 @@ pub fn run_job(
     let run = session.run_to_completion().map_err(|e| e.to_string());
     span("simulate", false);
     out.result = Some(JobResult { spec: *spec, run: run? });
-    match mode {
-        Mode::Profiled => {
-            out.profile = Some(session.take_profile().ok_or("profiled session lost its profiler")?);
-        }
-        Mode::FinalSnap => out.snapshot = Some(session.snapshot()),
-        _ => {}
+    if let Mode::Profiled = mode {
+        out.profile = Some(session.take_profile().ok_or("profiled session lost its profiler")?);
     }
     Ok(out)
 }

@@ -5,27 +5,18 @@
 //!    in spec order).
 //! 2. **The gate bites** — a seeded counter drift fails the check with
 //!    the drifting metric named; an unchanged report passes; the A/B
-//!    harness names the first job a result-changing side diverges on
-//!    and writes its divergence snapshots; and it reports which jobs
-//!    side B really ran, so a vacuous warm == cold agreement shows.
+//!    harness names the first job a result-changing side diverges on;
+//!    and it reports which jobs side B really ran, so a vacuous
+//!    warm == cold agreement shows.
 
 use beri_sim::MachineConfig;
-use cheri_snap::Snapshot;
 use cheri_sweep::{
     ab, check_reports, profile_matrix, run_jobs, run_matrix, JobSpec, Mode, Profile, Side,
     StrategyKind, SweepReport,
 };
-use std::path::PathBuf;
 
 fn treeadd_specs() -> Vec<JobSpec> {
     profile_matrix(Profile::Smoke).into_iter().filter(|s| s.workload.name() == "treeadd").collect()
-}
-
-/// A per-test scratch directory for divergence snapshots.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cheri-sweep-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -71,21 +62,18 @@ fn block_cache_is_architecturally_transparent_in_the_sweep() {
     // and without `CHERI_SIM_NO_BLOCK_CACHE=1`; this is the tier-1 form.)
     let on = |s: &JobSpec| MachineConfig { block_cache: true, ..s.machine_config() };
     let off = |s: &JobSpec| MachineConfig { block_cache: false, ..s.machine_config() };
-    let dir = scratch_dir("bc");
     let jobs = ab(
         &treeadd_specs(),
         2,
-        &Side { cfg: &on, mode: |_| Some(Mode::Plain), dump: Some("-bc-on") },
-        &Side { cfg: &off, mode: |_| Some(Mode::Plain), dump: Some("-bc-off") },
-        &dir,
+        &Side { cfg: &on, mode: |_| Some(Mode::Plain) },
+        &Side { cfg: &off, mode: |_| Some(Mode::Plain) },
     )
     .expect("block cache changed architectural results");
     assert_eq!(jobs.len(), 5);
-    assert!(!dir.exists(), "no divergence snapshots on agreement");
 }
 
 #[test]
-fn ab_names_the_first_diverging_job_and_dumps_it() {
+fn ab_names_the_first_diverging_job() {
     // `MachineConfig::fault`'s one seeded bug changes no smoke job's
     // result, so side B seeds a result-changing configuration on the
     // CHERI jobs only — no tag cache, so every tag access misses: the
@@ -96,30 +84,16 @@ fn ab_names_the_first_diverging_job_and_dumps_it() {
         }
         _ => s.machine_config(),
     };
-    let dir = scratch_dir("diverge");
     let divergence = ab(
         &treeadd_specs(),
         1,
-        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain), dump: Some("-a") },
-        &Side { cfg: &seeded, mode: |_| Some(Mode::Plain), dump: Some("-b") },
-        &dir,
+        &Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain) },
+        &Side { cfg: &seeded, mode: |_| Some(Mode::Plain) },
     )
     .err()
     .expect("a result-changing side B must diverge");
     assert_eq!(divergence.key, "treeadd/cheri/tag8");
     assert_eq!(divergence.jobs, 2, "both CHERI widths diverge");
-    let paths: Vec<PathBuf> =
-        divergence.dumps.into_iter().map(|d| d.expect("divergence snapshot written")).collect();
-    assert_eq!(
-        paths,
-        ["-a", "-b"].map(|suffix| dir.join(format!("divergence-treeadd-cheri-tag8{suffix}.json")))
-    );
-    let snaps: Vec<Snapshot> = paths
-        .iter()
-        .map(|p| Snapshot::from_json(&std::fs::read_to_string(p).unwrap()).expect("a snapshot"))
-        .collect();
-    assert_ne!(snaps[0].state_hash(), snaps[1].state_hash(), "the two sides' final states differ");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -128,13 +102,11 @@ fn ab_reports_whether_side_b_warm_started() {
     // side A's result stands for both sides and their agreement is
     // vacuous. Split → Resume warm-starts every job; Plain → Resume
     // warm-starts none, the run `xsweep --warm` refuses.
-    let split = Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Split), dump: None };
-    let plain = Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain), dump: None };
-    let resume =
-        Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume), dump: None };
+    let split = Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Split) };
+    let plain = Side { cfg: &JobSpec::machine_config, mode: |_| Some(Mode::Plain) };
+    let resume = Side { cfg: &JobSpec::machine_config, mode: |snap| snap.map(Mode::Resume) };
     for (a, warm) in [(&split, true), (&plain, false)] {
-        let jobs = ab(&treeadd_specs(), 2, a, &resume, &scratch_dir("warm"))
-            .expect("resuming never changes a result");
+        let jobs = ab(&treeadd_specs(), 2, a, &resume).expect("resuming never changes a result");
         assert_eq!(jobs.len(), 5);
         assert!(jobs.iter().all(|j| j.b_ran == warm), "every job's b_ran must be {warm}");
     }
