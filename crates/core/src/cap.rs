@@ -365,6 +365,7 @@ impl Capability {
 
     /// Serialises the 256-bit body (tag excluded) as four big-endian
     /// words in the Figure 1 layout.
+    #[inline]
     #[must_use]
     pub fn to_bytes(&self) -> [u8; CAP_SIZE_BYTES] {
         let w0 = (u64::from(self.perms.bits()) << 33) | (self.reserved >> 32);
@@ -380,6 +381,7 @@ impl Capability {
     /// Reconstructs a capability body from its 256-bit memory image and an
     /// externally supplied tag (the tag lives in the tag table, not in the
     /// 256 bits).
+    #[inline]
     #[must_use]
     pub fn from_bytes(bytes: &[u8; CAP_SIZE_BYTES], tag: bool) -> Capability {
         let w0 = u64::from_be_bytes(bytes[0..8].try_into().expect("8-byte slice"));

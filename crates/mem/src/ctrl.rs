@@ -148,6 +148,7 @@ impl TagController {
 
     /// The accumulated statistics.
     #[must_use]
+    #[inline]
     pub fn stats(&self) -> TagCacheStats {
         self.stats
     }
@@ -256,6 +257,7 @@ impl TagController {
 
     /// Reads the tag for the granule covering `paddr`, through the cache.
     #[must_use]
+    #[inline(always)]
     pub fn read_tag(&mut self, paddr: u64) -> bool {
         self.stats.lookups += 1;
         self.touch_line(paddr, false);
@@ -263,6 +265,7 @@ impl TagController {
     }
 
     /// Writes the tag for the granule covering `paddr`, through the cache.
+    #[inline(always)]
     pub fn write_tag(&mut self, paddr: u64, tag: bool) {
         self.stats.updates += 1;
         self.touch_line(paddr, true);

@@ -10,7 +10,8 @@
 //!
 //! This crate provides that stack:
 //!
-//! * [`PhysMem`] — flat big-endian physical DRAM.
+//! * [`PhysMem`] — big-endian physical DRAM, materialised on first
+//!   write: it reads exactly as flat zeroed memory would.
 //! * [`TagTable`] — the in-DRAM tag bitmap (1 bit / 32-byte granule).
 //! * [`TagController`] — the tag manager with its configurable
 //!   direct-mapped tag cache (default 8 KB) and DRAM-traffic statistics,

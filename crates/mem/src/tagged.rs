@@ -61,6 +61,7 @@ impl TaggedMem {
 
     /// Bytes covered by one tag bit in this configuration.
     #[must_use]
+    #[inline]
     pub fn granule(&self) -> u64 {
         self.tags.table().granule_size()
     }
@@ -75,6 +76,7 @@ impl TaggedMem {
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the configured granule.
+    #[inline(always)]
     pub fn read_tagged(&mut self, addr: u64, buf: &mut [u8]) -> Result<bool, MemError> {
         let g = self.granule();
         assert_eq!(buf.len() as u64, g, "buffer must be one granule");
@@ -95,6 +97,7 @@ impl TaggedMem {
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the configured granule.
+    #[inline(always)]
     pub fn write_tagged(&mut self, addr: u64, buf: &[u8], tag: bool) -> Result<(), MemError> {
         let g = self.granule();
         assert_eq!(buf.len() as u64, g, "buffer must be one granule");
@@ -114,6 +117,7 @@ impl TaggedMem {
 
     /// Tag-controller statistics.
     #[must_use]
+    #[inline]
     pub fn tag_stats(&self) -> TagCacheStats {
         self.tags.stats()
     }
@@ -237,6 +241,7 @@ impl TaggedMem {
 
     // --- capability accesses ---------------------------------------------
 
+    #[inline(always)]
     fn check_cap_align(addr: u64) -> Result<(), MemError> {
         if !addr.is_multiple_of(TAG_GRANULE) {
             Err(MemError::Misaligned { addr, required: TAG_GRANULE })
@@ -251,6 +256,7 @@ impl TaggedMem {
     ///
     /// [`MemError::Misaligned`] for non-granule-aligned addresses, or
     /// [`MemError::OutOfRange`].
+    #[inline(always)]
     pub fn read_cap_raw(&mut self, addr: u64) -> Result<([u8; CAP_SIZE_BYTES], bool), MemError> {
         Self::check_cap_align(addr)?;
         let mut buf = [0u8; CAP_SIZE_BYTES];
@@ -265,6 +271,7 @@ impl TaggedMem {
     /// # Errors
     ///
     /// As [`TaggedMem::read_cap_raw`].
+    #[inline(always)]
     pub fn read_cap(&mut self, addr: u64) -> Result<Capability, MemError> {
         let (bytes, tag) = self.read_cap_raw(addr)?;
         Ok(Capability::from_bytes(&bytes, tag))
@@ -278,6 +285,7 @@ impl TaggedMem {
     /// # Errors
     ///
     /// As [`TaggedMem::read_cap_raw`].
+    #[inline(always)]
     pub fn write_cap(&mut self, addr: u64, cap: &Capability) -> Result<(), MemError> {
         Self::check_cap_align(addr)?;
         self.phys.write_bytes(addr, &cap.to_bytes())?;
@@ -306,16 +314,11 @@ impl TaggedMem {
 
     /// Exports the complete memory state — DRAM image and tag table as
     /// run-length-encoded big-endian words, plus the tag-cache contents
-    /// and statistics — for `cheri-snap`.
+    /// and statistics — for `cheri-snap`. Encoding the DRAM image costs
+    /// its written prefix: the zeros past it are one run.
     #[must_use]
     pub fn export_state(&self) -> cheri_snap::MemState {
-        let image = self.phys.image();
-        debug_assert!(image.len().is_multiple_of(8), "DRAM size is always 8-aligned");
-        let words = cheri_snap::rle_encode(image.chunks_exact(8).map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_be_bytes(b)
-        }));
+        let words = self.phys.export_words();
         let tags = cheri_snap::rle_encode(self.tags.table().words().iter().copied());
         let s = self.tags.stats();
         cheri_snap::MemState {
@@ -343,7 +346,8 @@ impl TaggedMem {
     /// [`TaggedMem::write_bytes`] clears tags and charges tag-cache
     /// traffic, either of which would corrupt the restored state. DRAM
     /// bytes, tag-table words, tag-cache lines and tag statistics are
-    /// each written directly.
+    /// each written directly; a trailing zero run of the image is never
+    /// expanded.
     ///
     /// # Errors
     ///
@@ -393,15 +397,7 @@ impl TaggedMem {
         self.tags
             .import_lines(&lines, TagCacheStats { lookups, updates, hits, misses, writebacks })
             .map_err(cheri_snap::SnapError)?;
-        let image = self.phys.image_mut();
-        let mut at = 0usize;
-        for &(count, value) in &s.words {
-            let be = value.to_be_bytes();
-            for _ in 0..count {
-                image[at..at + 8].copy_from_slice(&be);
-                at += 8;
-            }
-        }
+        self.phys.import_words(&s.words);
         self.tags.table_mut().set_words(&cheri_snap::rle_decode(&s.tags));
         Ok(())
     }

@@ -93,6 +93,7 @@ impl TagTable {
     /// Panics if `paddr` is beyond the covered memory (a simulator bug:
     /// physical range checks happen in [`crate::PhysMem`] first).
     #[must_use]
+    #[inline]
     pub fn get(&self, paddr: u64) -> bool {
         let g = self.granule_of(paddr);
         assert!(g < self.granules, "tag lookup beyond physical memory");
@@ -104,6 +105,7 @@ impl TagTable {
     /// # Panics
     ///
     /// As for [`TagTable::get`].
+    #[inline]
     pub fn set(&mut self, paddr: u64, tag: bool) {
         let g = self.granule_of(paddr);
         assert!(g < self.granules, "tag store beyond physical memory");

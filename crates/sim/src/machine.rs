@@ -175,6 +175,21 @@ enum Outcome {
 // Register-sized: execute hands it to retire in two registers.
 const _: () = assert!(std::mem::size_of::<Outcome>() <= 16, "Outcome must stay within 16 bytes");
 
+/// Direct-mapped sets per access kind in the translation cache.
+const TC_SETS: usize = 64;
+/// The key bit that marks a translation-cache set filled; above every
+/// virtual page number.
+const TC_VALID: u64 = 1 << 63;
+
+/// One translation-cache set: the TLB's last successful translation of
+/// a page that maps to this set, keyed `page | TC_VALID` (0 when empty).
+#[derive(Clone, Copy, Default)]
+struct TcSet {
+    key: u64,
+    frame: u64,
+    flags: TlbFlags,
+}
+
 /// The simulated machine.
 pub struct Machine {
     /// Architectural CPU state.
@@ -190,11 +205,12 @@ pub struct Machine {
     tlb: Tlb,
     cfg: MachineConfig,
     bare: bool,
-    // One-entry micro-TLBs so the common translation path is O(1);
-    // invalidated on any TLB mutation. (page_number, frame_number, flags)
-    utlb_fetch: Option<(u64, u64, TlbFlags)>,
-    utlb_load: Option<(u64, u64, TlbFlags)>,
-    utlb_store: Option<(u64, u64, TlbFlags)>,
+    // The translation cache in front of the TLB, one array of sets per
+    // access kind (load, store, fetch), so a hit is one compare;
+    // emptied on any TLB mutation. It holds only successful
+    // translations, which have no side effect in the TLB, so refill
+    // counts stay exact.
+    tcache: [[TcSet; TC_SETS]; 3],
     // Predecoded basic blocks (the `run` fast path); invalidated by
     // store-generation counters, never consulted by `step`.
     blocks: BlockCache,
@@ -223,9 +239,7 @@ impl Machine {
             tlb: Tlb::new(crate::tlb::DEFAULT_ENTRIES),
             cfg: cfg.clone(),
             bare: true,
-            utlb_fetch: None,
-            utlb_load: None,
-            utlb_store: None,
+            tcache: [[TcSet::default(); TC_SETS]; 3],
             blocks: BlockCache::new(cfg.mem_bytes),
             parked_trap: None,
             parked_fault: None,
@@ -326,7 +340,7 @@ impl Machine {
     /// mappings are installed.
     pub fn enable_translation(&mut self) {
         self.bare = false;
-        self.invalidate_utlb();
+        self.invalidate_tcache();
     }
 
     /// Whether translation is active.
@@ -335,28 +349,26 @@ impl Machine {
         !self.bare
     }
 
-    fn invalidate_utlb(&mut self) {
-        self.utlb_fetch = None;
-        self.utlb_load = None;
-        self.utlb_store = None;
+    fn invalidate_tcache(&mut self) {
+        self.tcache = [[TcSet::default(); TC_SETS]; 3];
     }
 
     /// Installs a 4 KB mapping (kernel TLB-refill path).
     pub fn tlb_install(&mut self, vaddr: u64, paddr: u64, flags: TlbFlags) {
         self.tlb.install(vaddr, paddr, flags);
-        self.invalidate_utlb();
+        self.invalidate_tcache();
     }
 
     /// Flushes the TLB (context switch / `execve`).
     pub fn tlb_flush(&mut self) {
         self.tlb.flush();
-        self.invalidate_utlb();
+        self.invalidate_tcache();
     }
 
     /// Invalidates the page containing `vaddr` (revocation by unmapping).
     pub fn tlb_invalidate_page(&mut self, vaddr: u64) {
         self.tlb.invalidate_page(vaddr);
-        self.invalidate_utlb();
+        self.invalidate_tcache();
     }
 
     /// Read-only view of the TLB.
@@ -405,27 +417,33 @@ impl Machine {
             return Ok((vaddr, TlbFlags::rw()));
         }
         let page = vaddr >> PAGE_SHIFT;
-        let slot = if fetch {
-            &self.utlb_fetch
-        } else if write {
-            &self.utlb_store
-        } else {
-            &self.utlb_load
-        };
-        if let Some((p, f, fl)) = slot {
-            if *p == page {
-                return Ok(((f << PAGE_SHIFT) | (vaddr & 0xfff), *fl));
-            }
+        let set = self.tc_set(page, write, fetch);
+        if set.key == page | TC_VALID {
+            return Ok(((set.frame << PAGE_SHIFT) | (vaddr & 0xfff), set.flags));
         }
+        self.translate_miss(vaddr, write, fetch)
+    }
+
+    /// The translation-cache set of `page` for an access kind.
+    #[inline(always)]
+    fn tc_set(&mut self, page: u64, write: bool, fetch: bool) -> &mut TcSet {
+        &mut self.tcache[usize::from(write) + 2 * usize::from(fetch)][page as usize % TC_SETS]
+    }
+
+    /// The translation-cache miss: asks the TLB and caches a successful
+    /// translation in the access kind's set for the page.
+    #[cold]
+    #[inline(never)]
+    fn translate_miss(
+        &mut self,
+        vaddr: u64,
+        write: bool,
+        fetch: bool,
+    ) -> Result<(u64, TlbFlags), TrapKind> {
         let t = self.tlb.translate(vaddr, write)?;
-        let entry = (page, t.paddr >> PAGE_SHIFT, t.flags);
-        if fetch {
-            self.utlb_fetch = Some(entry);
-        } else if write {
-            self.utlb_store = Some(entry);
-        } else {
-            self.utlb_load = Some(entry);
-        }
+        let page = vaddr >> PAGE_SHIFT;
+        *self.tc_set(page, write, fetch) =
+            TcSet { key: page | TC_VALID, frame: t.paddr >> PAGE_SHIFT, flags: t.flags };
         Ok((t.paddr, t.flags))
     }
 
@@ -1313,7 +1331,7 @@ impl Machine {
                 } else {
                     self.tlb.write_random(entry);
                 }
-                self.invalidate_utlb();
+                self.invalidate_tcache();
                 Outcome::Next
             }
             Inst::Tlbp => {
@@ -1784,9 +1802,9 @@ impl Machine {
     /// state (caches, tag cache, branch predictor, statistics), so a
     /// restored run is bit-identical — same results, same cycle counts —
     /// to one that never stopped. Reconstructible acceleration state
-    /// (micro-TLBs, the predecoded block cache) and harness attachments
-    /// (the profiler) are excluded; they regenerate on demand and never
-    /// affect either results or timing.
+    /// (the translation cache, the predecoded block cache) and harness
+    /// attachments (the profiler) are excluded; they regenerate on demand
+    /// and never affect either results or timing.
     #[must_use]
     pub fn snapshot(&self) -> cheri_snap::MachineState {
         cheri_snap::MachineState {
@@ -1805,8 +1823,8 @@ impl Machine {
     /// machine. The machine must have a compatible identity (same memory
     /// size, cache geometry, capability format, …); the `block_cache`
     /// setting may differ, since it is architecturally transparent.
-    /// Micro-TLBs and the predecoded block cache are invalidated — they
-    /// cache derivations of the state that was just replaced.
+    /// The translation cache and the predecoded block cache are emptied:
+    /// they cache derivations of the state that was just replaced.
     ///
     /// # Errors
     ///
@@ -1827,7 +1845,7 @@ impl Machine {
         self.stats = Stats::from_array(s.stats);
         self.bare = s.bare;
         self.mem.import_state(&s.mem)?;
-        self.invalidate_utlb();
+        self.invalidate_tcache();
         self.blocks.invalidate_all();
         // Profile state is host-side only and never serialized: a
         // restored machine starts a fresh observation window, with the
@@ -2406,6 +2424,79 @@ mod tests {
         assert_eq!(m.step().unwrap(), StepResult::Continue);
         assert_eq!(m.cpu.gpr[8], 3);
         assert_eq!(m.stats.tlb_refills, 1);
+    }
+
+    /// Every path that changes the TLB, or enters translated mode,
+    /// empties the translation cache: after a page is remapped by it,
+    /// every access kind gets the TLB's new answer, never a stale set's.
+    #[test]
+    fn translation_cache_never_serves_a_remapped_page() {
+        const V: u64 = 0x4_0000;
+        // The next page in the same set of every access kind.
+        const ALIAS: u64 = V + (TC_SETS as u64) * 4096;
+        const OLD: u64 = 0x8000;
+        const NEW: u64 = 0xc000;
+        let kinds = [(false, false), (true, false), (false, true)];
+        let fresh = |m: &Machine, vaddr: u64, write: bool| {
+            m.tlb.clone().translate(vaddr, write).map(|t| (t.paddr, t.flags))
+        };
+        // Maps V to OLD and caches it in every access kind's set.
+        let warmed = || {
+            let mut m = machine();
+            m.enable_translation();
+            m.tlb_install(V, OLD, TlbFlags::rw());
+            m.tlb_install(ALIAS, NEW, TlbFlags::rw());
+            for (write, fetch) in kinds {
+                assert_eq!(m.translate(ALIAS + 8, write, fetch), Ok((NEW + 8, TlbFlags::rw())));
+                assert_eq!(m.translate(V + 8, write, fetch), Ok((OLD + 8, TlbFlags::rw())));
+            }
+            m
+        };
+        let mut remapped = warmed();
+        remapped.tlb.install(V, NEW, TlbFlags::rw_no_caps());
+        let remapped = remapped.snapshot();
+        let entryhi = V >> (PAGE_SHIFT + 1) << (PAGE_SHIFT + 1);
+        let tlbw = |m: &mut Machine, inst: Inst| {
+            m.cpu.cp0.index = m.tlb.probe(V).expect("V is mapped") as u64;
+            m.cpu.cp0.entryhi = entryhi;
+            m.cpu.cp0.entrylo0 = lo_from_flags(NEW >> PAGE_SHIFT, TlbFlags::rw_no_caps());
+            m.cpu.cp0.entrylo1 = 0;
+            assert!(matches!(m.execute_inst(&inst), Outcome::Next));
+        };
+        let paths = [
+            "tlb_install",
+            "tlb_flush",
+            "tlb_invalidate_page",
+            "TLBWI",
+            "TLBWR",
+            "enable_translation",
+            "restore",
+        ];
+        for name in paths {
+            let mut m = warmed();
+            match name {
+                "tlb_install" => m.tlb_install(V, NEW, TlbFlags::rw_no_caps()),
+                "tlb_flush" => m.tlb_flush(),
+                "tlb_invalidate_page" => m.tlb_invalidate_page(V),
+                "TLBWI" => tlbw(&mut m, Inst::Tlbwi),
+                "TLBWR" => tlbw(&mut m, Inst::Tlbwr),
+                "enable_translation" => {
+                    m.tlb.install(V, NEW, TlbFlags::rw_no_caps());
+                    m.enable_translation();
+                }
+                _ => m.restore(&remapped).unwrap(),
+            }
+            for (write, fetch) in kinds {
+                for vaddr in [V + 8, ALIAS + 8] {
+                    assert_eq!(
+                        m.translate(vaddr, write, fetch),
+                        fresh(&m, vaddr, write),
+                        "{name}: {vaddr:#x} write={write} fetch={fetch}"
+                    );
+                }
+            }
+            assert_ne!(fresh(&m, V, false), Ok((OLD, TlbFlags::rw())), "{name} remaps V");
+        }
     }
 
     #[test]

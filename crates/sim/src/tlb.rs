@@ -10,9 +10,9 @@
 //! *capability load* and *capability store*, letting the OS build shared
 //! memory "that cannot act as a channel for passing capabilities".
 //!
-//! Every micro-TLB miss in the machine searches this array, so the
-//! search reads one packed 8-byte key per entry (`vpn2 | PRESENT`, 0 for
-//! an absent entry) kept beside the entries: 1 KB for the 128-entry
+//! Every translation-cache miss in the machine searches this array, so
+//! the search reads one packed 8-byte key per entry (`vpn2 | PRESENT`, 0
+//! for an absent entry) kept beside the entries: 1 KB for the 128-entry
 //! TLB. Every writer keeps the keys in step with the entries, and the
 //! first present match still wins.
 

@@ -21,8 +21,8 @@
 //!    rather than guessing.
 //! 3. **Complete for resumption, silent on harness knobs**: everything
 //!    architectural or timing-visible is captured; reconstructible
-//!    acceleration state (micro-TLBs, predecoded block cache) and
-//!    harness configuration (the profiler, runaway budgets, the
+//!    acceleration state (translation cache, predecoded block cache)
+//!    and harness configuration (the profiler, runaway budgets, the
 //!    block-cache enable flag) are deliberately *excluded*, so the same
 //!    snapshot hashes identically whichever way the simulator is
 //!    driven.
