@@ -202,7 +202,7 @@ impl TaggedMem {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
-    #[inline]
+    #[inline(always)]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), MemError> {
         self.phys.write_u8(addr, v)?;
         self.tags.clear_tags_for_store(addr, 1);

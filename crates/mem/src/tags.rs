@@ -121,7 +121,7 @@ impl TagTable {
     /// effect of a non-capability store (Section 4.2: "Any non-capability
     /// store clears this bit"). Granules past the covered memory are
     /// skipped.
-    #[inline]
+    #[inline(always)]
     pub fn clear_range(&mut self, paddr: u64, len: u64) {
         if len == 0 {
             return;
@@ -131,8 +131,15 @@ impl TagTable {
         if first == last {
             // Every aligned data store fits one granule.
             self.clear_granule(first);
-            return;
+        } else {
+            self.clear_granules(first, last);
         }
+    }
+
+    /// [`TagTable::clear_range`] over more than one granule: block
+    /// copies and image loads, never a single data store.
+    #[cold]
+    fn clear_granules(&mut self, first: u64, last: u64) {
         for g in first..=last {
             self.clear_granule(g);
         }

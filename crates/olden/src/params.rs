@@ -1,7 +1,5 @@
 //! Benchmark problem sizes.
 
-use cheri_trace::json::JsonWriter;
-
 /// Problem sizes for the guest workloads: the four Olden kernels, the
 /// native-only limit-study workloads, and the `cheri-work` runtime
 /// workloads (`vmloop`, `allocstress`).
@@ -9,7 +7,7 @@ use cheri_trace::json::JsonWriter;
 /// The name is historical — the struct predates the non-Olden
 /// workloads and every surface (sweep matrix, serve protocol, reports)
 /// already spells it this way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct OldenParams {
     /// `treeadd` tree depth (paper: `treeadd 21 1 0`).
     pub treeadd_depth: u32,
@@ -50,34 +48,6 @@ pub struct OldenParams {
     /// `allocstress`: width of the live-object root table.
     pub alloc_roots: u32,
 }
-
-/// A named accessor for one parameter field.
-pub type ParamField = (&'static str, fn(&OldenParams) -> u32);
-
-/// The canonical field order of [`OldenParams::canonical_json`]: every
-/// field, paired with its accessor. One list drives serialization and
-/// its exhaustiveness test, so a new parameter cannot be added to the
-/// struct without joining the canonical form.
-pub const PARAM_FIELDS: [ParamField; 18] = [
-    ("treeadd_depth", |p| p.treeadd_depth),
-    ("bisort_log2", |p| p.bisort_log2),
-    ("perimeter_levels", |p| p.perimeter_levels),
-    ("mst_vertices", |p| p.mst_vertices),
-    ("mst_degree", |p| p.mst_degree),
-    ("em3d_nodes", |p| p.em3d_nodes),
-    ("em3d_degree", |p| p.em3d_degree),
-    ("em3d_iters", |p| p.em3d_iters),
-    ("health_levels", |p| p.health_levels),
-    ("health_steps", |p| p.health_steps),
-    ("power_feeders", |p| p.power_feeders),
-    ("vm_iters", |p| p.vm_iters),
-    ("vm_fib", |p| p.vm_fib),
-    ("vm_sort", |p| p.vm_sort),
-    ("vm_hash", |p| p.vm_hash),
-    ("alloc_slots", |p| p.alloc_slots),
-    ("alloc_ops", |p| p.alloc_ops),
-    ("alloc_roots", |p| p.alloc_roots),
-];
 
 impl OldenParams {
     /// The paper's evaluation parameters (Section 8: "the same
@@ -167,21 +137,6 @@ impl OldenParams {
         self.treeadd_depth = depth;
         self
     }
-
-    /// The canonical JSON serialization: every field, in the fixed
-    /// [`PARAM_FIELDS`] order, integers only. This is the `params`
-    /// object embedded in `JobSpec::canonical_json` (and therefore in
-    /// the `cheri-serve` result-cache key), so two parameter sets are
-    /// equal iff their canonical forms are byte-equal. Nothing parses
-    /// it back: the wire names a profile, never a params object.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        for (name, get) in PARAM_FIELDS {
-            w.u64_field(name, u64::from(get(self)));
-        }
-        w.close()
-    }
 }
 
 impl Default for OldenParams {
@@ -222,48 +177,6 @@ mod tests {
     fn builder_overrides_depth() {
         let p = OldenParams::scaled().with_treeadd_depth(16);
         assert_eq!(p.treeadd_depth, 16);
-    }
-
-    /// A params value with every field set to a distinct number, so a
-    /// serializer that swaps or drops any one field is caught. The
-    /// struct literal names every field, so the compiler keeps it
-    /// exhaustive.
-    fn distinct_params() -> OldenParams {
-        OldenParams {
-            treeadd_depth: 1000,
-            bisort_log2: 1001,
-            perimeter_levels: 1002,
-            mst_vertices: 1003,
-            mst_degree: 1004,
-            em3d_nodes: 1005,
-            em3d_degree: 1006,
-            em3d_iters: 1007,
-            health_levels: 1008,
-            health_steps: 1009,
-            power_feeders: 1010,
-            vm_iters: 1011,
-            vm_fib: 1012,
-            vm_sort: 1013,
-            vm_hash: 1014,
-            alloc_slots: 1015,
-            alloc_ops: 1016,
-            alloc_roots: 1017,
-        }
-    }
-
-    #[test]
-    fn canonical_json_serializes_every_field_in_order() {
-        let p = distinct_params();
-        let text = p.canonical_json();
-        let mut at = 0usize;
-        for (i, (name, get)) in PARAM_FIELDS.iter().enumerate() {
-            assert_eq!(get(&p), 1000 + i as u32, "accessor for {name}");
-            let needle = format!("\"{name}\":{}", 1000 + i);
-            let pos = text[at..].find(&needle).unwrap_or_else(|| {
-                panic!("canonical form must contain {needle:?} after byte {at}: {text}")
-            });
-            at += pos + needle.len();
-        }
     }
 
     #[test]

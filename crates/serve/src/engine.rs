@@ -219,10 +219,8 @@ pub enum Lookup {
 }
 
 /// A job the cached rung missed, with what the lookup already resolved:
-/// its canonical configuration (the cache and pool key) and pooled
-/// snapshot, if any.
+/// its pooled snapshot, if any.
 pub struct Miss {
-    canon: String,
     snapshot: Option<Arc<Snapshot>>,
     use_cache: bool,
 }
@@ -279,10 +277,11 @@ impl JobEngine {
     }
 
     /// The cached rung of the ladder: with `use_cache`, looks the job
-    /// up under its canonical configuration. A hit is a finished job
-    /// (counted and recorded as [`Origin::Cached`]) whose stored record
-    /// is shared, not copied. Anything else is a [`Miss`] carrying the
-    /// configuration and the pooled snapshot, if any.
+    /// up under its spec, which is the key (no string is rendered). A
+    /// hit is a finished job (counted and recorded as
+    /// [`Origin::Cached`]) whose stored record is shared, not copied.
+    /// Anything else is a [`Miss`] carrying the pooled snapshot, if
+    /// any.
     ///
     /// It never simulates, so the server calls it on the connection
     /// thread and sends only misses to the worker pool.
@@ -291,15 +290,13 @@ impl JobEngine {
     #[must_use]
     pub fn lookup(&self, spec: &JobSpec, use_cache: bool) -> Lookup {
         let t0 = Instant::now();
-        let canon = spec.canonical_json();
         if use_cache {
-            if let Some(stored) = self.cache.lookup(&canon) {
+            if let Some(stored) = self.cache.lookup(spec) {
                 self.telem.job_finished(Origin::Cached, elapsed_us(t0));
                 return Lookup::Hit(stored);
             }
         }
-        let snapshot = self.pool.get(&canon);
-        Lookup::Miss(Miss { canon, snapshot, use_cache })
+        Lookup::Miss(Miss { snapshot: self.pool.get(spec), use_cache })
     }
 
     /// The executing rungs for a job [`JobEngine::lookup`] missed,
@@ -310,8 +307,9 @@ impl JobEngine {
     /// 2. otherwise → full cold run ([`Mode::Split`]), pooling the
     ///    phase-2 snapshot it captures for every later request.
     ///
-    /// The record is serialised once, here, inside `ctx`'s serialize
-    /// span, and stored with those bytes when the miss allows it.
+    /// The record is serialised and quoted once, here, inside `ctx`'s
+    /// serialize span, and stored with those bytes when the miss allows
+    /// it.
     ///
     /// `ctx` attributes the job's phase spans and latency to a request
     /// (pass [`JobCtx::default`] outside request handling). Telemetry
@@ -328,12 +326,11 @@ impl JobEngine {
         ctx: JobCtx,
     ) -> Result<(Arc<StoredRecord>, Origin), String> {
         let t0 = Instant::now();
-        let (record, origin) = self.run(spec, &miss.canon, miss.snapshot.as_deref(), ctx)?;
+        let (record, origin) = self.run(spec, miss.snapshot.as_deref(), ctx)?;
         self.telem.job_finished(origin, elapsed_us(t0));
-        let json = self.telem.serialize_span(ctx, || record.to_json());
-        let stored = Arc::new(StoredRecord { record, json });
+        let stored = Arc::new(self.telem.serialize_span(ctx, || StoredRecord::new(record)));
         if miss.use_cache {
-            self.cache.store(miss.canon, &stored);
+            self.cache.store(*spec, &stored);
         }
         Ok((stored, origin))
     }
@@ -344,7 +341,6 @@ impl JobEngine {
     fn run(
         &self,
         spec: &JobSpec,
-        canon: &str,
         from: Option<&Snapshot>,
         ctx: JobCtx,
     ) -> Result<(JobRecord, Origin), String> {
@@ -358,7 +354,7 @@ impl JobEngine {
             JobRecord::from_result(run.result.as_ref().expect("split and resumed runs complete"));
         // Only a cold (split) run captures a snapshot.
         if let Some(snap) = run.snapshot {
-            self.pool.insert(canon.to_string(), snap);
+            self.pool.insert(*spec, snap);
         }
         Ok((rec, origin))
     }
@@ -372,8 +368,7 @@ impl JobEngine {
         let (tx, rx) = mpsc::channel::<bool>();
         let mut submitted = 0usize;
         for spec in specs {
-            let canon = spec.canonical_json();
-            if self.pool.get(&canon).is_some() {
+            if self.pool.get(&spec).is_some() {
                 continue;
             }
             let engine = self.clone();
@@ -385,7 +380,7 @@ impl JobEngine {
                 let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None);
                 match run.map(|r| r.snapshot) {
                     Ok(Some(snap)) => {
-                        engine.pool.insert(canon, snap);
+                        engine.pool.insert(spec, snap);
                         true
                     }
                     Ok(None) | Err(_) => false,

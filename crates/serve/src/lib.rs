@@ -9,7 +9,7 @@
 //! executes them warm from a pool of pre-booted phase-2 snapshots
 //! ([`SnapshotPool`]), and dedups identical work through a result
 //! cache ([`ResultCache`]). Cache and pool share one key: the job's
-//! canonical configuration, stored and compared whole.
+//! [`cheri_sweep::JobSpec`], compared whole.
 //!
 //! The service's contract is **transparency**: a served report must be
 //! byte-identical to what the cold batch path (`xsweep`) writes for the

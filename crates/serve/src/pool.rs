@@ -5,8 +5,7 @@
 //! begins, so a snapshot at that boundary has compilation, exec, and
 //! allocation already paid for ([`cheri_sweep::WARM_SNAPSHOT_PHASE`];
 //! [`cheri_sweep::Mode::BootOnly`] boots to it). The pool maps a job's
-//! canonical configuration
-//! ([`cheri_sweep::JobSpec::canonical_json`]) to that snapshot — the
+//! configuration, its [`JobSpec`] compared whole, to that snapshot — the
 //! same key the result cache ([`crate::cache`]) uses.
 //!
 //! Entries are immutable once inserted (`Arc`-shared, read-only), so any
@@ -17,14 +16,15 @@
 //! harmless.
 
 use cheri_snap::Snapshot;
+use cheri_sweep::JobSpec;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// A thread-safe map from canonical job configuration to pooled
-/// phase-2 snapshot.
+/// A thread-safe map from job configuration to pooled phase-2
+/// snapshot.
 #[derive(Default)]
 pub struct SnapshotPool {
-    map: Mutex<HashMap<String, Arc<Snapshot>>>,
+    map: Mutex<HashMap<JobSpec, Arc<Snapshot>>>,
 }
 
 impl SnapshotPool {
@@ -34,18 +34,18 @@ impl SnapshotPool {
         SnapshotPool::default()
     }
 
-    /// Looks up the snapshot for a canonical configuration.
+    /// Looks up the snapshot for a configuration.
     #[must_use]
-    pub fn get(&self, canonical_config: &str) -> Option<Arc<Snapshot>> {
-        self.map.lock().map_or(None, |m| m.get(canonical_config).cloned())
+    pub fn get(&self, spec: &JobSpec) -> Option<Arc<Snapshot>> {
+        self.map.lock().map_or(None, |m| m.get(spec).cloned())
     }
 
     /// Inserts a snapshot unless the configuration already has one. If
     /// another worker won the race, the duplicate is dropped —
     /// deterministic execution makes the two byte-identical anyway.
-    pub fn insert(&self, canonical_config: String, snapshot: Snapshot) {
+    pub fn insert(&self, spec: JobSpec, snapshot: Snapshot) {
         if let Ok(mut m) = self.map.lock() {
-            m.entry(canonical_config).or_insert_with(|| Arc::new(snapshot));
+            m.entry(spec).or_insert_with(|| Arc::new(snapshot));
         }
     }
 
@@ -66,7 +66,7 @@ impl SnapshotPool {
 mod tests {
     use super::*;
     use cheri_olden::OldenParams;
-    use cheri_sweep::{run_job, JobSpec, Mode, StrategyKind};
+    use cheri_sweep::{run_job, Mode, StrategyKind};
     use cheri_work::Workload;
 
     #[test]
@@ -75,13 +75,12 @@ mod tests {
         let run = run_job(&spec, spec.machine_config(), Mode::BootOnly, None);
         let snap = run.unwrap().snapshot.expect("treeadd reaches phase 2");
         let pool = SnapshotPool::new();
-        let canon = spec.canonical_json();
-        pool.insert(canon.clone(), snap.clone());
-        let first = pool.get(&canon).unwrap();
-        pool.insert(canon.clone(), snap);
-        let second = pool.get(&canon).unwrap();
+        pool.insert(spec, snap.clone());
+        let first = pool.get(&spec).unwrap();
+        pool.insert(spec, snap);
+        let second = pool.get(&spec).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "a duplicate insert must keep the resident entry");
         assert_eq!(pool.len(), 1);
-        assert!(pool.get("other").is_none());
+        assert!(pool.get(&JobSpec { tag_cache_kb: 16, ..spec }).is_none());
     }
 }

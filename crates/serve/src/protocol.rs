@@ -11,7 +11,10 @@
 //! rather than as nested objects: the transparency contract is
 //! byte-identity with the batch `xsweep` report, and only a string
 //! round-trip (escape on send, unescape on receive) preserves the exact
-//! bytes of the inner document through the protocol layer.
+//! bytes of the inner document through the protocol layer. A job's
+//! record is escaped once, when it is computed: every `record` reply is
+//! [`encode_record`] around those stored bytes, the line
+//! [`encode_event`] would write for the same [`Event::Record`].
 //!
 //! Job-shaped requests name their cell by the same strings the batch
 //! binaries take on the command line (workload, strategy with aliases,
@@ -275,7 +278,7 @@ fn get_parts(obj: &BTreeMap<String, Json>) -> Result<JobParts, String> {
 
 /// Parses one request line. Field order and whitespace are irrelevant —
 /// the line goes through the JSON parser, and job identity is decided
-/// by [`JobSpec::canonical_json`] downstream, never by the raw bytes.
+/// by the resolved [`JobSpec`] downstream, never by the raw bytes.
 ///
 /// # Errors
 ///
@@ -349,6 +352,24 @@ pub fn encode_event(ev: &Event) -> String {
             w.str_field("message", message);
         }
     }
+    w.close()
+}
+
+/// Serialises a `record` event whose record is already a JSON string
+/// literal (quoted by [`json::quote_into`]) as one line (no trailing
+/// newline): the bytes [`encode_event`] writes for
+/// `Event::Record { key, origin, record, req }` with the unquoted
+/// record, assembled without escaping the record again.
+#[must_use]
+pub fn encode_record(key: &str, origin: Origin, quoted_record: &str, req: u64) -> String {
+    // The header fields, the request id, the closing brace and the
+    // newline the server appends fit in 128 bytes beside the key.
+    let mut w = JsonWriter::object_with_capacity(quoted_record.len() + key.len() + 128);
+    w.str_field("type", "record");
+    w.str_field("key", key);
+    w.str_field("origin", origin.name());
+    w.raw_field("record", quoted_record);
+    w.u64_field("req", req);
     w.close()
 }
 

@@ -1,11 +1,13 @@
 //! The TCP server: accept loop, per-connection request handling, and
 //! graceful drain.
 //!
-//! One thread accepts connections (non-blocking, polling the [`Stop`]
-//! token); each connection gets a thread that reads request lines (at
-//! most [`MAX_LINE_BYTES`] each) and writes event lines. A `job` the
-//! result cache answers is answered right there, from the stored bytes;
-//! all actual simulation is submitted to the shared [`WorkerPool`].
+//! One thread accepts connections: its `accept` blocks until a
+//! connection arrives, so a client is taken at once, but gives up after
+//! 100 ms so the thread can check the [`Stop`] token. Each connection
+//! gets a thread that reads request lines (at most [`MAX_LINE_BYTES`]
+//! each) and writes event lines. A `job` the result cache answers is
+//! answered right there, from the stored, already-quoted record; all
+//! actual simulation is submitted to the shared [`WorkerPool`].
 //! Shutdown — a `shutdown` request, [`Stop::request`],
 //! or (in the binary) SIGINT/SIGTERM — is cooperative: jobs already
 //! executing on workers run to completion, queued jobs bail, sweeps
@@ -31,15 +33,15 @@ use crate::protocol::{
 };
 use crate::telem::{self, elapsed_us, JobCtx, ServiceTelem};
 use cheri_sweep::{JobSpec, Profile};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loop wake to poll the stop
-/// token.
+/// How long a blocked read or accept waits before it wakes to poll the
+/// stop token.
 const POLL: Duration = Duration::from_millis(100);
 
 /// The longest request line the server reads, in bytes (the newline not
@@ -173,16 +175,20 @@ impl Server {
     /// Fatal listener errors only (per-connection errors close that
     /// connection).
     pub fn serve(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let listener = accept_within(self.listener, POLL)?;
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.stop.stopping() {
-            match self.listener.accept() {
+            match listener.accept() {
                 Ok((stream, _peer)) => {
                     let shared = self.shared.clone();
                     conns.push(std::thread::spawn(move || handle_connection(stream, &shared)));
                     conns.retain(|h| !h.is_finished());
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // Linux's accept has already waited POLL.
+                    #[cfg(not(target_os = "linux"))]
+                    std::thread::sleep(POLL);
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -200,10 +206,36 @@ impl Server {
     }
 }
 
-fn send(writer: &mut TcpStream, ev: &Event) -> bool {
-    let mut line = encode_event(ev);
+/// `listener` with an `accept` that waits at most `timeout` for a
+/// connection. Linux applies a socket's receive timeout (`SO_RCVTIMEO`)
+/// to `accept(2)`, and std sets that option only on a [`TcpStream`], so
+/// the socket passes through one, by owned-descriptor conversions, to
+/// have it set.
+#[cfg(target_os = "linux")]
+fn accept_within(listener: TcpListener, timeout: Duration) -> io::Result<TcpListener> {
+    use std::os::fd::OwnedFd;
+    let socket = TcpStream::from(OwnedFd::from(listener));
+    socket.set_read_timeout(Some(timeout))?;
+    Ok(TcpListener::from(OwnedFd::from(socket)))
+}
+
+/// Elsewhere `accept` ignores the receive timeout, so the listener is
+/// non-blocking and the accept loop sleeps `timeout` between polls.
+#[cfg(not(target_os = "linux"))]
+fn accept_within(listener: TcpListener, _timeout: Duration) -> io::Result<TcpListener> {
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
+/// Writes one event line; returns `false` when the client is
+/// unreachable.
+fn send_line(writer: &mut TcpStream, mut line: String) -> bool {
     line.push('\n');
     writer.write_all(line.as_bytes()).and_then(|()| writer.flush()).is_ok()
+}
+
+fn send(writer: &mut TcpStream, ev: &Event) -> bool {
+    send_line(writer, encode_event(ev))
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
@@ -307,15 +339,28 @@ fn answer(writer: &mut TcpStream, shared: &Shared, req: u64, ev: &Event) -> bool
     !send(writer, ev)
 }
 
-/// A `record` event for a job's stored result.
-fn record_event(stored: &StoredRecord, origin: Origin, req: u64) -> Event {
-    Event::Record { key: stored.record.key.clone(), origin, record: stored.json.clone(), req }
+/// Answers job request `req` with its result, or with the error that
+/// stopped it: closes the request span, tagged by the job's origin, and
+/// sends the `record` line assembled around the stored, already-quoted
+/// record. Returns `true` when the client is unreachable.
+fn answer_job(
+    writer: &mut TcpStream,
+    shared: &Shared,
+    req: u64,
+    outcome: Result<(Arc<StoredRecord>, Origin), String>,
+) -> bool {
+    match outcome {
+        Ok((stored, origin)) => {
+            shared.engine.telem().request_end(req, origin.name());
+            !send_line(writer, stored.reply(origin, req))
+        }
+        Err(message) => answer(writer, shared, req, &Event::Error { message }),
+    }
 }
 
 /// The request span's closing tag, read off the outcome event.
 fn end_tag(ev: &Event) -> &'static str {
     match ev {
-        Event::Record { origin, .. } => origin.name(),
         Event::Report { .. } => "sweep",
         Event::Error { .. } => "error",
         _ => "ok",
@@ -350,33 +395,29 @@ fn handle_request(text: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
         // and no worker; only a miss is shipped to the pool.
         Request::Job { parts, cache } => {
             let req = begin_request(shared);
-            match parts.spec().map(|spec| (spec, shared.engine.lookup(&spec, cache))) {
-                Err(message) => answer(writer, shared, req, &Event::Error { message }),
-                Ok((_, Lookup::Hit(stored))) => {
-                    answer(writer, shared, req, &record_event(&stored, Origin::Cached, req))
-                }
-                Ok((spec, Lookup::Miss(miss))) => serve_miss(writer, shared, req, spec, miss),
-            }
+            let outcome = parts.spec().and_then(|spec| match shared.engine.lookup(&spec, cache) {
+                Lookup::Hit(stored) => Ok((stored, Origin::Cached)),
+                Lookup::Miss(miss) => run_miss(shared, req, spec, miss),
+            });
+            answer_job(writer, shared, req, outcome)
         }
     }
 }
 
-/// Serves a `job` the cached rung missed as request `req`: ships it to
+/// Runs a `job` the cached rung missed as request `req`: ships it to
 /// the worker pool and blocks this connection thread for its outcome,
 /// so executing requests obey the same global parallelism bound as
-/// sweeps, then answers with it. The queue wait (submission to pickup)
-/// is spanned and recorded; a refused submission closes the span
-/// immediately so the stream stays balanced. A task that ends without
-/// replying while the server is not stopping panicked (the pool
-/// contains it), and is answered as such. Returns `true` when the
-/// client is unreachable.
-fn serve_miss(
-    writer: &mut TcpStream,
+/// sweeps. The queue wait (submission to pickup) is spanned and
+/// recorded; a refused submission closes the span immediately so the
+/// stream stays balanced. A task that ends without replying while the
+/// server is not stopping panicked (the pool contains it), and is
+/// reported as such.
+fn run_miss(
     shared: &Shared,
     req: u64,
     spec: JobSpec,
     miss: Miss,
-) -> bool {
+) -> Result<(Arc<StoredRecord>, Origin), String> {
     let ctx = JobCtx::single(req);
     let (tx, rx) = mpsc::channel();
     let engine = shared.engine.clone();
@@ -390,23 +431,17 @@ fn serve_miss(
         }
         engine.execute_miss(&spec, miss, ctx)
     });
-    let reply = if submitted {
-        match rx.recv() {
-            Ok(Ok((stored, origin))) => record_event(&stored, origin, req),
-            Ok(Err(message)) => Event::Error { message },
-            Err(_) if shared.stop.stopping() => {
-                Event::Error { message: "job was dropped during shutdown".into() }
-            }
-            Err(_) => Event::Error {
-                message: "job panicked on its worker (the worker survived; see the server log)"
-                    .into(),
-            },
-        }
-    } else {
+    if !submitted {
         shared.engine.telem().queue_end(ctx, elapsed_us(queued_at));
-        Event::Error { message: "server is shutting down".into() }
-    };
-    answer(writer, shared, req, &reply)
+        return Err("server is shutting down".into());
+    }
+    match rx.recv() {
+        Ok(outcome) => outcome,
+        Err(_) if shared.stop.stopping() => Err("job was dropped during shutdown".into()),
+        Err(_) => {
+            Err("job panicked on its worker (the worker survived; see the server log)".into())
+        }
+    }
 }
 
 fn handle_sweep(

@@ -1,7 +1,7 @@
 //! Result-cache key stability: the cache and the snapshot pool are keyed
-//! by the job's canonical configuration, which must be a function of
-//! the configuration only — never of wire formatting — and must change
-//! whenever any field of it changes.
+//! by the job's `JobSpec`, which must be a function of the configuration
+//! only — never of wire formatting — and must differ whenever any field
+//! of the configuration differs.
 
 use cheri_olden::OldenParams;
 use cheri_serve::protocol::decode_request;
@@ -10,8 +10,8 @@ use cheri_snap::Snapshot;
 use cheri_sweep::{run_job, JobSpec, Mode};
 
 /// The same job spelled with different field order and whitespace must
-/// decode to the same spec and therefore the same key — identity is
-/// decided by the canonical serialization, not the request bytes.
+/// decode to the same spec — identity is decided by the resolved
+/// configuration, not the request bytes.
 #[test]
 fn wire_layout_does_not_change_the_key() {
     let a = "{\"type\":\"job\",\"workload\":\"treeadd\",\"strategy\":\"cheri\",\"tag_kb\":8}";
@@ -23,25 +23,24 @@ fn wire_layout_does_not_change_the_key() {
             other => panic!("expected a job request, got {other:?}"),
         }
     };
-    assert_eq!(spec_of(a).canonical_json(), spec_of(b).canonical_json());
+    assert_eq!(spec_of(a), spec_of(b));
 }
 
-/// Aliases resolve to the same strategy, hence the same key.
+/// Aliases resolve to the same strategy, hence the same spec.
 #[test]
 fn strategy_aliases_share_a_key() {
     let params = OldenParams::scaled();
     let a = JobSpec::from_parts("treeadd", "cheri", 8, params).unwrap();
     let b = JobSpec::from_parts("treeadd", "cap", 8, params).unwrap();
-    assert_eq!(a.canonical_json(), b.canonical_json());
+    assert_eq!(a, b);
 }
 
-/// Any single configuration change must produce a different key: a
+/// Any single configuration change must produce a different spec: a
 /// shared key would serve one experiment's numbers as another's.
 #[test]
 fn every_config_field_changes_the_key() {
     let params = OldenParams::scaled();
     let base = JobSpec::from_parts("treeadd", "cheri", 8, params).unwrap();
-    let base_key = base.canonical_json();
 
     let variants = [
         JobSpec::from_parts("mst", "cheri", 8, params).unwrap(),
@@ -49,9 +48,10 @@ fn every_config_field_changes_the_key() {
         JobSpec::from_parts("treeadd", "cheri128", 8, params).unwrap(),
         JobSpec::from_parts("treeadd", "cheri", 16, params).unwrap(),
         JobSpec::from_parts("treeadd", "cheri", 8, OldenParams::medium()).unwrap(),
+        JobSpec { variant: Some(14), ..base },
     ];
     for v in &variants {
-        assert_ne!(v.canonical_json(), base_key, "distinct config must give a distinct key");
+        assert_ne!(*v, base, "distinct config must give a distinct key");
     }
 }
 

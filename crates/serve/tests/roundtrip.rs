@@ -61,7 +61,10 @@ fn served_sweep_is_byte_identical_to_batch() {
     let exp = scrape(&mut client);
     assert_eq!(counter(&exp, telem::JOBS_CACHED), origins.len() as u64, "one hit per job");
     assert_eq!(counter(&exp, telem::JOBS), 2 * origins.len() as u64);
-    assert!(exp.gauge(telem::POOL_ENTRIES).unwrap_or(0) > 0, "phase-2 snapshots should be pooled");
+    // One pool entry and one cache entry per job of the matrix.
+    assert_eq!(exp.gauge(telem::POOL_ENTRIES), Some(origins.len() as u64));
+    assert_eq!(exp.gauge(telem::CACHED_RESULTS), Some(origins.len() as u64));
+    assert_eq!(origins.len(), 30);
     let health = client.health().unwrap();
     assert_eq!(health.workers, 2, "health must echo the worker config");
     assert_eq!(health.version, env!("CARGO_PKG_VERSION"));

@@ -135,7 +135,14 @@ pub const TAG_ABLATION_KB: [usize; 7] = [0, 1, 2, 4, 8, 16, 64];
 
 /// One fully specified experiment: a workload at a problem size, a
 /// pointer strategy, and a machine tag-cache configuration.
-#[derive(Clone, Copy, Debug)]
+///
+/// Equality is the whole configuration, field by field: two specs are
+/// equal iff they describe the same experiment. That makes a spec its
+/// own `cheri-serve` result-cache and snapshot-pool key, so requests
+/// that spell one job with different JSON field order, whitespace or
+/// strategy aliases share an entry, and a field added here joins the
+/// key by construction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JobSpec {
     /// The guest workload (Olden kernel or runtime-system workload).
     pub workload: Workload,
@@ -185,29 +192,6 @@ impl JobSpec {
             ));
         }
         Ok(JobSpec { workload, strategy, tag_cache_kb, params, variant: None })
-    }
-
-    /// The canonical serialization of this job's *complete*
-    /// configuration: every field that influences the result (workload,
-    /// strategy, tag-cache size, variant label, and all problem-size
-    /// parameters) in a fixed order with fixed formatting. Two specs
-    /// describe the same experiment iff their canonical forms are
-    /// byte-equal — this is the `cheri-serve` result-cache and
-    /// snapshot-pool key, so requests that spell the same job with
-    /// different JSON field order or whitespace dedup onto one entry.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        use cheri_trace::json::JsonWriter;
-        let mut w = JsonWriter::object();
-        w.str_field("workload", self.workload.name());
-        w.str_field("strategy", self.strategy.name());
-        w.u64_field("tag_cache_kb", self.tag_cache_kb as u64);
-        match self.variant {
-            Some(v) => w.u64_field("variant", u64::from(v)),
-            None => w.raw_field("variant", "null"),
-        }
-        w.raw_field("params", &self.params.canonical_json());
-        w.close()
     }
 
     /// The unique report key: `workload/strategy/tagNN[/pVV]`.
@@ -531,7 +515,7 @@ mod tests {
         assert_eq!(spec.key(), "treeadd/cheri/tag8");
         // Aliases resolve to the same spec as canonical names.
         let alias = JobSpec::from_parts("treeadd", "c256", 8, p).unwrap();
-        assert_eq!(alias.canonical_json(), spec.canonical_json());
+        assert_eq!(alias, spec);
         // The runtime-system workloads are first-class citizens.
         let vm = JobSpec::from_parts("vmloop", "cheri128", 8, p).unwrap();
         assert_eq!(vm.key(), "vmloop/cheri128/tag8");
@@ -548,13 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn canonical_json_covers_every_field() {
+    fn every_field_distinguishes_a_spec() {
         let p = OldenParams::scaled();
         let base = JobSpec::new(Workload::Treeadd, StrategyKind::Cheri256, p);
-        let canon = base.canonical_json();
-        // Stable under re-serialization.
-        assert_eq!(base.canonical_json(), canon);
-        // Every single-field change shows up.
+        // Every single-field change gives a distinct spec.
         let variants = [
             JobSpec { workload: Workload::Mst, ..base },
             JobSpec { workload: Workload::Vmloop, ..base },
@@ -566,11 +547,8 @@ mod tests {
             JobSpec { params: OldenParams { alloc_slots: p.alloc_slots + 1, ..p }, ..base },
         ];
         for v in variants {
-            assert_ne!(v.canonical_json(), canon, "{v:?} must change the canonical form");
+            assert_ne!(v, base, "{v:?} must differ from the base spec");
         }
-        // The embedded params object is exactly the params codec's
-        // canonical form, so the two cannot drift.
-        assert!(canon.contains(&p.canonical_json()));
     }
 
     #[test]

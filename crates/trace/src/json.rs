@@ -18,7 +18,16 @@ impl JsonWriter {
     /// Starts an object (`{`).
     #[must_use]
     pub fn object() -> JsonWriter {
-        JsonWriter { buf: String::from("{"), first: true }
+        JsonWriter::object_with_capacity(0)
+    }
+
+    /// Starts an object (`{`) whose buffer holds `bytes` without
+    /// growing.
+    #[must_use]
+    pub fn object_with_capacity(bytes: usize) -> JsonWriter {
+        let mut buf = String::with_capacity(bytes.max(1));
+        buf.push('{');
+        JsonWriter { buf, first: true }
     }
 
     fn key(&mut self, name: &str) {
@@ -34,9 +43,7 @@ impl JsonWriter {
     /// Appends `"name":"value"` with escaping.
     pub fn str_field(&mut self, name: &str, value: &str) {
         self.key(name);
-        self.buf.push('"');
-        escape_into(&mut self.buf, value);
-        self.buf.push('"');
+        quote_into(&mut self.buf, value);
     }
 
     /// Appends `"name":123`.
@@ -65,21 +72,39 @@ impl JsonWriter {
     }
 }
 
-/// Escapes `s` into `out` per JSON string rules.
+/// Escapes `s` into `out` per JSON string rules: `"`, `\` and the C0
+/// controls are escaped, everything else is copied. The runs between
+/// escaped bytes are copied whole; every escaped byte is ASCII, so each
+/// run ends on a character boundary.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
+    out.reserve(s.len());
+    let mut run = 0;
+    for (i, &c) in s.as_bytes().iter().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
+}
+
+/// Appends `s` to `out` as a JSON string literal: escaped
+/// ([`escape_into`]) and in double quotes.
+pub fn quote_into(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// A parsed JSON value (unsigned-integer numbers only — all quantities
@@ -145,11 +170,10 @@ pub const MAX_DEPTH: usize = 128;
 /// The first syntax error, or nesting deeper than [`MAX_DEPTH`], with
 /// its byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(v)
@@ -171,17 +195,18 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-/// Parses the value at `pos`, which sits inside `depth` enclosing
-/// arrays/objects.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+/// Parses the value of `t` at `pos`, which sits inside `depth`
+/// enclosing arrays/objects.
+fn parse_value(t: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = t.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         Some(b'{' | b'[') if depth == MAX_DEPTH => {
             Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
         }
-        Some(b'{') => parse_obj(b, pos, depth + 1),
-        Some(b'[') => parse_arr(b, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'{') => parse_obj(t, pos, depth + 1),
+        Some(b'[') => parse_arr(t, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(t, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -211,62 +236,49 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal of `t` at `pos`. The run up to the next `"`
+/// or `\` is appended whole, sliced from `t`: both delimiters are
+/// ASCII, so every run starts and ends on a character boundary.
+fn parse_string(t: &str, pos: &mut usize) -> Result<String, String> {
+    let b = t.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                // Multi-byte UTF-8 sequences pass through unmodified.
-                let len = utf8_len(c);
-                let chunk = b
-                    .get(*pos..*pos + len)
-                    .and_then(|s| std::str::from_utf8(s).ok())
-                    .ok_or_else(|| format!("bad utf-8 at byte {}", *pos))?;
-                out.push_str(chunk);
-                *pos += len;
-            }
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        out.push_str(&t[*pos..*pos + run]);
+        *pos += run;
+        if b[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match b.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let hex = b
+                    .get(*pos + 1..*pos + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_arr(t: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = t.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -275,7 +287,7 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos, depth)?);
+        items.push(parse_value(t, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -288,7 +300,8 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_obj(t: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = t.as_bytes();
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -298,9 +311,9 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(t, pos)?;
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos, depth)?;
+        let value = parse_value(t, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -317,6 +330,7 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_then_parser_roundtrip() {
@@ -395,6 +409,181 @@ mod tests {
         roundtrip(r#"\" tricky \\" nested"#);
         roundtrip("\"\\\"\\"); // quote, backslash, quote, backslash
         roundtrip("already-escaped-looking: \\n \\u0041");
+    }
+
+    /// The character-at-a-time codec the run-at-a-time one replaced,
+    /// kept verbatim as the oracle for its output bytes, its
+    /// accept/refuse decisions and its error messages.
+    mod oracle {
+        use std::fmt::Write as _;
+
+        pub fn escape_into(out: &mut String, s: &str) {
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+        }
+
+        pub fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+            super::super::expect(b, pos, b'"')?;
+            let mut out = String::new();
+            loop {
+                match b.get(*pos) {
+                    None => return Err("unterminated string".into()),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match b.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                let hex = b
+                                    .get(*pos + 1..*pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                                *pos += 4;
+                            }
+                            _ => return Err(format!("bad escape at byte {}", *pos)),
+                        }
+                        *pos += 1;
+                    }
+                    Some(&c) => {
+                        let len = utf8_len(c);
+                        let chunk = b
+                            .get(*pos..*pos + len)
+                            .and_then(|s| std::str::from_utf8(s).ok())
+                            .ok_or_else(|| format!("bad utf-8 at byte {}", *pos))?;
+                        out.push_str(chunk);
+                        *pos += len;
+                    }
+                }
+            }
+        }
+
+        fn utf8_len(first: u8) -> usize {
+            match first {
+                0x00..=0x7f => 1,
+                0xc0..=0xdf => 2,
+                0xe0..=0xef => 3,
+                _ => 4,
+            }
+        }
+    }
+
+    /// One piece of a generated string: printable ASCII, a C0 control,
+    /// `"`, `\`, `/`, DEL, a 2-, 3- or 4-byte UTF-8 character, or a long
+    /// run with nothing to escape.
+    fn piece(kind: u32, n: u32) -> String {
+        let ch = |c: u32| char::from_u32(c).map_or_else(|| "\u{fffd}".to_string(), String::from);
+        match kind {
+            0 => ch(0x20 + n % 95),
+            1 => ch(n % 0x20),
+            2 => "\"".into(),
+            3 => "\\".into(),
+            4 => "/".into(),
+            5 => ch(0x7f),
+            6 => ch(0x80 + n % 0x780),
+            7 => ch(0x800 + n * 61 % 0xf7ff),
+            8 => ch(0x1_0000 + n * 1061 % 0x10_0000),
+            _ => (0..64 + n % 512).map(|i| char::from(b'a' + (i % 26) as u8)).collect(),
+        }
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0u32..10, 0u32..1000), 0..24)
+            .prop_map(|pieces| pieces.into_iter().map(|(k, n)| piece(k, n)).collect())
+    }
+
+    /// Both string parsers on `doc` from byte 0: the same `Ok` value and
+    /// end position, or the same error message.
+    fn parsers_agree(doc: &str) -> Result<(), TestCaseError> {
+        let (mut at, mut oracle_at) = (0, 0);
+        let got = parse_string(doc, &mut at);
+        let want = oracle::parse_string(doc.as_bytes(), &mut oracle_at);
+        prop_assert_eq!(&got, &want);
+        if got.is_ok() {
+            prop_assert_eq!(at, oracle_at);
+        }
+        Ok(())
+    }
+
+    /// The largest character boundary of `s` at or below `i`.
+    fn floor_boundary(s: &str, mut i: usize) -> usize {
+        i = i.min(s.len());
+        while !s.is_char_boundary(i) {
+            i -= 1;
+        }
+        i
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Escaping copies runs but writes the oracle's bytes, and the
+        /// parser reads the escaped form back to the original string.
+        #[test]
+        fn escaping_matches_the_oracle_and_parses_back(s in text()) {
+            let (mut got, mut want) = (String::new(), String::new());
+            escape_into(&mut got, &s);
+            oracle::escape_into(&mut want, &s);
+            prop_assert_eq!(&got, &want);
+            let doc = format!("\"{got}\"");
+            prop_assert_eq!(parse(&doc), Ok(Json::Str(s.clone())));
+            parsers_agree(&doc)?;
+        }
+
+        /// Truncated and mutated string documents: a lone `\` at the
+        /// end, bad and odd `\u` escapes, stray quotes and backslashes
+        /// and unterminated strings get the oracle's answer, error
+        /// message included.
+        #[test]
+        fn damaged_documents_get_the_oracles_answer(
+            s in text(),
+            cuts in proptest::collection::vec((any::<u32>(), 0u32..16), 1..8),
+        ) {
+            const INSERTS: [&str; 14] = [
+                "\\", "\"", "\\u", "\\u12", "\\uzzzz", "\\u+041", "\\u00e9", "\\ud800",
+                "\\uDFFF", "\\x", "\\/", "\\\\", "\u{e9}", "\\u00",
+            ];
+            let mut doc = String::from("\"");
+            escape_into(&mut doc, &s);
+            let body = doc.clone();
+            parsers_agree(&body)?; // unterminated
+            parsers_agree(&format!("{body}\\"))?; // a lone `\` at the end
+            doc.push('"');
+            for (cut, what) in cuts {
+                // Never cut into the opening quote.
+                let at = floor_boundary(&doc, 1 + cut as usize % doc.len()).max(1);
+                parsers_agree(&doc[..at])?;
+                let mut mutated = doc.clone();
+                match INSERTS.get(what as usize) {
+                    Some(insert) => mutated.insert_str(at, insert),
+                    None if at < doc.len() => {
+                        mutated.remove(at);
+                    }
+                    None => {}
+                }
+                parsers_agree(&mutated)?;
+            }
+        }
     }
 
     #[test]
