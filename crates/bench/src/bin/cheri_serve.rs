@@ -19,7 +19,8 @@
 //!             [--results DIR]         persist every completed served sweep
 //!                                     report under DIR (atomic write+rename)
 //!             [--telem-out FILE]      on drain, flush the request-span
-//!                                     timeline (Chrome trace JSON + final
+//!                                     timeline of the most recent
+//!                                     requests (Chrome trace JSON + final
 //!                                     metric snapshot) to FILE atomically
 //! ```
 

@@ -23,8 +23,9 @@
 //! place the service counts anything. Read-only verbs — `ping`,
 //! `metrics`, `health` — take no id and record nothing, which is what
 //! keeps idle `metrics` scrapes byte-identical. The final drain flushes
-//! the span timeline and metric snapshot to `telem_out` with the same
-//! `.tmp`-then-rename discipline as reports.
+//! the span timeline (the span log's window of recent whole requests)
+//! and metric snapshot to `telem_out` with the same `.tmp`-then-rename
+//! discipline as reports.
 
 use crate::cache::StoredRecord;
 use crate::engine::{run_profile, JobEngine, Lookup, Miss, Stop, WorkerPool};
@@ -165,8 +166,8 @@ impl Server {
 
     /// Accepts and serves connections until the stop token trips, then
     /// drains: in-flight jobs finish, queued jobs bail, workers and
-    /// connection threads are joined, and — last, so it sees every
-    /// span — the telemetry flush is written if configured. Returns
+    /// connection threads are joined, and — last, so every request is
+    /// complete — the telemetry flush is written if configured. Returns
     /// `Ok(())` on a clean drain — the binary turns this into exit
     /// status 0.
     ///

@@ -15,7 +15,7 @@
 //! clocks and counters outside the simulator.
 
 use crate::protocol::Origin;
-use cheri_telem::{SpanLog, SpanPhase, TelemRegistry};
+use cheri_telem::{OpenSpan, SpanLog, SpanPhase, TelemRegistry};
 use cheri_trace::chrome;
 use std::time::Instant;
 
@@ -148,13 +148,15 @@ impl ServiceTelem {
     }
 
     /// Runs `f` (a serialisation step) inside `ctx`'s serialize span,
-    /// recording its wall time with its counter in one batch.
+    /// recording its wall time with its counter in one batch. If `f`
+    /// unwinds, the span still closes (tagged [`cheri_telem::ABORTED`])
+    /// and nothing is recorded.
     pub fn serialize_span<T>(&self, ctx: JobCtx, f: impl FnOnce() -> T) -> T {
-        self.spans.begin(SpanPhase::Serialize, ctx.req, ctx.job);
+        let span = self.spans.open(SpanPhase::Serialize, ctx.req, ctx.job);
         let t0 = Instant::now();
         let out = f();
         let us = elapsed_us(t0);
-        self.spans.end(SpanPhase::Serialize, ctx.req, ctx.job);
+        span.end(None);
         self.registry.batch(|b| {
             b.add(SERIALIZES, 1);
             b.record(SERIALIZE_US, us);
@@ -208,11 +210,16 @@ impl ServiceTelem {
 /// the span log and the phase histograms: begin events start a host
 /// timer and open the span; end events close it (tagged with the job's
 /// origin) and record the duration with its counter in one batch.
+///
+/// Dropping the recorder closes every phase it opened and did not
+/// close, tagged [`cheri_telem::ABORTED`] and with nothing recorded, so
+/// a job that unwinds mid-phase leaves its request balanced and
+/// `_count == counter` intact.
 pub struct PhaseRecorder<'a> {
     telem: &'a ServiceTelem,
     ctx: JobCtx,
     origin_tag: &'static str,
-    started: Vec<(&'static str, Instant)>,
+    started: Vec<(&'static str, OpenSpan<'a>, Instant)>,
 }
 
 fn phase_metrics(name: &str) -> Option<(SpanPhase, &'static str, &'static str)> {
@@ -239,17 +246,23 @@ impl<'a> PhaseRecorder<'a> {
     /// to a `*_spanned` runner.
     pub fn note(&mut self, name: &'static str, begin: bool) {
         let Some((phase, counter, hist)) = phase_metrics(name) else { return };
+        let ctx = self.ctx;
         if begin {
-            self.started.push((name, Instant::now()));
-            self.telem.spans.begin(phase, self.ctx.req, self.ctx.job);
+            let t0 = Instant::now();
+            self.started.push((name, self.telem.spans.open(phase, ctx.req, ctx.job), t0));
         } else {
-            let us = self
-                .started
-                .iter()
-                .rposition(|(n, _)| *n == name)
-                .map(|i| elapsed_us(self.started.remove(i).1))
-                .unwrap_or(0);
-            self.telem.spans.end_tagged(phase, self.ctx.req, self.ctx.job, self.origin_tag);
+            let us = match self.started.iter().rposition(|(n, ..)| *n == name) {
+                Some(i) => {
+                    let (_, span, t0) = self.started.remove(i);
+                    let us = elapsed_us(t0);
+                    span.end(Some(self.origin_tag));
+                    us
+                }
+                None => {
+                    self.telem.spans.end_tagged(phase, ctx.req, ctx.job, self.origin_tag);
+                    0
+                }
+            };
             self.telem.registry.batch(|b| {
                 b.add(counter, 1);
                 b.record(hist, us);
@@ -261,6 +274,7 @@ impl<'a> PhaseRecorder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn phase_recorder_balances_and_pairs_counts() {
@@ -281,5 +295,45 @@ mod tests {
         assert_eq!(snap.counter(JOBS), 1);
         assert_eq!(snap.counter(JOBS_WARM), 1);
         assert_eq!(snap.gauge(JOB_LATENCY_MAX_US), 1234);
+    }
+
+    /// A job that panics inside a phase, as `WorkerPool::submit`
+    /// contains it: the phases it opened close as aborted, and neither
+    /// the aborted phase nor the aborted serialisation is counted.
+    #[test]
+    fn a_job_that_unwinds_closes_the_spans_it_opened() {
+        let telem = ServiceTelem::default();
+        let ctx = JobCtx { req: 9, job: 0 };
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut rec = PhaseRecorder::new(&telem, ctx, "cold");
+            rec.note("boot", true);
+            rec.note("boot", false);
+            rec.note("simulate", true);
+            panic!("seeded job panic");
+        }));
+        assert!(unwound.is_err());
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            telem.serialize_span(ctx, || panic!("seeded serialize panic"))
+        }));
+        assert!(unwound.is_err());
+        telem.spans().check_balance().unwrap();
+        let ends: Vec<(SpanPhase, Option<&str>)> =
+            telem.spans().events().iter().filter(|e| !e.begin).map(|e| (e.phase, e.tag)).collect();
+        let aborted = Some(cheri_telem::ABORTED);
+        let expected = [
+            (SpanPhase::Boot, Some("cold")),
+            (SpanPhase::Simulate, aborted),
+            (SpanPhase::Serialize, aborted),
+        ];
+        assert_eq!(ends, expected);
+        let snap = telem.registry().snapshot();
+        assert_eq!(
+            (snap.counter(BOOTS), snap.counter(SIMULATES), snap.counter(SERIALIZES)),
+            (1, 0, 0)
+        );
+        for (hist, counter) in HIST_COUNTER_PAIRS {
+            let count = snap.histogram(hist).map_or(0, cheri_telem::Histogram::count);
+            assert_eq!(count, snap.counter(counter), "{hist} vs {counter}");
+        }
     }
 }

@@ -6,6 +6,8 @@
 
 use cheri_serve::{Client, Event, Request, Server, ServerConfig};
 use cheri_sweep::{Profile, SweepReport};
+use cheri_telem::span::check_balance;
+use cheri_telem::{SpanEvent, SpanPhase};
 use cheri_trace::json;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -138,8 +140,39 @@ fn mid_sweep_shutdown_leaves_no_partial_files() {
     let flushed = std::fs::read_to_string(&telem_out).expect("telem flush missing after drain");
     let parsed = json::parse(&flushed).unwrap();
     let obj = parsed.as_obj().unwrap();
-    assert!(obj["traceEvents"].as_arr().is_some());
     assert!(obj["telemMetrics"].as_obj().is_some());
+    // The flushed rows, read back as span events, balance: the drain
+    // flushes whole requests.
+    let rows = obj["traceEvents"].as_arr().unwrap();
+    assert!(!rows.is_empty());
+    let events: Vec<SpanEvent> = rows.iter().map(span_event).collect();
+    check_balance(&events).expect("the flushed timeline balances");
+}
+
+/// One flushed `traceEvents` row as the span event it was rendered
+/// from (tags are not needed to check balance).
+fn span_event(row: &json::Json) -> SpanEvent {
+    let row = row.as_obj().unwrap();
+    let name = row["name"].as_str().unwrap();
+    let phase = [
+        SpanPhase::Request,
+        SpanPhase::Queue,
+        SpanPhase::Boot,
+        SpanPhase::Restore,
+        SpanPhase::Simulate,
+        SpanPhase::Serialize,
+    ]
+    .into_iter()
+    .find(|p| p.as_str() == name)
+    .unwrap_or_else(|| panic!("unknown span name {name}"));
+    SpanEvent {
+        begin: row["ph"].as_str() == Some("B"),
+        phase,
+        req: row["tid"].as_u64().unwrap(),
+        job: row["args"].as_obj().unwrap()["job"].as_u64().unwrap(),
+        t_us: row["ts"].as_u64().unwrap(),
+        tag: None,
+    }
 }
 
 #[test]

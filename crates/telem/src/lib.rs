@@ -24,7 +24,10 @@
 //! profiler (a begin and an end with a kind, an id, and a timestamp),
 //! but name different spans for a different caller: here the kind is a [`SpanPhase`], the id is a
 //! (request, job) pair, and the timestamp is host microseconds since
-//! the log was created. The log renders through the workspace's one
+//! the log was created. The log is a window of whole recent requests,
+//! at most [`SPAN_WINDOW`] events once none is open, so its memory
+//! does not grow with the requests served; the registry is the count
+//! over the uptime. It renders through the workspace's one
 //! Chrome trace-event writer (`cheri_trace::chrome`) with one lane
 //! (`tid`) per request id.
 //!
@@ -41,4 +44,4 @@ pub mod span;
 
 pub use prom::{parse_exposition, render_exposition, Exposition, PromHist};
 pub use registry::{Histogram, TelemBatch, TelemRegistry, TelemSnapshot};
-pub use span::{SpanEvent, SpanLog, SpanPhase};
+pub use span::{OpenSpan, SpanEvent, SpanLog, SpanPhase, ABORTED, SPAN_WINDOW};

@@ -16,9 +16,16 @@
 //! `ph: "B"/"E"` rows, with one timeline lane (`tid`) per request id so
 //! concurrent requests render side by side. Events are stored compact
 //! (48 bytes each) and rendered only at export.
+//!
+//! The log is a window, not a history: it keeps the most recent
+//! completed requests, whole, up to [`SPAN_WINDOW`] events, plus every
+//! request still open, and evicts the oldest completed requests first.
+//! Its memory is therefore bounded however long the service runs; the
+//! metric registry is what counts every request over the uptime.
 
 use cheri_trace::chrome::{self, Ph, Row};
 use cheri_trace::json::JsonWriter;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -69,24 +76,112 @@ pub struct SpanEvent {
     pub tag: Option<&'static str>,
 }
 
-/// An append-only, thread-shared log of span events; its epoch is the
-/// moment it was created.
+/// The most span events a [`SpanLog`] holds once no request is open:
+/// the window of recent completed requests. At 56 bytes a held event
+/// (a [`SpanEvent`] and its place in record order) it is under 1 MB,
+/// and it holds 8 192 cached requests (2 events each), about 1 600
+/// warm ones (10 each), or about 37 full-profile sweeps.
+pub const SPAN_WINDOW: usize = 16_384;
+
+/// An event and its place in record order.
+type Recorded = (u64, SpanEvent);
+
+/// The events of one request so far, and how many of its spans are
+/// open.
+#[derive(Default)]
+struct Unit {
+    open: u64,
+    events: Vec<Recorded>,
+}
+
+/// What a [`SpanLog`] holds behind its mutex.
+#[derive(Default)]
+struct Window {
+    /// The next event's place in record order.
+    next: u64,
+    /// Requests with a span open, by [`unit_of`] key.
+    open: HashMap<(u64, u64), Unit>,
+    /// Completed requests' events, whole requests in completion order.
+    done: VecDeque<Recorded>,
+    /// The number of events of each request in `done`, oldest first.
+    done_lens: VecDeque<usize>,
+}
+
+/// The request an event belongs to: a wire request (`req` > 0) is one
+/// unit whatever its jobs; work outside a wire request (`req` 0, e.g.
+/// the in-process transparency gate) opens no request span, so each of
+/// its jobs is a unit of its own.
+fn unit_of(e: &SpanEvent) -> (u64, u64) {
+    if e.req == 0 {
+        (0, e.job)
+    } else {
+        (e.req, 0)
+    }
+}
+
+impl Window {
+    /// Adds `e` to its request; a request whose last open span this
+    /// closes is complete and moves, whole, into the retained window.
+    fn record(&mut self, e: SpanEvent) {
+        let key = unit_of(&e);
+        let unit = self.open.entry(key).or_default();
+        if e.begin {
+            unit.open += 1;
+        } else {
+            // An end with nothing open (an orphan) is kept, as a request
+            // of its own, for `check_balance` to report.
+            unit.open = unit.open.saturating_sub(1);
+        }
+        unit.events.push((self.next, e));
+        self.next += 1;
+        if unit.open == 0 {
+            if let Some(unit) = self.open.remove(&key) {
+                self.retain(unit.events);
+            }
+        }
+    }
+
+    /// Appends a completed request's events, first evicting the oldest
+    /// completed requests, whole, until they fit in [`SPAN_WINDOW`]. A
+    /// request larger than the window on its own is not kept.
+    fn retain(&mut self, events: Vec<Recorded>) {
+        while self.done.len() + events.len() > SPAN_WINDOW {
+            let Some(oldest) = self.done_lens.pop_front() else { return };
+            self.done.drain(..oldest);
+        }
+        self.done_lens.push_back(events.len());
+        self.done.extend(events);
+    }
+}
+
+/// A thread-shared log of span events, bounded by [`SPAN_WINDOW`]; its
+/// epoch is the moment it was created.
+///
+/// Events are kept by request: a request's events are held together
+/// from its first span until its last open span closes (for a wire
+/// request, normally its `request` span), and are then committed to
+/// the window of completed requests. When the window is full, the oldest
+/// completed requests are evicted whole. A request with a span open is
+/// never evicted, so the log always balances once drained and every
+/// lane it exports is a whole request. The metric registry, not the
+/// log, is the count over the service's uptime.
 pub struct SpanLog {
-    events: Mutex<Vec<SpanEvent>>,
+    window: Mutex<Window>,
     epoch: Instant,
 }
 
 impl Default for SpanLog {
     fn default() -> SpanLog {
-        SpanLog { events: Mutex::new(Vec::new()), epoch: Instant::now() }
+        SpanLog { window: Mutex::new(Window::default()), epoch: Instant::now() }
     }
 }
 
 impl SpanLog {
     fn push(&self, begin: bool, phase: SpanPhase, req: u64, job: u64, tag: Option<&'static str>) {
-        let t_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if let Ok(mut events) = self.events.lock() {
-            events.push(SpanEvent { begin, phase, req, job, t_us, tag });
+        if let Ok(mut window) = self.window.lock() {
+            // Read under the lock, so record order is time order.
+            let t_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
+            window.record(SpanEvent { begin, phase, req, job, t_us, tag });
         }
     }
 
@@ -105,22 +200,41 @@ impl SpanLog {
         self.push(false, phase, req, job, Some(tag));
     }
 
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().map_or(0, |e| e.len())
+    /// Opens a span that closes itself, tagged [`ABORTED`], if it is
+    /// dropped before [`OpenSpan::end`] closes it, as when the work it
+    /// brackets unwinds.
+    pub fn open(&self, phase: SpanPhase, req: u64, job: u64) -> OpenSpan<'_> {
+        self.begin(phase, req, job);
+        OpenSpan { log: Some(self), phase, req, job }
     }
 
-    /// Whether no events have been recorded.
+    /// Number of events held: the retained window of completed
+    /// requests (at most [`SPAN_WINDOW`]) plus the open requests'
+    /// events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.window
+            .lock()
+            .map_or(0, |w| w.done.len() + w.open.values().map(|u| u.events.len()).sum::<usize>())
+    }
+
+    /// Whether no events are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// A copy of the recorded events, in record order.
+    /// A copy of the held events, in record order.
     #[must_use]
     pub fn events(&self) -> Vec<SpanEvent> {
-        self.events.lock().map_or_else(|_| Vec::new(), |e| e.clone())
+        let mut held: Vec<Recorded> = match self.window.lock() {
+            Ok(w) => {
+                w.done.iter().chain(w.open.values().flat_map(|u| &u.events)).cloned().collect()
+            }
+            Err(_) => return Vec::new(),
+        };
+        held.sort_unstable_by_key(|(at, _)| *at);
+        held.into_iter().map(|(_, e)| e).collect()
     }
 
     /// Verifies the balance invariant: replayed in record order, no
@@ -156,6 +270,41 @@ impl SpanLog {
                 args: Some(args.close()),
             }
         }))
+    }
+}
+
+/// The tag on the end of a span closed because the work inside it
+/// unwound ([`OpenSpan`]).
+pub const ABORTED: &str = "aborted";
+
+/// A span [`SpanLog::open`] opened and nothing has closed yet. Dropping
+/// it closes it, tagged [`ABORTED`]: a panicking job leaves no span
+/// open, so its request still completes, balances and can leave the
+/// window.
+#[must_use = "dropping an open span closes it as aborted"]
+pub struct OpenSpan<'a> {
+    log: Option<&'a SpanLog>,
+    phase: SpanPhase,
+    req: u64,
+    job: u64,
+}
+
+impl OpenSpan<'_> {
+    /// Closes the span, with `tag` if given.
+    pub fn end(mut self, tag: Option<&'static str>) {
+        self.close(tag);
+    }
+
+    fn close(&mut self, tag: Option<&'static str>) {
+        if let Some(log) = self.log.take() {
+            log.push(false, self.phase, self.req, self.job, tag);
+        }
+    }
+}
+
+impl Drop for OpenSpan<'_> {
+    fn drop(&mut self) {
+        self.close(Some(ABORTED));
     }
 }
 
@@ -198,6 +347,7 @@ pub fn check_balance(events: &[SpanEvent]) -> Result<(), String> {
 mod tests {
     use super::*;
     use cheri_trace::json;
+    use std::collections::BTreeMap;
 
     #[test]
     fn balanced_log_passes_and_unbalanced_fails() {
@@ -270,9 +420,180 @@ mod tests {
 
     #[test]
     fn span_events_stay_compact() {
-        // A cached request logs two events and the log keeps them until
-        // the flush, so the event size sets the service's resident
-        // growth per request.
+        // The window holds `SPAN_WINDOW` events, each with its 8-byte
+        // place in record order, so the event size sets the log's
+        // resident footprint.
         assert!(std::mem::size_of::<SpanEvent>() <= 48);
+        assert!(std::mem::size_of::<Recorded>() <= 56);
+    }
+
+    /// Records request `req` as `depth` nested spans (`request`, then
+    /// `queue`, `boot`, ... on job 0): `2 * depth` events.
+    fn nested(log: &SpanLog, req: u64, depth: usize) {
+        let phases = [
+            SpanPhase::Request,
+            SpanPhase::Queue,
+            SpanPhase::Boot,
+            SpanPhase::Simulate,
+            SpanPhase::Serialize,
+        ];
+        for p in &phases[..depth] {
+            log.begin(*p, req, 0);
+        }
+        for p in phases[..depth].iter().rev() {
+            log.end(*p, req, 0);
+        }
+    }
+
+    /// The number of held events per request id.
+    fn held(log: &SpanLog) -> BTreeMap<u64, usize> {
+        let mut by_req = BTreeMap::new();
+        for e in log.events() {
+            *by_req.entry(e.req).or_insert(0) += 1;
+        }
+        by_req
+    }
+
+    /// The requests a model window keeps from `completed` (request, event
+    /// count) in completion order: the longest suffix that fits.
+    fn expected_window(completed: &[(u64, usize)]) -> BTreeMap<u64, usize> {
+        let mut kept = BTreeMap::new();
+        let mut total = 0;
+        for &(req, n) in completed.iter().rev() {
+            if total + n > SPAN_WINDOW {
+                break;
+            }
+            total += n;
+            kept.insert(req, n);
+        }
+        kept
+    }
+
+    #[test]
+    fn eviction_is_whole_requests_oldest_completed_first() {
+        let log = SpanLog::default();
+        let mut completed = Vec::new();
+        // Request 1 starts first but completes after request 2, so 2 is
+        // the older completed request and is evicted first.
+        log.begin(SpanPhase::Request, 1, 0);
+        nested(&log, 2, 3);
+        completed.push((2, 6));
+        log.end(SpanPhase::Request, 1, 0);
+        completed.push((1, 2));
+        // Then requests of 2 to 10 events until the window has wrapped
+        // three times, checked against the model after every request.
+        let mut req = 3;
+        let mut recorded = 8;
+        let mut first_eviction = None;
+        while recorded < 3 * SPAN_WINDOW {
+            let depth = 1 + (req as usize * 7) % 5;
+            nested(&log, req, depth);
+            completed.push((req, 2 * depth));
+            recorded += 2 * depth;
+            if first_eviction.is_none() && recorded > SPAN_WINDOW {
+                // The first eviction takes request 2, whole, and leaves
+                // the later-completed request 1.
+                let by_req = held(&log);
+                first_eviction = Some((by_req.get(&2).copied(), by_req.get(&1).copied()));
+            }
+            if req % 97 == 0 || recorded >= 3 * SPAN_WINDOW {
+                assert!(held(&log) == expected_window(&completed), "after request {req}");
+            }
+            assert!(log.len() <= SPAN_WINDOW, "after request {req}: {}", log.len());
+            req += 1;
+        }
+        assert_eq!(first_eviction, Some((None, Some(2))));
+        log.check_balance().unwrap();
+        let by_req = held(&log);
+        assert!(!by_req.contains_key(&1) && by_req.contains_key(&(req - 1)));
+    }
+
+    #[test]
+    fn an_open_request_is_never_evicted() {
+        // Request 1 is answered (its request span ends) while its job 4
+        // still simulates, as a sweep that fails on one job answers
+        // before its other jobs finish: it stays open until that span
+        // closes too.
+        let log = SpanLog::default();
+        log.begin(SpanPhase::Request, 1, 0);
+        log.begin(SpanPhase::Simulate, 1, 4);
+        log.end_tagged(SpanPhase::Request, 1, 0, "error");
+        // Thousands of later requests complete around it, three windows'
+        // worth.
+        for req in 2..2 + 3 * SPAN_WINDOW as u64 / 2 {
+            nested(&log, req, 1);
+        }
+        assert_eq!(held(&log).get(&1), Some(&3), "the open request keeps every event");
+        assert_eq!(log.len(), SPAN_WINDOW + 3, "the window, plus the open request");
+        let err = log.check_balance().unwrap_err();
+        assert!(err.contains("req=1 job=4 phase=simulate"), "{err}");
+
+        log.end_tagged(SpanPhase::Simulate, 1, 4, "cold");
+        log.check_balance().unwrap();
+        assert!(log.len() <= SPAN_WINDOW);
+        // Completed last, it is now the newest request in the window.
+        assert_eq!(held(&log).get(&1), Some(&4));
+        let last = log.events().pop().unwrap();
+        assert_eq!((last.req, last.phase, last.tag), (1, SpanPhase::Simulate, Some("cold")));
+    }
+
+    #[test]
+    fn request_zero_is_committed_per_job_and_stays_bounded() {
+        // The in-process gate opens no request span: each req-0 job is a
+        // request of its own, so one job left open does not hold back the
+        // others, and the log stays within the window.
+        let log = SpanLog::default();
+        log.begin(SpanPhase::Queue, 0, 7);
+        let jobs = 3 * SPAN_WINDOW as u64 / 8;
+        for run in 0..jobs {
+            let job = run % 30 + 8; // jobs 8..38 reused, never job 7
+            for phase in [SpanPhase::Queue, SpanPhase::Restore, SpanPhase::Simulate] {
+                log.begin(phase, 0, job);
+                log.end_tagged(phase, 0, job, "warm");
+            }
+            log.begin(SpanPhase::Serialize, 0, job);
+            log.end(SpanPhase::Serialize, 0, job);
+            assert!(log.len() <= SPAN_WINDOW + 1, "after run {run}: {}", log.len());
+        }
+        let events = log.events();
+        assert!(events.iter().any(|e| e.job == 7), "the open job stays");
+        let last_job = (jobs - 1) % 30 + 8;
+        assert_eq!(events.iter().rev().take(8).filter(|e| e.job == last_job).count(), 8);
+        log.end(SpanPhase::Queue, 0, 7);
+        log.check_balance().unwrap();
+        assert!(log.len() <= SPAN_WINDOW);
+    }
+
+    #[test]
+    fn timestamps_never_run_backwards_under_concurrent_requests() {
+        // Four threads record interleaving requests; the held events, in
+        // record order, carry non-decreasing timestamps and each
+        // request's events in the order its thread recorded them.
+        let log = SpanLog::default();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let log = &log;
+                s.spawn(move || {
+                    for i in 0..3 * SPAN_WINDOW as u64 / 8 {
+                        nested(log, 1 + t + 4 * i, 2);
+                    }
+                });
+            }
+        });
+        let events = log.events();
+        assert!(events.len() <= SPAN_WINDOW);
+        assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us), "ts ran backwards");
+        let mut by_req: BTreeMap<u64, Vec<(bool, SpanPhase)>> = BTreeMap::new();
+        for e in &events {
+            by_req.entry(e.req).or_default().push((e.begin, e.phase));
+        }
+        let shape = [
+            (true, SpanPhase::Request),
+            (true, SpanPhase::Queue),
+            (false, SpanPhase::Queue),
+            (false, SpanPhase::Request),
+        ];
+        assert!(by_req.values().all(|seq| seq == &shape));
+        log.check_balance().unwrap();
     }
 }
